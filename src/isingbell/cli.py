@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_csv, write_json
 from .model import PhysicalUnits, TripletAmplitudes
 from .propagator import (
     ControlWaveform,
@@ -109,10 +110,13 @@ def _floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _summary(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _best_cell(cells):
+    """Best successful sweep cell; a sweep where every cell failed is a
+    numerical failure, not a usage error."""
+    done = [c for c in cells if c.error is None]
+    if not done:
+        raise NoConvergence(f"all {len(cells)} sweep cells failed; first: {cells[0].error}")
+    return max(done, key=lambda c: c.fidelity)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +133,7 @@ def cmd_tqd(args: argparse.Namespace) -> int:
     fid = fidelity(traj)
     write_waveform_csv(wf, out / "tqd_waveform.csv", config=config.to_dict())
     write_trajectory_csv(traj, out / "tqd_trajectory.csv", config=config.to_dict())
-    _summary(out / "tqd_summary.json", {"config": config.to_dict(), "fidelity": fid})
+    write_json(out / "tqd_summary.json", {"config": config.to_dict(), "fidelity": fid})
     print(f"fidelity: {fid:.12g}")
     return 0
 
@@ -142,7 +146,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     traj = propagate(wf, TripletAmplitudes.spin_down(), steps=p["steps"], method=p["method"])
     fid = fidelity(traj)
     write_trajectory_csv(traj, out / "simulate_trajectory.csv", config=config.to_dict())
-    _summary(out / "simulate_summary.json", {"config": config.to_dict(), "fidelity": fid})
+    write_json(out / "simulate_summary.json", {"config": config.to_dict(), "fidelity": fid})
     print(f"fidelity: {fid:.12g}")
     return 0
 
@@ -196,7 +200,7 @@ def cmd_sweep_detuning(args: argparse.Namespace) -> int:
         segments=int(p["segments"]),
     )
     write_sweep_csv(cells, out / "sweep_detuning.csv", config=config.to_dict())
-    best = max((c for c in cells if c.error is None), key=lambda c: c.fidelity)
+    best = _best_cell(cells)
     print(f"best: T={best.T:g} delta={best.delta:g} fidelity={best.fidelity:.12g}")
     return 0
 
@@ -233,7 +237,7 @@ def cmd_evaluate_series(args: argparse.Namespace) -> int:
     else:
         series = read_series_json(p["series"])
     fid = evaluate_series(series, float(p["T"]), convention=p["convention"], steps=p["steps"])
-    _summary(
+    write_json(
         out / "series_eval.json",
         {"config": config.to_dict(), "series": series.to_dict(), "fidelity": fid},
     )
@@ -275,11 +279,7 @@ def _repro_fig2(config: ExperimentConfig, out: Path) -> None:
         write_report_json(rep, out / f"fig2_T{t_tot:g}.json", config=config.to_dict())
         rows.append((t_tot, rep.fidelity, saturation_fraction(rep.waveform)))
         print(f"T={t_tot:g}: fidelity={rep.fidelity:.12g} saturation={rows[-1][2]:.4f}")
-    with open(out / "fig2.csv", "w") as fh:
-        fh.write("# config: " + json.dumps(config.to_dict(), sort_keys=True) + "\n")
-        fh.write("T,fidelity,saturation\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.15g}" for v in row) + "\n")
+    write_csv(out / "fig2.csv", ("T", "fidelity", "saturation"), np.transpose(rows), config.to_dict())
 
 
 def _repro_fig3a(config: ExperimentConfig, out: Path) -> None:
@@ -289,7 +289,7 @@ def _repro_fig3a(config: ExperimentConfig, out: Path) -> None:
         [2.5], deltas, restarts=int(p["restarts"]), seed=int(p["seed"]), segments=int(p["segments"])
     )
     write_sweep_csv(cells, out / "fig3a.csv", config=config.to_dict())
-    best = max((c for c in cells if c.error is None), key=lambda c: c.fidelity)
+    best = _best_cell(cells)
     print(f"best delta={best.delta:g} fidelity={best.fidelity:.12g}")
 
 
@@ -311,11 +311,8 @@ def _repro_fig4c(config: ExperimentConfig, out: Path) -> None:
     p = config.params
     problem = ControlProblem(T=2.5, delta_mode="trig-series", segments=int(p["segments"]))
     reports = trig_harmonic_scan(problem, [1, 2, 3, 5], restarts=int(p["restarts"]), seed=int(p["seed"]))
-    with open(out / "fig4c.csv", "w") as fh:
-        fh.write("# config: " + json.dumps(config.to_dict(), sort_keys=True) + "\n")
-        fh.write("p,fidelity\n")
-        for rep in reports:
-            fh.write(f"{rep.series.p},{rep.fidelity:.15g}\n")
+    columns = [[rep.series.p for rep in reports], [rep.fidelity for rep in reports]]
+    write_csv(out / "fig4c.csv", ("p", "fidelity"), columns, config.to_dict())
     for rep in reports:
         write_report_json(rep, out / f"fig4c_p{rep.series.p}.json", config=config.to_dict())
         print(f"p={rep.series.p}: fidelity={rep.fidelity:.12g}")

@@ -109,28 +109,44 @@ class RotatingFrame:
             raise ValueError(f"frame frequency must be finite, got {self.omega_rf}")
 
 
-def hamiltonian_c(sample: ControlSample, units: PhysicalUnits = PhysicalUnits()) -> np.ndarray:
-    """Rotating-frame triplet Hamiltonian, a real symmetric 3x3 array.
+def hc_batch(delta, omega, xi: float = 1.0) -> np.ndarray:
+    """Stack of rotating-frame Hamiltonians, shape (n, 3, 3), real symmetric.
 
     Diagonal (delta, 0, 4*xi - delta); the single transverse field couples
     both adjacent pairs with strength omega/sqrt(2); the (1,3) corner stays
     zero (tridiagonal structure).
     """
-    w = sample.omega / SQRT2
-    return np.array(
-        [
-            [sample.delta, w, 0.0],
-            [w, 0.0, w],
-            [0.0, w, 4.0 * units.xi - sample.delta],
-        ]
-    )
+    delta = np.asarray(delta, dtype=float)
+    w = np.asarray(omega, dtype=float) / SQRT2
+    h = np.zeros((delta.shape[0], 3, 3))
+    h[:, 0, 0] = delta
+    h[:, 2, 2] = 4.0 * xi - delta
+    h[:, 0, 1] = h[:, 1, 0] = w
+    h[:, 1, 2] = h[:, 2, 1] = w
+    return h
+
+
+def h2_batch(delta, omega) -> np.ndarray:
+    """Stack of two-level Hamiltonians of the |dd> <-> bell block, shape
+    (n, 2, 2): (1/2) [[delta, sqrt(2) omega], [sqrt(2) omega, -delta]]."""
+    d = 0.5 * np.asarray(delta, dtype=float)
+    w = np.asarray(omega, dtype=float) / SQRT2
+    h = np.empty((d.shape[0], 2, 2))
+    h[:, 0, 0] = d
+    h[:, 1, 1] = -d
+    h[:, 0, 1] = h[:, 1, 0] = w
+    return h
+
+
+def hamiltonian_c(sample: ControlSample, units: PhysicalUnits = PhysicalUnits()) -> np.ndarray:
+    """Rotating-frame triplet Hamiltonian at one sample: a real symmetric
+    3x3 array (see ``hc_batch``)."""
+    return hc_batch([sample.delta], [sample.omega], units.xi)[0]
 
 
 def hamiltonian_two_level(sample: ControlSample) -> np.ndarray:
-    """Two-level reduction of the |dd> <-> bell block:
-    (1/2) [[delta, sqrt(2) omega], [sqrt(2) omega, -delta]]."""
-    w = SQRT2 * sample.omega
-    return 0.5 * np.array([[sample.delta, w], [w, -sample.delta]])
+    """Two-level reduction at one sample (see ``h2_batch``)."""
+    return h2_batch([sample.delta], [sample.omega])[0]
 
 
 def _frame_phases(t: float, frame: RotatingFrame, units: PhysicalUnits) -> np.ndarray:

@@ -23,11 +23,13 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import fmin_l_bfgs_b
 
+from .artifacts import write_csv, write_json
 from .model import SQRT2, PhysicalUnits
 from .propagator import (
     ControlWaveform,
     NonUnitaryDrift,
     TripletAmplitudes,
+    chain,
     fidelity,
     propagate,
     segment_propagators,
@@ -197,24 +199,6 @@ class OptimizationReport:
 # forward/adjoint machinery
 
 
-def _forward_states(u: np.ndarray, c0: np.ndarray) -> np.ndarray:
-    n = u.shape[0]
-    c = np.empty((n + 1, 3), dtype=complex)
-    c[0] = c0
-    for k in range(n):
-        c[k + 1] = u[k] @ c[k]
-    return c
-
-
-def _adjoint_states(u: np.ndarray, lam_final: np.ndarray) -> np.ndarray:
-    n = u.shape[0]
-    lam = np.empty((n + 1, 3), dtype=complex)
-    lam[n] = lam_final
-    for k in range(n - 1, -1, -1):
-        lam[k] = u[k].conj().T @ lam[k + 1]
-    return lam
-
-
 def _segment_controls(problem: ControlProblem, controls: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     n = problem.segments
     controls = np.asarray(controls, dtype=float)
@@ -247,13 +231,13 @@ def adjoint_gradient(problem: ControlProblem, controls: np.ndarray) -> tuple[flo
     n = problem.segments
     dt = problem.T / n
     u, evals, evecs = segment_propagators(delta, omega, dt, problem.units.xi)
-    c = _forward_states(u, _SPIN_DOWN)
+    c = chain(u, _SPIN_DOWN)
     amp = c[-1, 1]
     fid = float(np.abs(amp) ** 2)
 
     lam_final = np.zeros(3, dtype=complex)
     lam_final[1] = amp
-    lam = _adjoint_states(u, lam_final)
+    lam = chain(u.conj().transpose(0, 2, 1)[::-1], lam_final)[::-1]
 
     vt = np.swapaxes(evecs, 1, 2)
     av = np.einsum("kmi,ki->km", vt, lam[1:])  # V^T lam_{k+1}
@@ -458,7 +442,9 @@ def optimize_trig(
     coefficient vector is then rescaled exactly onto the box (the bounds are
     symmetric, so uniform shrinking preserves feasibility) and re-checked.
     ``extra_starts`` takes stacked (a, b) coefficient vectors, e.g. the
-    zero-padded optimum of a lower harmonic count.
+    zero-padded optimum of a lower harmonic count.  The search scores the
+    series sampled at segment midpoints; the reported fidelity is that of
+    the smooth series waveform the report ships (its RK4 propagation).
     """
     lo, hi = problem.omega_bounds
     dlo, dhi = problem.delta_bounds
@@ -551,6 +537,7 @@ def optimize_trig(
 
     series = TrigSeries(p=p, a=a, b=(b if joint else np.zeros(nc)))
     wf = series_waveform(series, problem.T, delta_fixed=None if joint else problem.delta_value)
+    fid = fidelity(propagate(wf, TripletAmplitudes.spin_down(), units=problem.units))
     _, g_last = objective(x, PENALTY_WEIGHTS[-1])
     return OptimizationReport(
         problem=problem,
@@ -744,27 +731,19 @@ def write_report_json(report: OptimizationReport, path, config: dict | None = No
     payload = report.to_dict()
     if config is not None:
         payload["config"] = config
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def write_sweep_csv(cells: Sequence[SweepCell], path, config: dict | None = None) -> None:
-    with open(path, "w") as fh:
-        if config is not None:
-            fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
-        fh.write("T,delta,fidelity\n")
-        for cell in cells:
-            fh.write(f"{cell.T:.15g},{cell.delta:.15g},{cell.fidelity:.15g}\n")
+    columns = [[c.T for c in cells], [c.delta for c in cells], [c.fidelity for c in cells]]
+    write_csv(path, ("T", "delta", "fidelity"), columns, config)
 
 
 def write_series_json(series: TrigSeries, path, extra: dict | None = None) -> None:
     payload = series.to_dict()
     if extra:
         payload.update(extra)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def read_series_json(path) -> TrigSeries:

@@ -32,11 +32,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .model import SQRT2, ControlSample, PhysicalUnits, TripletAmplitudes
+from .artifacts import write_csv
+from .model import SQRT2, ControlSample, PhysicalUnits, TripletAmplitudes, h2_batch
 from .propagator import (
     ControlWaveform,
     NonUnitaryDrift,
     Trajectory,
+    _auto_steps,
     fidelity,
     propagate,
     rk4_evolve,
@@ -251,43 +253,25 @@ def two_level_inversion(spec: ShortcutSpec, steps: int | None = None) -> float:
     is 1 up to integrator error for any duration; only the three-level
     embedding degrades the transfer.
     """
-    if steps is None:
-        n_probe = np.linspace(0.0, 1.0, 513)
-        _, w = _controls_arrays(n_probe, spec)
-        steps = max(4000, math.ceil(1000 * float(np.max(np.abs(w))) * spec.T))
-    dt = spec.T / steps
-    s_mid = (np.arange(steps) + 0.5) * dt / spec.T
-    d, w = _controls_arrays(s_mid, spec)
-    h = np.empty((steps, 2, 2))
-    h[:, 0, 0] = 0.5 * d
-    h[:, 1, 1] = -0.5 * d
-    h[:, 0, 1] = w / SQRT2
-    h[:, 1, 0] = w / SQRT2
-    psi = rk4_evolve(h, np.array([1.0 + 0.0j, 0.0j]), dt)
+    wf = shortcut_waveform(spec)
+    n = _auto_steps(wf, steps)
+    dt = spec.T / n
+    d, w = wf.sample((np.arange(n) + 0.5) * dt)
+    psi = rk4_evolve(h2_batch(d, w), np.array([1.0 + 0.0j, 0.0j]), dt)
     return float(np.abs(psi[-1, 1]) ** 2)
 
 
 def write_waveform_csv(waveform: ControlWaveform, path, n: int = 1001, config=None) -> None:
     """Sample a waveform on n points and dump (t, delta, omega) as CSV."""
-    import json
-
     ts = np.linspace(0.0, waveform.duration, n)
-    d, w = waveform.sample(ts)
-    with open(path, "w") as fh:
-        if config is not None:
-            fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
-        fh.write("t,delta,omega\n")
-        for row in zip(ts, d, w):
-            fh.write(",".join(f"{v:.15g}" for v in row) + "\n")
+    write_csv(path, ("t", "delta", "omega"), [ts, *waveform.sample(ts)], config)
 
 
 def write_fidelity_curve_csv(path, T_grid, fid_symmetric, fid_nonsymmetric, config=None) -> None:
     """Dump the fidelity-vs-duration curves for both schedule kinds."""
-    import json
-
-    with open(path, "w") as fh:
-        if config is not None:
-            fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
-        fh.write("T,fidelity_symmetric,fidelity_nonsymmetric\n")
-        for row in zip(T_grid, fid_symmetric, fid_nonsymmetric):
-            fh.write(",".join(f"{v:.15g}" for v in row) + "\n")
+    write_csv(
+        path,
+        ("T", "fidelity_symmetric", "fidelity_nonsymmetric"),
+        [T_grid, fid_symmetric, fid_nonsymmetric],
+        config,
+    )

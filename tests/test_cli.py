@@ -163,6 +163,14 @@ class TestSweeps:
         lines = (out / "sweep_detuning.csv").read_text().splitlines()
         assert len(lines) == 2 + 3
 
+    def test_all_failed_detuning_sweep_is_numerical_error(self, tmp_path, capsys, monkeypatch):
+        # T = 0.01 is too short for any cell; exit 3 with a real message, not 2
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, "sweep-detuning", "--T", "0.01", "--deltas=0",
+                           "--segments", "20", "--restarts", "1")
+        assert code == 3
+        assert "all 1 sweep cells failed" in err and "best fidelity" in err
+
 
 class TestEvaluateSeries:
     def test_builtin_benchmark(self, tmp_path, capsys):

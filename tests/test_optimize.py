@@ -132,6 +132,11 @@ class TestOptimizePiecewise:
         fids = [fig2_reports[t].fidelity for t in BENCH_DURATIONS]
         assert all(b > a for a, b in zip(fids, fids[1:]))
 
+    def test_reported_fidelity_is_the_shipped_waveforms(self, fig2_reports):
+        for t, rep in fig2_reports.items():
+            replay = fidelity(propagate(rep.waveform, SPIN_DOWN))
+            assert abs(replay - rep.fidelity) <= 1e-10, (t, replay, rep.fidelity)
+
     def test_bounds_respected_exactly(self, fig2_reports):
         for rep in fig2_reports.values():
             assert np.max(np.abs(rep.waveform.piece_omega)) <= 1.0
@@ -253,6 +258,13 @@ class TestOptimizeTrig:
             m = trig_basis(rep.series.p, t_mid)
             assert np.max(np.abs(m @ rep.series.a)) <= 1.0 + 1e-9
             assert np.max(np.abs(m @ rep.series.b)) <= 1.0 + 1e-9
+
+    def test_reported_fidelity_is_the_shipped_waveforms(self, trig_scan_reports):
+        # the optimizer scores midpoint-sampled segments; the report ships the
+        # smooth series, whose RK4 replay must give the same number
+        for rep in trig_scan_reports:
+            replay = fidelity(propagate(rep.waveform, SPIN_DOWN))
+            assert abs(replay - rep.fidelity) <= 1e-9, (rep.series.p, replay, rep.fidelity)
 
     def test_constant_ansatz_loses_to_p3(self, trig_scan_reports):
         problem = ControlProblem(T=2.5, delta_mode="trig-series")

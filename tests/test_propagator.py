@@ -1,17 +1,21 @@
 """Propagation: waveforms, the two integration routes, and their invariants."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from isingbell.model import ControlSample, TripletAmplitudes
 from isingbell.propagator import (
     ControlWaveform,
     MethodMismatch,
     NonUnitaryDrift,
+    _rk4_maps,
+    chain,
     fidelity,
     hc_batch,
     population_trace,
@@ -22,6 +26,19 @@ from isingbell.propagator import (
 )
 
 SPIN_DOWN = TripletAmplitudes.spin_down()
+
+bounded = st.floats(min_value=-1.0, max_value=1.0)
+#: (delta, omega) segment values of a random bounded drive
+drives = st.lists(st.tuples(bounded, bounded), min_size=1, max_size=40)
+steps = st.floats(min_value=1e-3, max_value=0.5)
+states3 = st.lists(st.complex_numbers(max_magnitude=1.0), min_size=3, max_size=3).filter(
+    lambda c: np.linalg.norm(c) > 1e-3
+)
+
+
+def _unit(c) -> np.ndarray:
+    c = np.asarray(c, dtype=complex)
+    return c / np.linalg.norm(c)
 
 
 class TestControlWaveform:
@@ -161,6 +178,44 @@ class TestSegmentPropagators:
         u, _, _ = segment_propagators(rng.uniform(-1, 1, 8), rng.uniform(-1, 1, 8), 0.1)
         eye = np.broadcast_to(np.eye(3), (8, 3, 3))
         assert np.allclose(np.matmul(u.conj().transpose(0, 2, 1), u), eye, atol=1e-13)
+
+
+class TestChain:
+    @given(drive=drives, dt=steps, c0=states3)
+    @settings(max_examples=40, deadline=None)
+    def test_norm_preserved(self, drive, dt, c0):
+        delta, omega = np.array(drive).T
+        u, _, _ = segment_propagators(delta, omega, dt)
+        states = chain(u, _unit(c0))
+        assert states.shape == (len(drive) + 1, 3)
+        assert np.array_equal(states[0], _unit(c0))
+        assert np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)) <= 1e-12
+
+    @given(drive=drives, dt=steps, c0=states3, lam_final=states3)
+    @settings(max_examples=40, deadline=None)
+    def test_forward_and_adjoint_pair_conserve_overlap(self, drive, dt, c0, lam_final):
+        # c_{k+1} = U_k c_k and lam_k = U_k^H lam_{k+1} keep <lam_k, c_k> fixed
+        delta, omega = np.array(drive).T
+        u, _, _ = segment_propagators(delta, omega, dt)
+        c = chain(u, _unit(c0))
+        lam = chain(u.conj().transpose(0, 2, 1)[::-1], _unit(lam_final))[::-1]
+        assert np.array_equal(lam[-1], _unit(lam_final))
+        overlap = np.einsum("ki,ki->k", lam.conj(), c)
+        assert np.max(np.abs(overlap - overlap[0])) <= 1e-12
+
+    @given(drive=drives, dt=steps)
+    @settings(max_examples=40, deadline=None)
+    def test_rk4_maps_are_taylor_truncations_of_the_exponential(self, drive, dt):
+        # remainder of the degree-4 Taylor polynomial of exp(x):
+        # |sum_{j>=5} A^j/j!| <= x^5/5! e^x with x = |H| dt (spectral norm),
+        # plus round-off slack
+        delta, omega = np.array(drive).T
+        h = hc_batch(delta, omega)
+        maps = _rk4_maps(h, dt)
+        for hk, mk in zip(h, maps):
+            x = np.linalg.norm(hk, 2) * dt
+            bound = x**5 / 120.0 * math.exp(x) + 1e-14
+            assert np.linalg.norm(mk - expm(-1j * dt * hk), 2) <= bound
 
 
 class TestFidelityAndPopulations:

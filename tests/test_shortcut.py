@@ -216,6 +216,10 @@ class TestTwoLevelInversion:
         p = two_level_inversion(ShortcutSpec(kind=kind, e=0.1, T=T))
         assert p >= 1.0 - 1e-6
 
+    def test_step_policy_shared_with_propagate(self):
+        with pytest.raises(ValueError, match="steps must be at least"):
+            two_level_inversion(ShortcutSpec(kind="symmetric", e=0.1, T=1.0), steps=10)
+
 
 class TestFidelityCurve:
     def test_benchmark_durations(self, tqd_curves):
