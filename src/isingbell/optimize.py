@@ -55,10 +55,16 @@ MIN_USEFUL_FIDELITY = 1e-3
 #: allowed bound overshoot of a polished trig series at the grid nodes
 TRIG_FEASIBILITY_TOL = 1e-9
 PENALTY_WEIGHTS = (10.0, 1e3, 1e5)
+#: function evaluations per L-BFGS-B line search in series optimization.
+#: scipy's default of 20 runs out on many-harmonic bases: from the constant
+#: start at p = 200, 1e-12 perturbations ended the first penalty round in a
+#: line-search failure 8 times in 12 (none in 12 with 50).
+SERIES_LINE_SEARCH = 50
 
 _DH_DOMEGA = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]) / SQRT2
 _DH_DDELTA = np.diag([1.0, 0.0, -1.0])
-_SPIN_DOWN = np.array([1.0, 0.0, 0.0], dtype=complex)
+#: initial state of the forward pass (spin down) and of the adjoint pass (e2)
+_FORWARD_ADJOINT_STARTS = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], dtype=complex)
 
 #: reference series coefficients for the T = 2.5 joint-control benchmark
 #: (p = 3, xi-units convention); evaluate_series on these must give a
@@ -218,9 +224,10 @@ def adjoint_gradient(problem: ControlProblem, controls: np.ndarray) -> tuple[flo
     stacked (omega, delta) segment vectors (trig-series mode; the caller maps
     series coefficients to segments and chain-rules the result back).
 
-    One forward pass gives the states c_k, one backward pass the costates
-    lam_k; the derivative of each segment exponential follows from its
-    eigendecomposition:  dU = V (W o Phi) V^T  with W = V^T (dH/dtheta) V and
+    One batched ``chain`` call runs the forward pass for the states c_k and
+    the backward pass for the costates lam_k; the derivative of each segment
+    exponential follows from its eigendecomposition:
+    dU = V (W o Phi) V^T  with W = V^T (dH/dtheta) V and
 
         Phi_mn = -i dt exp(-i (E_m + E_n) dt / 2) sinc((E_m - E_n) dt / 2),
 
@@ -231,13 +238,12 @@ def adjoint_gradient(problem: ControlProblem, controls: np.ndarray) -> tuple[flo
     n = problem.segments
     dt = problem.T / n
     u, evals, evecs = segment_propagators(delta, omega, dt, problem.units.xi)
-    c = chain(u, _SPIN_DOWN)
+    # the costate is linear in lam_T = amp * e2: chain e2 backwards alongside
+    # the forward pass and scale by amp afterwards
+    c, lam = chain(np.stack([u, u.conj().transpose(0, 2, 1)[::-1]]), _FORWARD_ADJOINT_STARTS)
     amp = c[-1, 1]
     fid = float(np.abs(amp) ** 2)
-
-    lam_final = np.zeros(3, dtype=complex)
-    lam_final[1] = amp
-    lam = chain(u.conj().transpose(0, 2, 1)[::-1], lam_final)[::-1]
+    lam = amp * lam[::-1]
 
     vt = np.swapaxes(evecs, 1, 2)
     av = np.einsum("kmi,ki->km", vt, lam[1:])  # V^T lam_{k+1}
@@ -509,29 +515,33 @@ def optimize_trig(
                 pgtol=GRAD_TOL,
                 maxiter=MAX_ITER,
                 maxfun=20 * MAX_ITER,
+                maxls=SERIES_LINE_SEARCH,
             )
             nit += int(info["nit"])
         a, b = split(x)
         a, _ = _rescale_into_box(a, m @ a, hi)
+        viol = float(np.max(np.abs(m @ a))) - hi
         if joint:
             b, _ = _rescale_into_box(b, m @ b, dhi)
+            viol = max(viol, float(np.max(np.abs(m @ b))) - dhi)
             f, _ = adjoint_gradient(problem, np.concatenate([m @ a, m @ b]))
         else:
             f, _ = adjoint_gradient(problem, m @ a)
         x_feas = np.concatenate([a, b]) if joint else a
-        if best is None or f > best[1]:
-            best = (x_feas, f, nit, info)
+        # the rescale is exact only up to rounding, which huge coefficients
+        # (ill-conditioned fits) can push past the tolerance: feasible
+        # candidates win over infeasible ones, then the higher fidelity wins
+        rank = (viol <= TRIG_FEASIBILITY_TOL, f)
+        if best is None or rank > best[0]:
+            best = (rank, x_feas, viol, nit, info)
 
-    x, fid, nit, info = best
+    (_, fid), x, viol, nit, info = best
     a, b = split(x)
     if fid <= MIN_USEFUL_FIDELITY:
         raise NoConvergence(
             f"best fidelity {fid:.3e} <= {MIN_USEFUL_FIDELITY}; "
             f"bounded controls cannot transfer in T={problem.T:g}"
         )
-    viol = np.max(np.abs(m @ a)) - hi
-    if joint:
-        viol = max(viol, float(np.max(np.abs(m @ b))) - dhi)
     if viol > TRIG_FEASIBILITY_TOL:
         raise InfeasibleResult(f"series overshoots bounds by {viol:.3e} after polishing")
 
@@ -677,7 +687,10 @@ def sweep_duration(
         extra = []
         if best_omega[i - 1] is not None:
             extra.append(_pad_resample(best_omega[i - 1], cells[i - 1].T, cells[i].T))
-        rerun = optimize_piecewise(problem, restarts=2 * restarts, seed=seed + 1000 + i, extra_starts=extra)
+        try:
+            rerun = optimize_piecewise(problem, restarts=2 * restarts, seed=seed + 1000 + i, extra_starts=extra)
+        except (NoConvergence, NonUnitaryDrift):
+            continue  # keep the first-pass cell
         if rerun.fidelity > cells[i].fidelity:
             cells[i] = SweepCell(T=cells[i].T, delta=delta_fixed, fidelity=rerun.fidelity)
             best_omega[i] = rerun.waveform.piece_omega

@@ -2,21 +2,22 @@
 
 Two integration routes are provided and cross-checked against each other.
 Both build a stack of per-step maps in batch and share one kernel,
-``chain``, which applies them in order:
+``chain``, a blocked scan in real arithmetic that applies them in order
+with O(sqrt(n)) numpy calls instead of one call per step:
 
 * fixed-step RK4 with the control pair frozen at each step midpoint.  For a
   frozen H one RK4 step is exactly the degree-4 Taylor polynomial of
-  exp(-i H dt), so that polynomial is the step map; on grids aligned with
-  the segment edges the route agrees with the exponential one to Taylor
-  error (~1e-13 at default resolution).  Freezing at the midpoint keeps
-  delta-like pulses and discontinuous waveforms well behaved; for smooth
-  controls the midpoint commutator error is O(dt^2) and negligible at the
-  default 4000 steps.
+  exp(-i H dt), so that polynomial, built from real powers of H dt, is the
+  step map; on grids aligned with the segment edges the route agrees with
+  the exponential one to Taylor error (~1e-13 at default resolution).
+  Freezing at the midpoint keeps delta-like pulses and discontinuous
+  waveforms well behaved; for smooth controls the midpoint commutator error
+  is O(dt^2) and negligible at the default 4000 steps.
 * exact piecewise exponentials, exp(-i H_k dt) per constant segment via
   eigendecomposition of the (real symmetric) Hamiltonian.
 
-The optimizer's adjoint pass runs the same kernel backwards by chaining the
-reversed stack of adjoint maps.
+The optimizer runs its forward pass and its adjoint pass (the reversed
+stack of adjoint maps) through the same kernel in one batched call.
 
 Norm drift beyond 1e-8 raises ``NonUnitaryDrift``: that always means the
 step is too coarse for the pulse, never a physical effect.
@@ -43,9 +44,10 @@ DEFAULT_STEPS = 4000
 #: extra RK4 steps per unit of max|omega|*T; pulse area, not duration, sets
 #: the resolution a delta-like pulse needs.
 STEPS_PER_UNIT_AREA = 1000
-#: RK4 step maps are built and chained this many steps at a time.  Building
-#: all of them at once raised the peak RSS of `repro table1` (38,234 steps
-#: per propagation) from 90 MiB before step maps to 105 MiB; blocked, 86 MiB.
+#: RK4 step maps are built and chained this many steps at a time, so the
+#: scan's real-form scratch stays O(MAP_BLOCK).  Peak RSS of `repro table1`
+#: (38,234 steps per propagation; ru_maxrss, one process): 86.6 MiB blocked,
+#: 119 MiB with every map built and scanned at once.
 MAP_BLOCK = 2048
 
 TRAJECTORY_CSV_COLUMNS = (
@@ -174,6 +176,11 @@ class Trajectory:
     states: np.ndarray  # (K+1, 3) complex
     delta: np.ndarray
     omega: np.ndarray
+    #: how ``propagate`` made it: route, step count and the largest
+    #: |norm - 1| over the states (None when built by hand)
+    method: str | None = None
+    steps: int | None = None
+    max_drift: float | None = None
 
     @property
     def populations(self) -> np.ndarray:
@@ -205,32 +212,73 @@ def segment_propagators(
 
 def chain(maps: np.ndarray, c0: np.ndarray) -> np.ndarray:
     """States of c_{k+1} = maps[k] @ c_k from c_0 = ``c0``: the (n+1, dim)
-    history through a stack of n step maps of shape (n, dim, dim)."""
-    n, dim = maps.shape[0], maps.shape[1]
-    out = np.empty((n + 1, dim), dtype=complex)
-    out[0] = c0
-    for k in range(n):
-        out[k + 1] = maps[k] @ out[k]
-    return out
+    history through a stack of n step maps of shape (n, dim, dim).
+
+    A leading batch axis chains independent stacks in one call: maps of
+    shape (b, n, dim, dim) from c0 of shape (b, dim) give (b, n+1, dim).
+    ``out[..., 0, :]`` is ``c0`` exactly.
+
+    Two-level blocked scan (Blelloch, "Prefix sums and their applications",
+    1990) in real arithmetic: each complex map M acts on (Re c, Im c) as
+    [[Re M, -Im M], [Im M, Re M]], and a stacked real product is several
+    times cheaper than a complex one in numpy.  The steps are cut into
+    blocks of L = ceil(sqrt(n)), the last padded with identities, and laid
+    out block position first so that every product runs on contiguous
+    memory.  L batched products build the prefix products inside all
+    blocks, a sequential pass over the ~sqrt(n) block-end products gives
+    each block's entry state, and one batched product fills in every state.
+    """
+    *batch, n, d, _ = maps.shape
+    b = math.prod(batch)
+    maps = maps.reshape(b, n, d, d)
+    c0 = np.asarray(c0).reshape(b, d)
+    size = math.isqrt(max(n - 1, 0)) + 1
+    nblk = max(-(-n // size), 1)
+    if nblk * size > n:
+        pad = np.broadcast_to(np.eye(d), (b, nblk * size - n, d, d))
+        maps = np.concatenate([maps, pad], axis=1)
+    # m[j, i, k] is step k * size + j of batch i
+    m = maps.reshape(b, nblk, size, d, d).transpose(2, 0, 1, 3, 4)
+    r = np.empty((size, b, nblk, 2 * d, 2 * d))
+    r[..., :d, :d] = r[..., d:, d:] = m.real
+    r[..., d:, :d] = m.imag
+    r[..., :d, d:] = -m.imag
+    prefix = np.empty_like(r)
+    prefix[0] = r[0]
+    for j in range(1, size):
+        np.matmul(r[j], prefix[j - 1], out=prefix[j])
+    entry = np.empty((b, nblk, 2 * d, 1))
+    entry[:, 0, :d, 0] = c0.real
+    entry[:, 0, d:, 0] = c0.imag
+    for k in range(nblk - 1):
+        np.matmul(prefix[-1, :, k], entry[:, k], out=entry[:, k + 1])
+    x = np.matmul(prefix, entry)[..., 0].transpose(1, 2, 0, 3).reshape(b, nblk * size, 2 * d)
+    out = np.empty((b, n + 1, d), dtype=complex)
+    out[:, 0] = c0
+    out[:, 1:].real = x[:, :n, :d]
+    out[:, 1:].imag = x[:, :n, d:]
+    return out.reshape(*batch, n + 1, d)
 
 
 def _rk4_maps(h: np.ndarray, dt: float) -> np.ndarray:
     """RK4 step maps of a stack of frozen Hamiltonians: sum_{j<=4} A^j / j!
-    with A = -i H dt, in Horner form.  Each differs from exp(-i H dt) by at
-    most (|H| dt)^5 / 120 * exp(|H| dt) in any submultiplicative norm."""
-    a = (-1j * dt) * h
-    eye = np.eye(h.shape[1])
-    m = eye + a / 4.0
-    for j in (3.0, 2.0, 1.0):
-        m = eye + (a @ m) / j
-    return m
+    with A = -i H dt.  With a = H dt that is (I - a^2/2 + a^4/24) -
+    i (a - a^3/6), so a real symmetric H costs three real products.  Each
+    map differs from exp(-i H dt) by at most (|H| dt)^5 / 120 * exp(|H| dt)
+    in any submultiplicative norm."""
+    a = dt * h
+    a2 = a @ a
+    a3 = a2 @ a
+    a4 = a2 @ a2
+    return (np.eye(h.shape[1]) - a2 / 2.0 + a4 / 24.0) - 1j * (a - a3 / 6.0)
 
 
 def rk4_evolve(h_mid: np.ndarray, c0: np.ndarray, dt: float) -> np.ndarray:
     """March a state through the stack of midpoint-frozen Hamiltonians.
 
-    ``h_mid[k]`` is the (Hermitian) Hamiltonian frozen on step k; works for
-    any dimension.  Returns the full (n+1, dim) history.
+    ``h_mid[k]`` is the Hamiltonian frozen on step k, real symmetric for
+    every builder in ``model``; works for any dimension.  Returns the full
+    (n+1, dim) history.
     """
     n, dim = h_mid.shape[0], h_mid.shape[1]
     out = np.empty((n + 1, dim), dtype=complex)
@@ -303,7 +351,9 @@ def propagate(
             f"norm drift {drift:.3e} exceeds {DRIFT_LIMIT:.0e}; increase steps for this waveform"
         )
     d_nodes, w_nodes = waveform.sample(times)
-    return Trajectory(times=times, states=states, delta=d_nodes, omega=w_nodes)
+    return Trajectory(
+        times=times, states=states, delta=d_nodes, omega=w_nodes, method=method, steps=n, max_drift=drift
+    )
 
 
 def fidelity(traj: Trajectory) -> float:

@@ -24,14 +24,17 @@ BENCH_DURATIONS = (2.0, 2.5, 3.0, 3.6)
 DETUNING_GRID = (-0.3, -0.2, -0.15, -0.11, -0.05, 0.0, 0.05, 0.11, 0.2, 0.3)
 
 
-def gradient_fd_worst_rel(instances: int = 20, seed: int = 7, probes: int = 3) -> float:
+def gradient_fd_worst_rel(
+    instances: int = 20, seed: int = 7, probes: int = 3, segments: tuple[int, int] = (60, 200)
+) -> float:
     """Worst relative mismatch between the adjoint gradient and central
     finite differences over random bounded-control problems (both detuning
-    modes), probing a few random coordinates per instance."""
+    modes, segment counts drawn from ``segments``), probing a few random
+    coordinates per instance."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for k in range(instances):
-        nseg = int(rng.integers(60, 200))
+        nseg = int(rng.integers(*segments))
         mode = "fixed" if k % 2 == 0 else "trig-series"
         problem = ControlProblem(
             T=float(rng.uniform(1.0, 4.0)),

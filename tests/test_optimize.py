@@ -3,11 +3,15 @@ sweeps, the adiabatic reference, and artifact round trips."""
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import BENCH_DURATIONS, DETUNING_GRID
+from conftest import BENCH_DURATIONS, DETUNING_GRID, gradient_fd_worst_rel
+from isingbell import optimize
 from isingbell.model import TripletAmplitudes
 from isingbell.optimize import (
     BENCHMARK_SERIES_T25_A,
@@ -34,7 +38,7 @@ from isingbell.optimize import (
     write_series_json,
     write_sweep_csv,
 )
-from isingbell.propagator import ControlWaveform, fidelity, propagate
+from isingbell.propagator import ControlWaveform, NonUnitaryDrift, fidelity, propagate
 
 SPIN_DOWN = TripletAmplitudes.spin_down()
 
@@ -88,6 +92,13 @@ class TestTrigSeries:
 class TestAdjointGradient:
     def test_matches_finite_differences(self, fd_worst_rel):
         assert fd_worst_rel <= 1e-6
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_matches_finite_differences_on_short_grids(self, seed):
+        # one fixed-delta and one joint problem of 10-40 segments: padded,
+        # single and non-square blocks of the batched forward/adjoint scan
+        assert gradient_fd_worst_rel(instances=2, seed=seed, segments=(10, 41)) <= 1e-6
 
     def test_fixed_mode_gradient_is_omega_only(self):
         problem = ControlProblem(T=2.0, segments=80)
@@ -271,6 +282,25 @@ class TestOptimizeTrig:
         rep0 = optimize_trig(problem, p=0, restarts=2, seed=42)
         assert rep0.fidelity < trig_scan_reports[2].fidelity - 1e-3
 
+    @pytest.mark.parametrize("leaky_start", [0, 1])
+    def test_feasible_start_wins_over_an_overshooting_one(self, monkeypatch, leaky_start):
+        # one start's rescale leaves an overshoot, as rounding does on the huge
+        # coefficients of an ill-conditioned fit; the report must not use it
+        rescale = optimize._rescale_into_box
+        calls = []
+
+        def leaky_rescale(coeffs, values, hi):
+            scaled, factor = rescale(coeffs, values, hi)
+            calls.append(None)
+            return (scaled * 1.001 if len(calls) == leaky_start + 1 else scaled), factor
+
+        monkeypatch.setattr(optimize, "_rescale_into_box", leaky_rescale)
+        problem = ControlProblem(T=2.5, segments=40)
+        rep = optimize_trig(problem, p=1, restarts=1, seed=0)
+        assert len(calls) == 2
+        t_mid = (np.arange(40) + 0.5) * (2.5 / 40)
+        assert np.max(np.abs(trig_basis(1, t_mid) @ rep.series.a)) <= 1.0 + 1e-9
+
     def test_requires_symmetric_bounds(self):
         problem = ControlProblem(T=2.5, omega_bounds=(-0.5, 1.0))
         with pytest.raises(ValueError, match="symmetric"):
@@ -346,6 +376,21 @@ class TestSweepDuration:
         for bad in ([], [2.0, 1.0], [-1.0, 2.0]):
             with pytest.raises(ValueError):
                 sweep_duration(0.0, bad)
+
+    @pytest.mark.parametrize("exc", [NoConvergence, NonUnitaryDrift])
+    def test_failed_repair_keeps_first_pass_cell(self, monkeypatch, exc):
+        # the first pass dips at T = 2 so the repair pass reruns it; the rerun fails
+        first_pass = {1.0: 0.5, 2.0: 0.4}
+
+        def fake_optimize(problem, restarts, seed, extra_starts=None):
+            if seed >= 1000:
+                raise exc("rerun failed")
+            wf = ControlWaveform.piecewise_constant(problem.T, np.zeros(problem.segments))
+            return SimpleNamespace(fidelity=first_pass[problem.T], waveform=wf)
+
+        monkeypatch.setattr(optimize, "optimize_piecewise", fake_optimize)
+        cells = sweep_duration(0.0, [1.0, 2.0], restarts=1, seed=0, segments=10)
+        assert [(c.T, c.fidelity, c.error) for c in cells] == [(1.0, 0.5, None), (2.0, 0.4, None)]
 
 
 class TestAdiabaticBaseline:

@@ -5,11 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from isingbell.model import ControlSample, TripletAmplitudes
+from isingbell.model import ControlSample, TripletAmplitudes, h2_batch
 from isingbell.propagator import (
     ControlWaveform,
     MethodMismatch,
@@ -39,6 +39,15 @@ states3 = st.lists(st.complex_numbers(max_magnitude=1.0), min_size=3, max_size=3
 def _unit(c) -> np.ndarray:
     c = np.asarray(c, dtype=complex)
     return c / np.linalg.norm(c)
+
+
+def _chain_reference(maps: np.ndarray, c0: np.ndarray) -> np.ndarray:
+    """The plain per-step loop that ``chain`` must reproduce."""
+    out = np.empty((maps.shape[0] + 1, maps.shape[1]), dtype=complex)
+    out[0] = c0
+    for k, m in enumerate(maps):
+        out[k + 1] = m @ out[k]
+    return out
 
 
 class TestControlWaveform:
@@ -118,6 +127,12 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(wf, SPIN_DOWN, method="magnus")
 
+    def test_exponential_route_records_segments(self):
+        wf = ControlWaveform.piecewise_constant(2.0, [1.0, -0.5, 0.8], delta=0.2)
+        traj = propagate(wf, SPIN_DOWN, method="piecewise-exponential")
+        assert (traj.method, traj.steps) == ("piecewise-exponential", 3)
+        assert 0.0 <= traj.max_drift <= 1e-14
+
     def test_too_few_steps_rejected(self):
         wf = ControlWaveform.piecewise_constant(1.0, [1.0])
         with pytest.raises(ValueError):
@@ -181,6 +196,35 @@ class TestSegmentPropagators:
 
 
 class TestChain:
+    # n = 1; one block (2); padded last blocks (3, 7, 17); a square (16); a
+    # block length near that of the optimizer's 250 segments
+    @given(
+        n=st.integers(min_value=1, max_value=300),
+        dim=st.sampled_from([2, 3]),
+        batch=st.sampled_from([None, 2]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(n=1, dim=3, batch=None, seed=0)
+    @example(n=2, dim=2, batch=2, seed=0)
+    @example(n=3, dim=3, batch=2, seed=0)
+    @example(n=7, dim=2, batch=None, seed=0)
+    @example(n=16, dim=3, batch=None, seed=0)
+    @example(n=17, dim=3, batch=2, seed=0)
+    @example(n=250, dim=3, batch=2, seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sequential_loop(self, n, dim, batch, seed):
+        rng = np.random.default_rng(seed)
+        lead = () if batch is None else (batch,)
+        z = rng.normal(size=lead + (n, dim, dim)) + 1j * rng.normal(size=lead + (n, dim, dim))
+        maps, _ = np.linalg.qr(z)  # random unitary step maps
+        c0 = rng.normal(size=lead + (dim,)) + 1j * rng.normal(size=lead + (dim,))
+        c0 /= np.linalg.norm(c0, axis=-1, keepdims=True)
+        states = chain(maps, c0)
+        assert states.shape == lead + (n + 1, dim)
+        assert np.array_equal(states[..., 0, :], c0)
+        ref = [_chain_reference(m, c) for m, c in zip(maps.reshape(-1, n, dim, dim), c0.reshape(-1, dim))]
+        assert np.max(np.abs(states.reshape(-1, n + 1, dim) - np.array(ref))) <= 1e-13 * n
+
     @given(drive=drives, dt=steps, c0=states3)
     @settings(max_examples=40, deadline=None)
     def test_norm_preserved(self, drive, dt, c0):
@@ -203,14 +247,14 @@ class TestChain:
         overlap = np.einsum("ki,ki->k", lam.conj(), c)
         assert np.max(np.abs(overlap - overlap[0])) <= 1e-12
 
-    @given(drive=drives, dt=steps)
+    @given(drive=drives, dt=steps, build=st.sampled_from([hc_batch, h2_batch]))
     @settings(max_examples=40, deadline=None)
-    def test_rk4_maps_are_taylor_truncations_of_the_exponential(self, drive, dt):
+    def test_rk4_maps_are_taylor_truncations_of_the_exponential(self, drive, dt, build):
         # remainder of the degree-4 Taylor polynomial of exp(x):
         # |sum_{j>=5} A^j/j!| <= x^5/5! e^x with x = |H| dt (spectral norm),
         # plus round-off slack
         delta, omega = np.array(drive).T
-        h = hc_batch(delta, omega)
+        h = build(delta, omega)
         maps = _rk4_maps(h, dt)
         for hk, mk in zip(h, maps):
             x = np.linalg.norm(hk, 2) * dt

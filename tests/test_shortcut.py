@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isingbell.model import SQRT2
-from isingbell.propagator import NonUnitaryDrift, propagate
+from isingbell.propagator import DRIFT_LIMIT, NonUnitaryDrift, propagate
 from isingbell.model import TripletAmplitudes
 from isingbell.shortcut import (
     DomainError,
@@ -244,6 +244,14 @@ class TestFidelityCurve:
         spec = ShortcutSpec(kind="symmetric", e=0.1, T=10.0)
         traj = propagate(shortcut_waveform(spec), TripletAmplitudes.spin_down())
         assert float(np.max(traj.populations[:, 2])) < 0.05
+
+    def test_trajectory_records_route_steps_and_drift(self):
+        spec = ShortcutSpec(kind="symmetric", e=0.1, T=10.0)
+        traj = propagate(shortcut_waveform(spec), TripletAmplitudes.spin_down())
+        assert traj.method == "rk4"
+        assert traj.steps == traj.times.size - 1 >= 4000
+        drift = np.max(np.abs(np.sum(traj.populations, axis=1) - 1.0))
+        assert traj.max_drift == drift <= DRIFT_LIMIT
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
