@@ -444,9 +444,10 @@ def optimize_trig(
     """Optimize series coefficients for omega (and delta when joint).
 
     Bounds are enforced at the segment midpoints through a quadratic hinge
-    penalty whose weight is raised over continuation rounds; the winning
-    coefficient vector is then rescaled exactly onto the box (the bounds are
-    symmetric, so uniform shrinking preserves feasibility) and re-checked.
+    penalty whose weight is raised over continuation rounds; each start's
+    coefficient vector is then rescaled onto the box (the bounds are
+    symmetric, so uniform shrinking preserves feasibility) and re-checked,
+    and a start that still overshoots loses to every feasible one.
     ``extra_starts`` takes stacked (a, b) coefficient vectors, e.g. the
     zero-padded optimum of a lower harmonic count.  The search scores the
     series sampled at segment midpoints; the reported fidelity is that of
