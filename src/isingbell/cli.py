@@ -16,13 +16,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .artifacts import write_csv, write_json
-from .model import PhysicalUnits, TripletAmplitudes
+from .model import TripletAmplitudes
 from .propagator import (
     ControlWaveform,
     NonUnitaryDrift,
@@ -46,6 +45,9 @@ from .optimize import (
     BENCHMARK_SERIES_T25_B,
     CONVENTION_PERIOD,
     CONVENTION_XI,
+    DEFAULT_RESTARTS,
+    DEFAULT_SEED,
+    DEFAULT_SEGMENTS,
     ControlProblem,
     InfeasibleResult,
     NoConvergence,
@@ -67,28 +69,47 @@ from .optimize import (
 REPRO_IDS = ("fig1b", "fig2", "fig3a", "fig3b", "fig4c", "table1")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved experiment: id, all numeric parameters, output directory."""
+#: value type of the config keys whose default is None; every other key
+#: takes the type of its default
+_NONE_DEFAULT_TYPES = {"steps": int, "series": str}
 
-    experiment: str
-    out: str
-    params: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"experiment": self.experiment, "out": self.out, **self.params}
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_config_value(key: str, value, default) -> None:
+    """A config-file value must be JSON of its key's type: a number for a
+    float, an integer for an int, a list of numbers for a list; null only
+    where the default is None."""
+    if value is None and default is None:
+        return
+    want = _NONE_DEFAULT_TYPES[key] if default is None else type(default)
+    if want is float:
+        ok = _is_number(value)
+    elif want is list:
+        ok = isinstance(value, list) and all(_is_number(v) for v in value)
+    else:
+        ok = type(value) is want
+    if not ok:
+        raise ValueError(f"config key {key!r} must be of type {want.__name__}, got {json.dumps(value)}")
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """flags > config file > defaults; only known keys may appear."""
+    """flags > config file > defaults; only known keys of the right type may
+    appear in the file."""
     cfg = dict(defaults)
     path = getattr(args, "config", None)
     if path:
         with open(path) as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"config file must hold a JSON object, got {json.dumps(file_cfg)}")
         unknown = sorted(set(file_cfg) - set(defaults))
         if unknown:
             raise ValueError(f"unknown config keys {unknown}; expected a subset of {sorted(defaults)}")
+        for key, value in file_cfg.items():
+            _check_config_value(key, value, defaults[key])
         cfg.update(file_cfg)
     for key in defaults:
         val = getattr(args, key.replace("-", "_"), None)
@@ -97,12 +118,14 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     return cfg
 
 
-def _experiment(args: argparse.Namespace, name: str, defaults: dict) -> tuple[ExperimentConfig, Path]:
+def _experiment(args: argparse.Namespace, name: str, defaults: dict) -> tuple[dict, Path]:
+    """The resolved configuration (experiment id, output directory and every
+    parameter, echoed to stdout) and the created output directory."""
     params = _resolve(args, defaults)
     out = Path(getattr(args, "out", None) or "isingbell_out")
     out.mkdir(parents=True, exist_ok=True)
-    config = ExperimentConfig(experiment=name, out=str(out), params=params)
-    print("config: " + json.dumps(config.to_dict(), sort_keys=True))
+    config = {"experiment": name, "out": str(out), **params}
+    print("config: " + json.dumps(config, sort_keys=True))
     return config, out
 
 
@@ -125,28 +148,26 @@ def _best_cell(cells):
 
 def cmd_tqd(args: argparse.Namespace) -> int:
     defaults = {"kind": SYMMETRIC, "e": 0.1, "T": 10.0, "steps": None}
-    config, out = _experiment(args, "tqd", defaults)
-    p = config.params
-    spec = ShortcutSpec(kind=p["kind"], e=float(p["e"]), T=float(p["T"]))
+    cfg, out = _experiment(args, "tqd", defaults)
+    spec = ShortcutSpec(kind=cfg["kind"], e=float(cfg["e"]), T=float(cfg["T"]))
     wf = shortcut_waveform(spec)
-    traj = propagate(wf, TripletAmplitudes.spin_down(), steps=p["steps"])
+    traj = propagate(wf, TripletAmplitudes.spin_down(), steps=cfg["steps"])
     fid = fidelity(traj)
-    write_waveform_csv(wf, out / "tqd_waveform.csv", config=config.to_dict())
-    write_trajectory_csv(traj, out / "tqd_trajectory.csv", config=config.to_dict())
-    write_json(out / "tqd_summary.json", {"config": config.to_dict(), "fidelity": fid})
+    write_waveform_csv(wf, out / "tqd_waveform.csv", config=cfg)
+    write_trajectory_csv(traj, out / "tqd_trajectory.csv", config=cfg)
+    write_json(out / "tqd_summary.json", {"config": cfg, "fidelity": fid})
     print(f"fidelity: {fid:.12g}")
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     defaults = {"T": 2.5, "delta": 0.0, "omega": 1.0, "steps": None, "method": "rk4"}
-    config, out = _experiment(args, "simulate", defaults)
-    p = config.params
-    wf = ControlWaveform.piecewise_constant(float(p["T"]), [float(p["omega"])], delta=float(p["delta"]))
-    traj = propagate(wf, TripletAmplitudes.spin_down(), steps=p["steps"], method=p["method"])
+    cfg, out = _experiment(args, "simulate", defaults)
+    wf = ControlWaveform.piecewise_constant(float(cfg["T"]), [float(cfg["omega"])], delta=float(cfg["delta"]))
+    traj = propagate(wf, TripletAmplitudes.spin_down(), steps=cfg["steps"], method=cfg["method"])
     fid = fidelity(traj)
-    write_trajectory_csv(traj, out / "simulate_trajectory.csv", config=config.to_dict())
-    write_json(out / "simulate_summary.json", {"config": config.to_dict(), "fidelity": fid})
+    write_trajectory_csv(traj, out / "simulate_trajectory.csv", config=cfg)
+    write_json(out / "simulate_summary.json", {"config": cfg, "fidelity": fid})
     print(f"fidelity: {fid:.12g}")
     return 0
 
@@ -158,27 +179,26 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         "delta": 0.0,
         "joint": False,
         "p": 3,
-        "segments": 1000,
-        "restarts": 8,
-        "seed": 42,
+        "segments": DEFAULT_SEGMENTS,
+        "restarts": DEFAULT_RESTARTS,
+        "seed": DEFAULT_SEED,
     }
-    config, out = _experiment(args, "optimize", defaults)
-    p = config.params
-    if p["mode"] == "piecewise":
-        problem = ControlProblem(T=float(p["T"]), delta_value=float(p["delta"]), segments=int(p["segments"]))
-        report = optimize_piecewise(problem, restarts=int(p["restarts"]), seed=int(p["seed"]))
+    cfg, out = _experiment(args, "optimize", defaults)
+    if cfg["mode"] == "piecewise":
+        problem = ControlProblem(T=float(cfg["T"]), delta_value=float(cfg["delta"]), segments=int(cfg["segments"]))
+        report = optimize_piecewise(problem, restarts=int(cfg["restarts"]), seed=int(cfg["seed"]))
         print(f"fidelity: {report.fidelity:.12g}  saturation: {saturation_fraction(report.waveform):.4f}")
-    elif p["mode"] == "trig":
-        mode = "trig-series" if p["joint"] else "fixed"
+    elif cfg["mode"] == "trig":
+        mode = "trig-series" if cfg["joint"] else "fixed"
         problem = ControlProblem(
-            T=float(p["T"]), delta_mode=mode, delta_value=float(p["delta"]), segments=int(p["segments"])
+            T=float(cfg["T"]), delta_mode=mode, delta_value=float(cfg["delta"]), segments=int(cfg["segments"])
         )
-        report = optimize_trig(problem, p=int(p["p"]), restarts=int(p["restarts"]), seed=int(p["seed"]))
+        report = optimize_trig(problem, p=int(cfg["p"]), restarts=int(cfg["restarts"]), seed=int(cfg["seed"]))
         print(f"fidelity: {report.fidelity:.12g}")
     else:
-        raise ValueError(f"mode must be 'piecewise' or 'trig', got {p['mode']!r}")
-    write_report_json(report, out / "optimize_report.json", config=config.to_dict())
-    write_waveform_csv(report.waveform, out / "optimize_waveform.csv", config=config.to_dict())
+        raise ValueError(f"mode must be 'piecewise' or 'trig', got {cfg['mode']!r}")
+    write_report_json(report, out / "optimize_report.json", config=cfg)
+    write_waveform_csv(report.waveform, out / "optimize_waveform.csv", config=cfg)
     return 0
 
 
@@ -186,20 +206,19 @@ def cmd_sweep_detuning(args: argparse.Namespace) -> int:
     defaults = {
         "T": [2.5],
         "deltas": [round(x, 10) for x in np.linspace(-0.5, 0.5, 21)],
-        "segments": 1000,
+        "segments": DEFAULT_SEGMENTS,
         "restarts": 2,
-        "seed": 42,
+        "seed": DEFAULT_SEED,
     }
-    config, out = _experiment(args, "sweep-detuning", defaults)
-    p = config.params
+    cfg, out = _experiment(args, "sweep-detuning", defaults)
     cells = sweep_detuning(
-        [float(t) for t in p["T"]],
-        [float(d) for d in p["deltas"]],
-        restarts=int(p["restarts"]),
-        seed=int(p["seed"]),
-        segments=int(p["segments"]),
+        [float(t) for t in cfg["T"]],
+        [float(d) for d in cfg["deltas"]],
+        restarts=int(cfg["restarts"]),
+        seed=int(cfg["seed"]),
+        segments=int(cfg["segments"]),
     )
-    write_sweep_csv(cells, out / "sweep_detuning.csv", config=config.to_dict())
+    write_sweep_csv(cells, out / "sweep_detuning.csv", config=cfg)
     best = _best_cell(cells)
     print(f"best: T={best.T:g} delta={best.delta:g} fidelity={best.fidelity:.12g}")
     return 0
@@ -209,20 +228,19 @@ def cmd_sweep_duration(args: argparse.Namespace) -> int:
     defaults = {
         "delta": 0.0,
         "T": [round(x, 10) for x in np.arange(1.0, 3.7, 0.2)],
-        "segments": 1000,
+        "segments": DEFAULT_SEGMENTS,
         "restarts": 2,
-        "seed": 42,
+        "seed": DEFAULT_SEED,
     }
-    config, out = _experiment(args, "sweep-duration", defaults)
-    p = config.params
+    cfg, out = _experiment(args, "sweep-duration", defaults)
     cells = sweep_duration(
-        float(p["delta"]),
-        [float(t) for t in p["T"]],
-        restarts=int(p["restarts"]),
-        seed=int(p["seed"]),
-        segments=int(p["segments"]),
+        float(cfg["delta"]),
+        [float(t) for t in cfg["T"]],
+        restarts=int(cfg["restarts"]),
+        seed=int(cfg["seed"]),
+        segments=int(cfg["segments"]),
     )
-    write_sweep_csv(cells, out / "sweep_duration.csv", config=config.to_dict())
+    write_sweep_csv(cells, out / "sweep_duration.csv", config=cfg)
     for c in cells:
         print(f"T={c.T:g} fidelity={c.fidelity:.12g}" + (f"  [{c.error}]" if c.error else ""))
     return 0
@@ -230,16 +248,15 @@ def cmd_sweep_duration(args: argparse.Namespace) -> int:
 
 def cmd_evaluate_series(args: argparse.Namespace) -> int:
     defaults = {"series": None, "T": 2.5, "convention": CONVENTION_XI, "steps": None}
-    config, out = _experiment(args, "evaluate-series", defaults)
-    p = config.params
-    if p["series"] is None:
+    cfg, out = _experiment(args, "evaluate-series", defaults)
+    if cfg["series"] is None:
         series = TrigSeries(p=3, a=np.array(BENCHMARK_SERIES_T25_A), b=np.array(BENCHMARK_SERIES_T25_B))
     else:
-        series = read_series_json(p["series"])
-    fid = evaluate_series(series, float(p["T"]), convention=p["convention"], steps=p["steps"])
+        series = read_series_json(cfg["series"])
+    fid = evaluate_series(series, float(cfg["T"]), convention=cfg["convention"], steps=cfg["steps"])
     write_json(
         out / "series_eval.json",
-        {"config": config.to_dict(), "series": series.to_dict(), "fidelity": fid},
+        {"config": cfg, "series": series.to_dict(), "fidelity": fid},
     )
     print(f"fidelity: {fid:.12g}")
     return 0
@@ -254,71 +271,66 @@ def cmd_limit(args: argparse.Namespace) -> int:
 # benchmark reproductions
 
 
-def _repro_fig1b(config: ExperimentConfig, out: Path) -> None:
-    p = config.params
+def _repro_fig1b(cfg: dict, out: Path) -> None:
     t_grid = np.geomspace(0.01, 15.0, 100)
-    sym = tqd_fidelity_curve(SYMMETRIC, float(p["e"]), t_grid, steps=p["steps"])
-    non = tqd_fidelity_curve(NONSYMMETRIC, float(p["e"]), t_grid, steps=p["steps"])
+    sym = tqd_fidelity_curve(SYMMETRIC, float(cfg["e"]), t_grid, steps=cfg["steps"])
+    non = tqd_fidelity_curve(NONSYMMETRIC, float(cfg["e"]), t_grid, steps=cfg["steps"])
     write_fidelity_curve_csv(
         out / "fig1b.csv",
         t_grid,
         [f for _, f in sym],
         [f for _, f in non],
-        config=config.to_dict(),
+        config=cfg,
     )
     print(f"fidelity at T={t_grid[0]:g}: {sym[0][1]:.6f} (sym) {non[0][1]:.6f} (non); limit {short_time_fidelity_limit():.6f}")
     print(f"fidelity at T={t_grid[-1]:g}: {sym[-1][1]:.6f} (sym) {non[-1][1]:.6f} (non)")
 
 
-def _repro_fig2(config: ExperimentConfig, out: Path) -> None:
-    p = config.params
+def _repro_fig2(cfg: dict, out: Path) -> None:
     rows = []
     for t_tot in (2.0, 2.5, 3.0, 3.6):
-        problem = ControlProblem(T=t_tot, segments=int(p["segments"]))
-        rep = optimize_piecewise(problem, restarts=int(p["restarts"]), seed=int(p["seed"]))
-        write_report_json(rep, out / f"fig2_T{t_tot:g}.json", config=config.to_dict())
+        problem = ControlProblem(T=t_tot, segments=int(cfg["segments"]))
+        rep = optimize_piecewise(problem, restarts=int(cfg["restarts"]), seed=int(cfg["seed"]))
+        write_report_json(rep, out / f"fig2_T{t_tot:g}.json", config=cfg)
         rows.append((t_tot, rep.fidelity, saturation_fraction(rep.waveform)))
         print(f"T={t_tot:g}: fidelity={rep.fidelity:.12g} saturation={rows[-1][2]:.4f}")
-    write_csv(out / "fig2.csv", ("T", "fidelity", "saturation"), np.transpose(rows), config.to_dict())
+    write_csv(out / "fig2.csv", ("T", "fidelity", "saturation"), np.transpose(rows), cfg)
 
 
-def _repro_fig3a(config: ExperimentConfig, out: Path) -> None:
-    p = config.params
+def _repro_fig3a(cfg: dict, out: Path) -> None:
     deltas = [round(x, 10) for x in np.linspace(-0.5, 0.5, 21)]
     cells = sweep_detuning(
-        [2.5], deltas, restarts=int(p["restarts"]), seed=int(p["seed"]), segments=int(p["segments"])
+        [2.5], deltas, restarts=int(cfg["restarts"]), seed=int(cfg["seed"]), segments=int(cfg["segments"])
     )
-    write_sweep_csv(cells, out / "fig3a.csv", config=config.to_dict())
+    write_sweep_csv(cells, out / "fig3a.csv", config=cfg)
     best = _best_cell(cells)
     print(f"best delta={best.delta:g} fidelity={best.fidelity:.12g}")
 
 
-def _repro_fig3b(config: ExperimentConfig, out: Path) -> None:
-    p = config.params
+def _repro_fig3b(cfg: dict, out: Path) -> None:
     t_grid = [round(x, 10) for x in np.arange(1.0, 3.7, 0.2)]
     all_cells = []
     for dval in (0.0, -0.11):
         cells = sweep_duration(
-            dval, t_grid, restarts=int(p["restarts"]), seed=int(p["seed"]), segments=int(p["segments"])
+            dval, t_grid, restarts=int(cfg["restarts"]), seed=int(cfg["seed"]), segments=int(cfg["segments"])
         )
         all_cells.extend(cells)
         reach = next((c.T for c in cells if c.error is None and c.fidelity >= 0.999), None)
         print(f"delta={dval:g}: first T with fidelity>=0.999: {reach}")
-    write_sweep_csv(all_cells, out / "fig3b.csv", config=config.to_dict())
+    write_sweep_csv(all_cells, out / "fig3b.csv", config=cfg)
 
 
-def _repro_fig4c(config: ExperimentConfig, out: Path) -> None:
-    p = config.params
-    problem = ControlProblem(T=2.5, delta_mode="trig-series", segments=int(p["segments"]))
-    reports = trig_harmonic_scan(problem, [1, 2, 3, 5], restarts=int(p["restarts"]), seed=int(p["seed"]))
+def _repro_fig4c(cfg: dict, out: Path) -> None:
+    problem = ControlProblem(T=2.5, delta_mode="trig-series", segments=int(cfg["segments"]))
+    reports = trig_harmonic_scan(problem, [1, 2, 3, 5], restarts=int(cfg["restarts"]), seed=int(cfg["seed"]))
     columns = [[rep.series.p for rep in reports], [rep.fidelity for rep in reports]]
-    write_csv(out / "fig4c.csv", ("p", "fidelity"), columns, config.to_dict())
+    write_csv(out / "fig4c.csv", ("p", "fidelity"), columns, cfg)
     for rep in reports:
-        write_report_json(rep, out / f"fig4c_p{rep.series.p}.json", config=config.to_dict())
+        write_report_json(rep, out / f"fig4c_p{rep.series.p}.json", config=cfg)
         print(f"p={rep.series.p}: fidelity={rep.fidelity:.12g}")
 
 
-def _repro_table1(config: ExperimentConfig, out: Path) -> None:
+def _repro_table1(cfg: dict, out: Path) -> None:
     series = TrigSeries(p=3, a=np.array(BENCHMARK_SERIES_T25_A), b=np.array(BENCHMARK_SERIES_T25_B))
     results = {conv: evaluate_series(series, 2.5, convention=conv) for conv in (CONVENTION_XI, CONVENTION_PERIOD)}
     succeeded = [conv for conv, fid in results.items() if fid >= 0.99]
@@ -326,7 +338,7 @@ def _repro_table1(config: ExperimentConfig, out: Path) -> None:
         series,
         out / "table1.json",
         extra={
-            "config": config.to_dict(),
+            "config": cfg,
             "T": 2.5,
             "fidelity": results,
             "convention_succeeded": succeeded,
@@ -340,17 +352,17 @@ def _repro_table1(config: ExperimentConfig, out: Path) -> None:
 def cmd_repro(args: argparse.Namespace) -> int:
     runners = {
         "fig1b": (_repro_fig1b, {"e": 0.1, "steps": None}),
-        "fig2": (_repro_fig2, {"segments": 1000, "restarts": 8, "seed": 42}),
-        "fig3a": (_repro_fig3a, {"segments": 1000, "restarts": 2, "seed": 42}),
-        "fig3b": (_repro_fig3b, {"segments": 1000, "restarts": 2, "seed": 42}),
-        "fig4c": (_repro_fig4c, {"segments": 1000, "restarts": 2, "seed": 42}),
+        "fig2": (_repro_fig2, {"segments": DEFAULT_SEGMENTS, "restarts": DEFAULT_RESTARTS, "seed": DEFAULT_SEED}),
+        "fig3a": (_repro_fig3a, {"segments": DEFAULT_SEGMENTS, "restarts": 2, "seed": DEFAULT_SEED}),
+        "fig3b": (_repro_fig3b, {"segments": DEFAULT_SEGMENTS, "restarts": 2, "seed": DEFAULT_SEED}),
+        "fig4c": (_repro_fig4c, {"segments": DEFAULT_SEGMENTS, "restarts": 2, "seed": DEFAULT_SEED}),
         "table1": (_repro_table1, {}),
     }
     if args.id not in runners:
         raise ValueError(f"unknown reproduction id {args.id!r}; choose from {', '.join(REPRO_IDS)}")
     runner, defaults = runners[args.id]
-    config, out = _experiment(args, f"repro-{args.id}", defaults)
-    runner(config, out)
+    cfg, out = _experiment(args, f"repro-{args.id}", defaults)
+    runner(cfg, out)
     return 0
 
 

@@ -1,15 +1,16 @@
 """Triplet-sector model of two Ising-coupled spins in a rotating transverse field.
 
-Everything is expressed in coupling units: field amplitudes in units of the
-Ising strength xi, times in units of 1/xi, hbar = 1.  The dynamical basis is
-the triplet {|dd>, (|du>+|ud>)/sqrt(2), |uu>}; the singlet carries total spin
-0 and is decoupled, so it never enters.
+Everything is expressed in coupling units: the Ising strength xi is fixed
+at 1 and is not a parameter, so field amplitudes are in units of xi, times
+in units of 1/xi, hbar = 1.  The dynamical basis is the triplet
+{|dd>, (|du>+|ud>)/sqrt(2), |uu>}; the singlet carries total spin 0 and is
+decoupled, so it never enters.
 
 The rotating-frame Hamiltonian driving all dynamics is
 
     H_c = [[ delta,      omega/sqrt(2),  0             ],
            [ omega/sqrt(2),  0,          omega/sqrt(2) ],
-           [ 0,          omega/sqrt(2),  4*xi - delta  ]]
+           [ 0,          omega/sqrt(2),  4 - delta     ]]
 
 and the two-level reduction of the {|dd>, bell} block (up to a phase shift
 proportional to the identity) is
@@ -28,21 +29,6 @@ import numpy as np
 SQRT2 = math.sqrt(2.0)
 
 NORM_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class PhysicalUnits:
-    """Unit system anchored to the Ising coupling strength ``xi > 0``.
-
-    Internally xi is 1; the field exists so the 4*xi diagonal shift and any
-    future rescaling stay explicit instead of being buried in literals.
-    """
-
-    xi: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.xi) and self.xi > 0.0):
-            raise ValueError(f"coupling strength must be positive and finite, got {self.xi}")
 
 
 @dataclass(frozen=True)
@@ -109,10 +95,10 @@ class RotatingFrame:
             raise ValueError(f"frame frequency must be finite, got {self.omega_rf}")
 
 
-def hc_batch(delta, omega, xi: float = 1.0) -> np.ndarray:
+def hc_batch(delta, omega) -> np.ndarray:
     """Stack of rotating-frame Hamiltonians, shape (n, 3, 3), real symmetric.
 
-    Diagonal (delta, 0, 4*xi - delta); the single transverse field couples
+    Diagonal (delta, 0, 4 - delta); the single transverse field couples
     both adjacent pairs with strength omega/sqrt(2); the (1,3) corner stays
     zero (tridiagonal structure).
     """
@@ -120,7 +106,7 @@ def hc_batch(delta, omega, xi: float = 1.0) -> np.ndarray:
     w = np.asarray(omega, dtype=float) / SQRT2
     h = np.zeros((delta.shape[0], 3, 3))
     h[:, 0, 0] = delta
-    h[:, 2, 2] = 4.0 * xi - delta
+    h[:, 2, 2] = 4.0 - delta
     h[:, 0, 1] = h[:, 1, 0] = w
     h[:, 1, 2] = h[:, 2, 1] = w
     return h
@@ -138,10 +124,10 @@ def h2_batch(delta, omega) -> np.ndarray:
     return h
 
 
-def hamiltonian_c(sample: ControlSample, units: PhysicalUnits = PhysicalUnits()) -> np.ndarray:
+def hamiltonian_c(sample: ControlSample) -> np.ndarray:
     """Rotating-frame triplet Hamiltonian at one sample: a real symmetric
     3x3 array (see ``hc_batch``)."""
-    return hc_batch([sample.delta], [sample.omega], units.xi)[0]
+    return hc_batch([sample.delta], [sample.omega])[0]
 
 
 def hamiltonian_two_level(sample: ControlSample) -> np.ndarray:
@@ -149,23 +135,22 @@ def hamiltonian_two_level(sample: ControlSample) -> np.ndarray:
     return h2_batch([sample.delta], [sample.omega])[0]
 
 
-def _frame_phases(t: float, frame: RotatingFrame, units: PhysicalUnits) -> np.ndarray:
+def _frame_phases(t: float, frame: RotatingFrame) -> np.ndarray:
     # lab amplitude a_i picks up these phases on the way to the rotating frame:
-    # c1 = a1 e^{-i(w+xi)t}, c2 = a2 e^{-i xi t}, c3 = a3 e^{+i(w-xi)t}
-    w, xi = frame.omega_rf, units.xi
-    return np.exp(1j * np.array([-(w + xi) * t, -xi * t, (w - xi) * t]))
+    # c1 = a1 e^{-i(w+1)t}, c2 = a2 e^{-i t}, c3 = a3 e^{+i(w-1)t}
+    w = frame.omega_rf
+    return np.exp(1j * np.array([-(w + 1.0) * t, -t, (w - 1.0) * t]))
 
 
 def frame_transform(
     a: TripletAmplitudes,
     t: float,
     frame: RotatingFrame,
-    units: PhysicalUnits = PhysicalUnits(),
     direction: str = "lab_to_rotating",
 ) -> TripletAmplitudes:
     """Apply the diagonal phase map between lab-frame and rotating-frame
     amplitudes (or its inverse).  Unitary: every |component|^2 is preserved."""
-    phases = _frame_phases(t, frame, units)
+    phases = _frame_phases(t, frame)
     if direction == "lab_to_rotating":
         out = a.as_array() * phases
     elif direction == "rotating_to_lab":

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import fmin_l_bfgs_b
 
 from .artifacts import write_csv, write_json
-from .model import SQRT2, PhysicalUnits
+from .model import SQRT2
 from .propagator import (
     ControlWaveform,
     NonUnitaryDrift,
@@ -95,8 +95,6 @@ class ControlProblem:
     delta_value: float = 0.0
     delta_bounds: tuple[float, float] = (-1.0, 1.0)
     segments: int = DEFAULT_SEGMENTS
-    objective: str = "final-bell-population"
-    units: PhysicalUnits = field(default_factory=PhysicalUnits)
 
     def __post_init__(self):
         if not (math.isfinite(self.T) and self.T > 0.0):
@@ -110,8 +108,6 @@ class ControlProblem:
             raise ValueError("delta_value must be finite")
         if self.segments < MIN_SEGMENTS:
             raise ValueError(f"need at least {MIN_SEGMENTS} segments, got {self.segments}")
-        if self.objective != "final-bell-population":
-            raise ValueError("only the final-bell-population objective is supported")
 
     def to_dict(self) -> dict:
         return {
@@ -121,7 +117,7 @@ class ControlProblem:
             "delta_value": self.delta_value,
             "delta_bounds": list(self.delta_bounds),
             "segments": self.segments,
-            "objective": self.objective,
+            "objective": "final-bell-population",
         }
 
 
@@ -237,7 +233,7 @@ def adjoint_gradient(problem: ControlProblem, controls: np.ndarray) -> tuple[flo
     delta, omega, with_delta = _segment_controls(problem, controls)
     n = problem.segments
     dt = problem.T / n
-    u, evals, evecs = segment_propagators(delta, omega, dt, problem.units.xi)
+    u, evals, evecs = segment_propagators(delta, omega, dt)
     # the costate is linear in lam_T = amp * e2: chain e2 backwards alongside
     # the forward pass and scale by amp afterwards
     c, lam = chain(np.stack([u, u.conj().transpose(0, 2, 1)[::-1]]), _FORWARD_ADJOINT_STARTS)
@@ -338,12 +334,7 @@ def optimize_piecewise(
             f"best fidelity {fid:.3e} <= {MIN_USEFUL_FIDELITY}; "
             f"bounded controls cannot transfer in T={problem.T:g}"
         )
-    waveform = ControlWaveform.piecewise_constant(
-        problem.T,
-        x,
-        delta=problem.delta_value,
-        meta={"family": "piecewise-optimum", "seed": seed, "restarts": restarts},
-    )
+    waveform = ControlWaveform.piecewise_constant(problem.T, x, delta=problem.delta_value)
     return OptimizationReport(
         problem=problem,
         waveform=waveform,
@@ -407,8 +398,7 @@ def series_waveform(
         delta = np.full(ts.size, delta_fixed) if delta_fixed is not None else m @ series.b
         return delta, omega
 
-    meta = {"family": "trig-series", "p": series.p, "convention": convention}
-    return ControlWaveform.from_callable(T, fn, meta=meta)
+    return ControlWaveform.from_callable(T, fn)
 
 
 def evaluate_series(
@@ -416,12 +406,11 @@ def evaluate_series(
     T: float,
     convention: str = CONVENTION_XI,
     steps: int | None = None,
-    units: PhysicalUnits = PhysicalUnits(),
 ) -> float:
     """Propagate the series waveform from the spin-down state and return the
     final Bell population."""
     wf = series_waveform(series, T, convention=convention)
-    traj = propagate(wf, TripletAmplitudes.spin_down(), steps=steps, units=units)
+    traj = propagate(wf, TripletAmplitudes.spin_down(), steps=steps)
     return fidelity(traj)
 
 
@@ -548,7 +537,7 @@ def optimize_trig(
 
     series = TrigSeries(p=p, a=a, b=(b if joint else np.zeros(nc)))
     wf = series_waveform(series, problem.T, delta_fixed=None if joint else problem.delta_value)
-    fid = fidelity(propagate(wf, TripletAmplitudes.spin_down(), units=problem.units))
+    fid = fidelity(propagate(wf, TripletAmplitudes.spin_down()))
     _, g_last = objective(x, PENALTY_WEIGHTS[-1])
     return OptimizationReport(
         problem=problem,
@@ -703,20 +692,18 @@ def adiabatic_baseline(
     A: float | None = None,
     omega0: float | None = None,
     sigma: float | None = None,
-    units: PhysicalUnits = PhysicalUnits(),
 ) -> ControlWaveform:
     """Rapid-adiabatic-passage reference: linear detuning sweep through the
     two-level degeneracy at T/2 with a Gaussian Rabi pulse centered there.
 
-    Defaults (A = 8 xi / T, omega0 = xi, sigma = T / 6) are heuristic shape
-    choices, flagged as such in the metadata; the scheme exists for
-    qualitative comparison against the shortcut and optimal controls, not as
-    a tuned benchmark.
+    Defaults (A = 8 / T, omega0 = 1, sigma = T / 6) are heuristic shape
+    choices; the scheme exists for qualitative comparison against the
+    shortcut and optimal controls, not as a tuned benchmark.
     """
     if not (math.isfinite(T) and T > 0.0):
         raise ValueError(f"duration must be positive, got {T}")
-    A = 8.0 * units.xi / T if A is None else A
-    omega0 = units.xi if omega0 is None else omega0
+    A = 8.0 / T if A is None else A
+    omega0 = 1.0 if omega0 is None else omega0
     sigma = T / 6.0 if sigma is None else sigma
     if A <= 0.0 or sigma <= 0.0 or omega0 < 0.0:
         raise ValueError("sweep rate and width must be positive, peak Rabi non-negative")
@@ -727,14 +714,7 @@ def adiabatic_baseline(
         omega = omega0 * np.exp(-0.5 * ((ts - 0.5 * T) / sigma) ** 2)
         return delta, omega
 
-    meta = {
-        "family": "adiabatic-rap",
-        "A": A,
-        "omega0": omega0,
-        "sigma": sigma,
-        "note": "heuristic default shape parameters (A*T=8, omega0=1, sigma=T/6)",
-    }
-    return ControlWaveform.from_callable(T, fn, meta=meta)
+    return ControlWaveform.from_callable(T, fn)
 
 
 # ---------------------------------------------------------------------------

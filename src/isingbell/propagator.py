@@ -1,5 +1,9 @@
 """Schrodinger propagation for the rotating-frame triplet system.
 
+Times are in units of 1/xi with the coupling xi = 1 fixed (see ``model``).
+A waveform is either piecewise constant, when it carries its segment values
+(``piece_omega is not None``), or parametric, a vectorized sampler.
+
 Two integration routes are provided and cross-checked against each other.
 Both build a stack of per-step maps in batch and share one kernel,
 ``chain``, a blocked scan in real arithmetic that applies them in order
@@ -32,11 +36,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .artifacts import write_csv
-from .model import ControlSample, PhysicalUnits, TripletAmplitudes, hc_batch
-
-KIND_PIECEWISE = "piecewise-constant"
-KIND_SAMPLED = "sampled-grid"
-KIND_PARAMETRIC = "parametric"
+from .model import ControlSample, TripletAmplitudes, hc_batch
 
 DRIFT_LIMIT = 1e-8
 MIN_STEPS = 100
@@ -71,7 +71,7 @@ class NonUnitaryDrift(RuntimeError):
 
 
 class MethodMismatch(ValueError):
-    """Requested integration method cannot handle the given waveform kind."""
+    """Requested integration method cannot handle the given waveform."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,17 +85,13 @@ class ControlWaveform:
     """
 
     duration: float
-    kind: str
     sampler: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     piece_delta: np.ndarray | None = None
     piece_omega: np.ndarray | None = None
-    meta: Mapping | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.duration) and self.duration > 0.0):
             raise ValueError(f"duration must be positive and finite, got {self.duration}")
-        if self.kind not in (KIND_PIECEWISE, KIND_SAMPLED, KIND_PARAMETRIC):
-            raise ValueError(f"unknown waveform kind {self.kind!r}")
 
     @classmethod
     def piecewise_constant(
@@ -103,7 +99,6 @@ class ControlWaveform:
         duration: float,
         omega: Sequence[float] | np.ndarray,
         delta: float | Sequence[float] | np.ndarray = 0.0,
-        meta: Mapping | None = None,
     ) -> "ControlWaveform":
         """Uniform-grid piecewise-constant waveform; scalar delta broadcasts."""
         omega = np.atleast_1d(np.asarray(omega, dtype=float))
@@ -119,44 +114,14 @@ class ControlWaveform:
             idx = np.clip(np.floor(np.asarray(ts, dtype=float) / dt).astype(int), 0, n - 1)
             return delta[idx], omega[idx]
 
-        return cls(duration, KIND_PIECEWISE, sampler, piece_delta=delta, piece_omega=omega, meta=meta)
-
-    @classmethod
-    def from_samples(
-        cls,
-        times: Sequence[float] | np.ndarray,
-        delta: Sequence[float] | np.ndarray,
-        omega: Sequence[float] | np.ndarray,
-        meta: Mapping | None = None,
-    ) -> "ControlWaveform":
-        """Linearly interpolated waveform through sampled (t, delta, omega)."""
-        times = np.asarray(times, dtype=float)
-        delta = np.asarray(delta, dtype=float)
-        omega = np.asarray(omega, dtype=float)
-        if times.ndim != 1 or times.size < 2:
-            raise ValueError("need at least two sample times")
-        if times[0] != 0.0:
-            raise ValueError("sample grid must start at t = 0")
-        if np.any(np.diff(times) <= 0.0):
-            raise ValueError("sample times must be strictly increasing")
-        if delta.shape != times.shape or omega.shape != times.shape:
-            raise ValueError("delta/omega must match the time grid")
-
-        def sampler(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            ts = np.asarray(ts, dtype=float)
-            return np.interp(ts, times, delta), np.interp(ts, times, omega)
-
-        return cls(float(times[-1]), KIND_SAMPLED, sampler, meta=meta)
+        return cls(duration, sampler, piece_delta=delta, piece_omega=omega)
 
     @classmethod
     def from_callable(
-        cls,
-        duration: float,
-        fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-        meta: Mapping | None = None,
+        cls, duration: float, fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     ) -> "ControlWaveform":
         """Parametric waveform; ``fn`` must accept an array of times."""
-        return cls(duration, KIND_PARAMETRIC, fn, meta=meta)
+        return cls(duration, fn)
 
     def sample(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ts = np.asarray(ts, dtype=float)
@@ -195,15 +160,13 @@ class Trajectory:
         return float(self.times[-1])
 
 
-def segment_propagators(
-    delta: np.ndarray, omega: np.ndarray, dt: float, xi: float = 1.0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def segment_propagators(delta: np.ndarray, omega: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact per-segment propagators exp(-i H_k dt) via eigendecomposition.
 
     Returns (U, evals, evecs); evals/evecs are reused by the adjoint
     gradient, which needs the same spectral data.
     """
-    h = hc_batch(delta, omega, xi)
+    h = hc_batch(delta, omega)
     evals, evecs = np.linalg.eigh(h)
     phase = np.exp(-1j * dt * evals)
     u = np.einsum("kij,kj,klj->kil", evecs, phase, evecs)
@@ -301,7 +264,7 @@ def _auto_steps(waveform: ControlWaveform, requested: int | None) -> int:
             _, w = waveform.sample(np.linspace(0.0, waveform.duration, 513))
             peak = float(np.max(np.abs(w)))
         steps = max(DEFAULT_STEPS, math.ceil(STEPS_PER_UNIT_AREA * peak * waveform.duration))
-    if waveform.kind == KIND_PIECEWISE:
+    if waveform.piece_omega is not None:
         # align step edges with segment edges so no step straddles a jump
         nseg = waveform.piece_omega.size
         steps = math.ceil(steps / nseg) * nseg
@@ -313,7 +276,6 @@ def propagate(
     c0: TripletAmplitudes,
     steps: int | None = None,
     method: str = "rk4",
-    units: PhysicalUnits = PhysicalUnits(),
 ) -> Trajectory:
     """Integrate i dc/dt = H_c(t) c over the waveform from state ``c0``.
 
@@ -329,17 +291,15 @@ def propagate(
         dt = waveform.duration / n
         t_mid = (np.arange(n) + 0.5) * dt
         d_mid, w_mid = waveform.sample(t_mid)
-        states = rk4_evolve(hc_batch(d_mid, w_mid, units.xi), c_init, dt)
+        states = rk4_evolve(hc_batch(d_mid, w_mid), c_init, dt)
         times = np.linspace(0.0, waveform.duration, n + 1)
     elif method == "piecewise-exponential":
-        if waveform.kind != KIND_PIECEWISE:
-            raise MethodMismatch(
-                f"piecewise-exponential integration needs a piecewise-constant waveform, got {waveform.kind!r}"
-            )
+        if waveform.piece_omega is None:
+            raise MethodMismatch("piecewise-exponential integration needs a piecewise-constant waveform")
         dvals, wvals = waveform.piece_delta, waveform.piece_omega
         n = wvals.size
         dt = waveform.duration / n
-        u, _, _ = segment_propagators(dvals, wvals, dt, units.xi)
+        u, _, _ = segment_propagators(dvals, wvals, dt)
         states = chain(u, c_init)
         times = np.linspace(0.0, waveform.duration, n + 1)
     else:

@@ -33,7 +33,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .artifacts import write_csv
-from .model import SQRT2, ControlSample, PhysicalUnits, TripletAmplitudes, h2_batch
+from .model import SQRT2, ControlSample, TripletAmplitudes, h2_batch
 from .propagator import (
     ControlWaveform,
     NonUnitaryDrift,
@@ -93,20 +93,6 @@ class ShortTimeControls(NamedTuple):
     omega_scaled: float
 
 
-def _theta_raw(s: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if kind == SYMMETRIC:
-        th = math.pi * s * s * (3.0 - 2.0 * s)
-        d1 = math.pi * 6.0 * s * (1.0 - s)
-        d2 = math.pi * (6.0 - 12.0 * s)
-    elif kind == NONSYMMETRIC:
-        th = math.pi * s * s * (3.0 * s * s - 8.0 * s + 6.0)
-        d1 = math.pi * 12.0 * s * (s - 1.0) ** 2
-        d2 = math.pi * (36.0 * s * s - 48.0 * s + 12.0)
-    else:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    return th, d1, d2
-
-
 def _check_domain(s: np.ndarray) -> None:
     if np.any(s < 0.0) or np.any(s > 1.0):
         raise DomainError("normalized time must lie in [0, 1]")
@@ -120,7 +106,17 @@ def theta(s, kind: str):
     """
     s = np.asarray(s, dtype=float)
     _check_domain(s)
-    return _theta_raw(s, kind)
+    if kind == SYMMETRIC:
+        th = math.pi * s * s * (3.0 - 2.0 * s)
+        d1 = math.pi * 6.0 * s * (1.0 - s)
+        d2 = math.pi * (6.0 - 12.0 * s)
+    elif kind == NONSYMMETRIC:
+        th = math.pi * s * s * (3.0 * s * s - 8.0 * s + 6.0)
+        d1 = math.pi * 12.0 * s * (s - 1.0) ** 2
+        d2 = math.pi * (36.0 * s * s - 48.0 * s + 12.0)
+    else:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    return th, d1, d2
 
 
 def envelope(s, e: float):
@@ -155,10 +151,8 @@ def gauge_angle(s: float, spec: ShortcutSpec) -> GaugeAngle:
 def _controls_arrays(s: np.ndarray, spec: ShortcutSpec) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized modified controls on a normalized-time grid."""
     s = np.asarray(s, dtype=float)
-    _check_domain(s)
-    th, d1, d2 = _theta_raw(s, spec.kind)
-    e0 = spec.e * s * (1.0 - s)
-    de0 = spec.e * (1.0 - 2.0 * s)
+    th, d1, d2 = theta(s, spec.kind)
+    e0, de0 = envelope(s, spec.e)
     t_tot = spec.T
     thdot = d1 / t_tot
     thddot = d2 / t_tot**2
@@ -194,8 +188,7 @@ def shortcut_waveform(spec: ShortcutSpec) -> ControlWaveform:
         s = np.clip(np.asarray(ts, dtype=float) / spec.T, 0.0, 1.0)
         return _controls_arrays(s, spec)
 
-    meta = {"family": "tqd-shortcut", "kind": spec.kind, "e": spec.e, "T": spec.T}
-    return ControlWaveform.from_callable(spec.T, fn, meta=meta)
+    return ControlWaveform.from_callable(spec.T, fn)
 
 
 def short_time_controls(s: float, spec: ShortcutSpec) -> ShortTimeControls:
@@ -206,7 +199,7 @@ def short_time_controls(s: float, spec: ShortcutSpec) -> ShortTimeControls:
     """
     if not (0.0 < s < 1.0):
         raise DomainError("short-time limit is defined on the open interval (0, 1)")
-    th, d1, d2 = _theta_raw(np.asarray(s, dtype=float), spec.kind)
+    th, d1, d2 = theta(s, spec.kind)
     e0, de0 = envelope(s, spec.e)
     sin_th, cos_th = math.sin(th), math.cos(th)
     delta = (de0 * d1 * sin_th + e0 * (2.0 * d1 * d1 * cos_th - d2 * sin_th)) / (d1 * d1)
@@ -226,7 +219,6 @@ def tqd_fidelity_curve(
     e: float,
     T_grid: Sequence[float] | np.ndarray,
     steps: int | None = None,
-    units: PhysicalUnits = PhysicalUnits(),
 ) -> list[tuple[float, float]]:
     """Final Bell fidelity of the three-level system for each duration in
     ``T_grid`` under the modified controls, starting from |dd>."""
@@ -238,7 +230,7 @@ def tqd_fidelity_curve(
     for t_tot in t_grid:
         spec = ShortcutSpec(kind=kind, e=e, T=float(t_tot))
         try:
-            traj = propagate(shortcut_waveform(spec), c0, steps=steps, units=units)
+            traj = propagate(shortcut_waveform(spec), c0, steps=steps)
         except NonUnitaryDrift as exc:
             raise NonUnitaryDrift(f"T={t_tot:g}: {exc}") from exc
         out.append((float(t_tot), fidelity(traj)))

@@ -80,6 +80,22 @@ class TestConfigResolution:
         assert code == 2
         assert "unknown config keys" in err
 
+    @pytest.mark.parametrize("text, key", [
+        ("5", None),
+        ("null", None),
+        ('{"T": null}', "T"),
+        ('{"T": [1, 2]}', "T"),
+        ('{"steps": "x"}', "steps"),
+    ], ids=["int", "null", "T-null", "T-list", "steps-string"])
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, _, err = run(capsys, "tqd", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert err.startswith("error: ")
+        if key is not None:
+            assert repr(key) in err
+
     def test_missing_config_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "tqd", "--config", str(tmp_path / "nope.json"),
                            "--out", str(tmp_path / "o"))

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from isingbell.model import (
     SQRT2,
     ControlSample,
-    PhysicalUnits,
     RotatingFrame,
     TripletAmplitudes,
     frame_transform,
@@ -20,16 +19,6 @@ from isingbell.model import (
 )
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
-
-
-class TestPhysicalUnits:
-    def test_default_coupling_is_one(self):
-        assert PhysicalUnits().xi == 1.0
-
-    @pytest.mark.parametrize("xi", [0.0, -1.0, float("nan"), float("inf")])
-    def test_rejects_nonpositive_or_nonfinite(self, xi):
-        with pytest.raises(ValueError):
-            PhysicalUnits(xi=xi)
 
 
 class TestTripletAmplitudes:
@@ -88,10 +77,6 @@ class TestHamiltonianC:
         h = hamiltonian_c(ControlSample(delta=delta, omega=omega))
         assert np.array_equal(h, h.conj().T)
         assert h[0, 2] == 0.0 and h[2, 0] == 0.0
-
-    def test_scales_with_coupling(self):
-        h = hamiltonian_c(ControlSample(delta=0.0, omega=0.0), units=PhysicalUnits(xi=2.0))
-        assert h[2, 2] == 8.0
 
 
 class TestHamiltonianTwoLevel:

@@ -69,19 +69,6 @@ class TestControlWaveform:
         with pytest.raises(ValueError):
             ControlWaveform.piecewise_constant(1.0, [np.nan])
 
-    def test_sampled_grid_interpolates(self):
-        wf = ControlWaveform.from_samples([0.0, 1.0, 2.0], [0.0, 1.0, 0.0], [0.0, 2.0, 0.0])
-        s = wf.evaluate(0.5)
-        assert s.delta == pytest.approx(0.5) and s.omega == pytest.approx(1.0)
-
-    def test_sampled_grid_must_start_at_zero(self):
-        with pytest.raises(ValueError):
-            ControlWaveform.from_samples([0.5, 1.0], [0, 0], [0, 0])
-
-    def test_sampled_grid_must_increase(self):
-        with pytest.raises(ValueError):
-            ControlWaveform.from_samples([0.0, 1.0, 1.0], [0, 0, 0], [0, 0, 0])
-
     def test_evaluate_returns_control_sample(self):
         wf = ControlWaveform.from_callable(1.0, lambda ts: (np.zeros_like(ts), np.ones_like(ts)))
         assert isinstance(wf.evaluate(0.3), ControlSample)
