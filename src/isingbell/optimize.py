@@ -5,12 +5,14 @@ two parameterizations: piecewise-constant Rabi frequency with a fixed
 detuning (the optima come out bang-bang), and trigonometric series for
 omega and, optionally, delta (smooth controls).
 
-The search is multi-start L-BFGS-B over the 1000-segment discretization.
-Each segment propagator is an exact matrix exponential, so the adjoint
-gradient below is exact for the discrete objective (checked against central
-finite differences to 1e-6).  Series coefficients are optimized with a
-quadratic penalty on bound violations at the discretization grid, tightened
-over continuation rounds, and finished with an exact rescale onto the box.
+The search is multi-start L-BFGS-B over a piecewise-constant discretization
+of ``ControlProblem.segments`` segments (1000 by default).  Each segment's
+propagator is an exact matrix exponential, built once per distinct
+(delta, omega) pair, so the adjoint gradient below is exact for the discrete
+objective (checked against central finite differences to 1e-6).  Series
+coefficients are optimized with a quadratic penalty on bound violations at
+the discretization grid, tightened over continuation rounds, and finished
+with an exact rescale onto the box.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .propagator import (
     ControlWaveform,
     NonUnitaryDrift,
     TripletAmplitudes,
-    chain,
+    chain_indexed,
     fidelity,
     propagate,
     segment_propagators,
@@ -61,8 +63,6 @@ PENALTY_WEIGHTS = (10.0, 1e3, 1e5)
 #: line-search failure 8 times in 12 (none in 12 with 50).
 SERIES_LINE_SEARCH = 50
 
-_DH_DOMEGA = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]) / SQRT2
-_DH_DDELTA = np.diag([1.0, 0.0, -1.0])
 #: initial state of the forward pass (spin down) and of the adjoint pass (e2)
 _FORWARD_ADJOINT_STARTS = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], dtype=complex)
 
@@ -220,41 +220,56 @@ def adjoint_gradient(problem: ControlProblem, controls: np.ndarray) -> tuple[flo
     stacked (omega, delta) segment vectors (trig-series mode; the caller maps
     series coefficients to segments and chain-rules the result back).
 
-    One batched ``chain`` call runs the forward pass for the states c_k and
-    the backward pass for the costates lam_k; the derivative of each segment
-    exponential follows from its eigendecomposition:
-    dU = V (W o Phi) V^T  with W = V^T (dH/dtheta) V and
+    The spectral work runs once per distinct (delta, omega) pair
+    (``segment_propagators``); bang-bang iterates hold few.  One
+    ``chain_indexed`` call over that pair table runs the forward pass for
+    the states c_k and the backward pass for the costates lam_k; the
+    derivative of each pair's exponential follows from its
+    eigendecomposition: dU = V (W o Phi) V^T with W = V^T (dH/dtheta) V and
 
         Phi_mn = -i dt exp(-i (E_m + E_n) dt / 2) sinc((E_m - E_n) dt / 2),
 
     which is exact and stays stable for clustered eigenvalues (no divided
-    difference of nearly equal exponentials).
+    difference of nearly equal exponentials).  Each segment's derivative
+    lam_{k+1}^H dU c_k is contracted in its pair's eigenbasis.
     """
     delta, omega, with_delta = _segment_controls(problem, controls)
     n = problem.segments
     dt = problem.T / n
-    u, evals, evecs = segment_propagators(delta, omega, dt)
-    # the costate is linear in lam_T = amp * e2: chain e2 backwards alongside
-    # the forward pass and scale by amp afterwards
-    c, lam = chain(np.stack([u, u.conj().transpose(0, 2, 1)[::-1]]), _FORWARD_ADJOINT_STARTS)
+    table, index, evals, evecs = segment_propagators(delta, omega, dt)
+    m = evals.shape[0]
+    # the costate is linear in lam_T = amp * e2: chain e2 backwards through
+    # the adjoint maps (table rows m..2m-1) alongside the forward pass and
+    # scale by amp afterwards
+    c, lam = chain_indexed(table, np.stack([index, m + index[::-1]]), _FORWARD_ADJOINT_STARTS)
     amp = c[-1, 1]
     fid = float(np.abs(amp) ** 2)
-    lam = amp * lam[::-1]
 
-    vt = np.swapaxes(evecs, 1, 2)
-    av = np.einsum("kmi,ki->km", vt, lam[1:])  # V^T lam_{k+1}
-    bv = np.einsum("kmi,ki->km", vt, c[:-1])  # V^T c_k
-    ediff = evals[:, :, None] - evals[:, None, :]
-    esum = evals[:, :, None] + evals[:, None, :]
-    phi = (-1j * dt) * np.exp(-0.5j * dt * esum) * np.sinc(ediff * (dt / (2.0 * math.pi)))
+    vt = np.swapaxes(evecs, 1, 2).copy()
+    half = np.exp(-0.5j * dt * evals)
+    sinc = np.sinc((evals[:, :, None] - evals[:, None, :]) * (dt / (2.0 * math.pi)))
+    phi = ((-1j * dt) * half)[:, :, None] * half[:, None, :] * sinc
+    # W = V^T (dH/dtheta) V in outer products of the rows v0, v1, v2 of V:
+    # dH/domega = (e0 e1^T + e1 e0^T + e1 e2^T + e2 e1^T) / sqrt2 gives
+    # (u v1^T + v1 u^T) / sqrt2 with u = v0 + v2, and dH/ddelta =
+    # e0 e0^T - e2 e2^T gives v0 v0^T - v2 v2^T
+    v0, v1, v2 = vt[:, :, 0], vt[:, :, 1], vt[:, :, 2]
+    u = v0 + v2
+    w = [(u[:, :, None] * v1[:, None, :] + v1[:, :, None] * u[:, None, :]) / SQRT2]
+    if with_delta:
+        w.append(v0[:, :, None] * v0[:, None, :] - v2[:, :, None] * v2[:, None, :])
+    w_phi = np.stack(w, axis=1) * phi[:, None]  # (m, controls, 3, 3)
 
-    w_om = np.matmul(vt, np.matmul(_DH_DOMEGA, evecs))
-    g_om = 2.0 * np.real(np.einsum("km,kmn,kn->k", np.conj(av), w_om * phi, bv))
-    if not with_delta:
-        return fid, g_om
-    w_de = np.matmul(vt, np.matmul(_DH_DDELTA, evecs))
-    g_de = 2.0 * np.real(np.einsum("km,kmn,kn->k", np.conj(av), w_de * phi, bv))
-    return fid, np.concatenate([g_om, g_de])
+    # per segment a = V^T lam_{k+1} and b = V^T c_k in one real product on
+    # the interleaved (re, im) columns; then with Y = W o Phi of its pair,
+    # Re(a^H Y b) = Re sum_mn conj(a_m) b_n Y_mn is the real dot product of
+    # the (re, im) pairs of conj(a) b^T with those of conj(Y)
+    pair = np.stack([lam[::-1][1:], c[:-1]], axis=-1).view(float)  # (n, 3, 4)
+    proj = np.matmul(vt[index], pair).view(complex)  # (n, 3, 2)
+    outer = np.conj(amp * proj[:, :, None, 0]) * proj[:, None, :, 1]  # (n, 3, 3)
+    y = np.conj(w_phi).reshape(m, len(w), 9).view(float)  # (m, controls, 18)
+    g = 2.0 * np.matmul(y[index], outer.reshape(n, 9).view(float)[:, :, None])
+    return fid, g[..., 0].T.ravel()
 
 
 def _projected_grad_inf(x: np.ndarray, g: np.ndarray, lo: float, hi: float) -> float:

@@ -5,9 +5,11 @@ A waveform is either piecewise constant, when it carries its segment values
 (``piece_omega is not None``), or parametric, a vectorized sampler.
 
 Two integration routes are provided and cross-checked against each other.
-Both build a stack of per-step maps in batch and share one kernel,
-``chain``, a blocked scan in real arithmetic that applies them in order
-with O(sqrt(n)) numpy calls instead of one call per step:
+Both build their per-step maps in batch and share one kernel,
+``chain_indexed``, a blocked scan in real arithmetic that applies them in
+order with O(sqrt(n)) numpy calls instead of one call per step.  It reads
+each step's map from a table by index, so a map shared by many steps is
+built once; ``chain`` is the case of one table row per step:
 
 * fixed-step RK4 with the control pair frozen at each step midpoint.  For a
   frozen H one RK4 step is exactly the degree-4 Taylor polynomial of
@@ -17,11 +19,13 @@ with O(sqrt(n)) numpy calls instead of one call per step:
   Freezing at the midpoint keeps delta-like pulses and discontinuous
   waveforms well behaved; for smooth controls the midpoint commutator error
   is O(dt^2) and negligible at the default 4000 steps.
-* exact piecewise exponentials, exp(-i H_k dt) per constant segment via
-  eigendecomposition of the (real symmetric) Hamiltonian.
+* exact piecewise exponentials, exp(-i H dt) per distinct (delta, omega)
+  pair of the constant segments via eigendecomposition of the (real
+  symmetric) Hamiltonian (``segment_propagators``).
 
-The optimizer runs its forward pass and its adjoint pass (the reversed
-stack of adjoint maps) through the same kernel in one batched call.
+The optimizer runs its forward pass and its adjoint pass (the adjoint maps
+in reverse order, stored in the same table) through the same kernel in one
+batched call.
 
 Norm drift beyond 1e-8 raises ``NonUnitaryDrift``: that always means the
 step is too coarse for the pulse, never a physical effect.
@@ -160,17 +164,46 @@ class Trajectory:
         return float(self.times[-1])
 
 
-def segment_propagators(delta: np.ndarray, omega: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact per-segment propagators exp(-i H_k dt) via eigendecomposition.
+def _real_form(re: np.ndarray, im: np.ndarray, out: np.ndarray) -> None:
+    """Write the real form [[Re M, -Im M], [Im M, Re M]] of the maps M =
+    re + i im into ``out``; it acts on (Re c, Im c) as M acts on c."""
+    d = re.shape[-1]
+    out[..., :d, :d] = out[..., d:, d:] = re
+    out[..., d:, :d] = im
+    out[..., :d, d:] = -im
 
-    Returns (U, evals, evecs); evals/evecs are reused by the adjoint
-    gradient, which needs the same spectral data.
+
+def segment_propagators(
+    delta: np.ndarray, omega: np.ndarray, dt: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Exact propagators exp(-i H dt) of the distinct (delta, omega) pairs
+    among the segments, via eigendecomposition, as a table for
+    ``chain_indexed``.
+
+    Bang-bang controls repeat a few values over many segments, so the
+    spectral work runs once per distinct pair.  Returns (table, index,
+    evals, evecs): segment k holds pair ``index[k]``; for m pairs, rows
+    [0, m) of the table are the maps U in real form, rows [m, 2m) their
+    transposes, which are the real forms of the adjoint maps U^H, and row
+    2m is the identity that pads the scan.  evals/evecs are the pairs'
+    spectra, reused by the adjoint gradient.  For H = V diag(E) V^T with V
+    real, U = V cos(E dt) V^T - i V sin(E dt) V^T.
     """
-    h = hc_batch(delta, omega)
-    evals, evecs = np.linalg.eigh(h)
-    phase = np.exp(-1j * dt * evals)
-    u = np.einsum("kij,kj,klj->kil", evecs, phase, evecs)
-    return u, evals, evecs
+    # complex keys sort and compare as (delta, omega) pairs
+    key = np.empty(np.shape(delta), dtype=complex)
+    key.real = delta
+    key.imag = omega
+    pairs, index = np.unique(key, return_inverse=True)
+    evals, evecs = np.linalg.eigh(hc_batch(pairs.real, pairs.imag))
+    arg = dt * evals
+    vt = np.swapaxes(evecs, 1, 2).copy()
+    m = pairs.size
+    table = np.empty((2 * m + 1, 6, 6))
+    re = np.matmul(evecs * np.cos(arg)[:, None, :], vt)
+    _real_form(re, -np.matmul(evecs * np.sin(arg)[:, None, :], vt), table[:m])
+    table[m : 2 * m] = np.swapaxes(table[:m], 1, 2)
+    table[2 * m] = np.eye(6)
+    return table, index, evals, evecs
 
 
 def chain(maps: np.ndarray, c0: np.ndarray) -> np.ndarray:
@@ -179,37 +212,49 @@ def chain(maps: np.ndarray, c0: np.ndarray) -> np.ndarray:
 
     A leading batch axis chains independent stacks in one call: maps of
     shape (b, n, dim, dim) from c0 of shape (b, dim) give (b, n+1, dim).
-    ``out[..., 0, :]`` is ``c0`` exactly.
-
-    Two-level blocked scan (Blelloch, "Prefix sums and their applications",
-    1990) in real arithmetic: each complex map M acts on (Re c, Im c) as
-    [[Re M, -Im M], [Im M, Re M]], and a stacked real product is several
-    times cheaper than a complex one in numpy.  The steps are cut into
-    blocks of L = ceil(sqrt(n)), the last padded with identities, and laid
-    out block position first so that every product runs on contiguous
-    memory.  L batched products build the prefix products inside all
-    blocks, a sequential pass over the ~sqrt(n) block-end products gives
-    each block's entry state, and one batched product fills in every state.
+    ``out[..., 0, :]`` is ``c0`` exactly.  This is ``chain_indexed`` with
+    every map in the table and the steps in order.
     """
     *batch, n, d, _ = maps.shape
     b = math.prod(batch)
-    maps = maps.reshape(b, n, d, d)
-    c0 = np.asarray(c0).reshape(b, d)
+    maps = maps.reshape(b * n, d, d)
+    table = np.empty((b * n + 1, 2 * d, 2 * d))
+    _real_form(maps.real, maps.imag, table[:-1])
+    table[-1] = np.eye(2 * d)
+    out = chain_indexed(table, np.arange(b * n).reshape(b, n), np.asarray(c0).reshape(b, d))
+    return out.reshape(*batch, n + 1, d)
+
+
+def chain_indexed(table: np.ndarray, index: np.ndarray, c0: np.ndarray) -> np.ndarray:
+    """States of c_{k+1} = M_k c_k for b independent stacks, where step k of
+    stack i applies the map whose real form is ``table[index[i, k]]``.
+
+    ``table`` has shape (m, 2 dim, 2 dim) and holds the real forms
+    [[Re M, -Im M], [Im M, Re M]], which act on (Re c, Im c) and whose
+    products are several times cheaper than complex ones in numpy; its last
+    row must be the identity.  ``index`` has shape (b, n), ``c0`` (b, dim);
+    the result is the complex (b, n+1, dim) history with ``out[:, 0]`` equal
+    to ``c0`` exactly.  A map shared by many steps is stored once.
+
+    Two-level blocked scan (Blelloch, "Prefix sums and their applications",
+    1990): the steps are cut into blocks of L = ceil(sqrt(n)), the last
+    padded with the identity row, and gathered from the table block
+    position first, so that every product runs on contiguous memory.  L
+    batched products build the prefix products inside all blocks, a
+    sequential pass over the ~sqrt(n) block-end products gives each block's
+    entry state, and one batched product fills in every state.
+    """
+    b, n = index.shape
+    d = table.shape[-1] // 2
     size = math.isqrt(max(n - 1, 0)) + 1
     nblk = max(-(-n // size), 1)
-    if nblk * size > n:
-        pad = np.broadcast_to(np.eye(d), (b, nblk * size - n, d, d))
-        maps = np.concatenate([maps, pad], axis=1)
-    # m[j, i, k] is step k * size + j of batch i
-    m = maps.reshape(b, nblk, size, d, d).transpose(2, 0, 1, 3, 4)
-    r = np.empty((size, b, nblk, 2 * d, 2 * d))
-    r[..., :d, :d] = r[..., d:, d:] = m.real
-    r[..., d:, :d] = m.imag
-    r[..., :d, d:] = -m.imag
-    prefix = np.empty_like(r)
-    prefix[0] = r[0]
+    layout = np.full((b, nblk * size), table.shape[0] - 1)
+    layout[:, :n] = index
+    # prefix[j, i, k] is step k * size + j of batch i, then, after the
+    # loop, the product of steps k * size .. k * size + j
+    prefix = table[layout.reshape(b, nblk, size).transpose(2, 0, 1)]
     for j in range(1, size):
-        np.matmul(r[j], prefix[j - 1], out=prefix[j])
+        np.matmul(prefix[j], prefix[j - 1], out=prefix[j])
     entry = np.empty((b, nblk, 2 * d, 1))
     entry[:, 0, :d, 0] = c0.real
     entry[:, 0, d:, 0] = c0.imag
@@ -220,20 +265,25 @@ def chain(maps: np.ndarray, c0: np.ndarray) -> np.ndarray:
     out[:, 0] = c0
     out[:, 1:].real = x[:, :n, :d]
     out[:, 1:].imag = x[:, :n, d:]
-    return out.reshape(*batch, n + 1, d)
+    return out
 
 
-def _rk4_maps(h: np.ndarray, dt: float) -> np.ndarray:
-    """RK4 step maps of a stack of frozen Hamiltonians: sum_{j<=4} A^j / j!
-    with A = -i H dt.  With a = H dt that is (I - a^2/2 + a^4/24) -
-    i (a - a^3/6), so a real symmetric H costs three real products.  Each
-    map differs from exp(-i H dt) by at most (|H| dt)^5 / 120 * exp(|H| dt)
-    in any submultiplicative norm."""
+def _rk4_table(h: np.ndarray, dt: float) -> np.ndarray:
+    """RK4 step maps of a stack of frozen Hamiltonians, sum_{j<=4} A^j / j!
+    with A = -i H dt, as a ``chain_indexed`` table (the n maps in real form,
+    then the identity).  With a = H dt the map is (I - a^2/2 + a^4/24) -
+    i (a - a^3/6), so a real symmetric H costs three real products and no
+    complex arithmetic.  Each map differs from exp(-i H dt) by at most
+    (|H| dt)^5 / 120 * exp(|H| dt) in any submultiplicative norm."""
+    n, d = h.shape[0], h.shape[1]
     a = dt * h
     a2 = a @ a
     a3 = a2 @ a
     a4 = a2 @ a2
-    return (np.eye(h.shape[1]) - a2 / 2.0 + a4 / 24.0) - 1j * (a - a3 / 6.0)
+    table = np.empty((n + 1, 2 * d, 2 * d))
+    _real_form(np.eye(d) - a2 / 2.0 + a4 / 24.0, a3 / 6.0 - a, table[:n])
+    table[n] = np.eye(2 * d)
+    return table
 
 
 def rk4_evolve(h_mid: np.ndarray, c0: np.ndarray, dt: float) -> np.ndarray:
@@ -247,8 +297,9 @@ def rk4_evolve(h_mid: np.ndarray, c0: np.ndarray, dt: float) -> np.ndarray:
     out = np.empty((n + 1, dim), dtype=complex)
     out[0] = c0
     for k in range(0, n, MAP_BLOCK):
-        maps = _rk4_maps(h_mid[k : k + MAP_BLOCK], dt)
-        out[k : k + maps.shape[0] + 1] = chain(maps, out[k])
+        table = _rk4_table(h_mid[k : k + MAP_BLOCK], dt)
+        steps = table.shape[0] - 1
+        out[k : k + steps + 1] = chain_indexed(table, np.arange(steps)[None], out[k][None])[0]
     return out
 
 
@@ -282,8 +333,8 @@ def propagate(
     method="rk4": fixed-step midpoint-frozen RK4; ``steps`` defaults to 4000,
     raised automatically in proportion to max|omega|*duration so delta-like
     pulses stay resolved.  method="piecewise-exponential": exact segment
-    exponentials; requires a piecewise-constant waveform and returns states
-    on the segment-edge grid.
+    exponentials; requires a piecewise-constant waveform, takes no
+    ``steps`` (ValueError) and returns states on the segment-edge grid.
     """
     c_init = c0.as_array()
     if method == "rk4":
@@ -296,11 +347,13 @@ def propagate(
     elif method == "piecewise-exponential":
         if waveform.piece_omega is None:
             raise MethodMismatch("piecewise-exponential integration needs a piecewise-constant waveform")
+        if steps is not None:
+            raise ValueError("steps applies to method='rk4' only; the exponential route steps once per segment")
         dvals, wvals = waveform.piece_delta, waveform.piece_omega
         n = wvals.size
         dt = waveform.duration / n
-        u, _, _ = segment_propagators(dvals, wvals, dt)
-        states = chain(u, c_init)
+        table, index, _, _ = segment_propagators(dvals, wvals, dt)
+        states = chain_indexed(table, index[None], c_init[None])[0]
         times = np.linspace(0.0, waveform.duration, n + 1)
     else:
         raise ValueError(f"unknown method {method!r}")

@@ -25,12 +25,22 @@ DETUNING_GRID = (-0.3, -0.2, -0.15, -0.11, -0.05, 0.0, 0.05, 0.11, 0.2, 0.3)
 
 
 def gradient_fd_worst_rel(
-    instances: int = 20, seed: int = 7, probes: int = 3, segments: tuple[int, int] = (60, 200)
+    instances: int = 20,
+    seed: int = 7,
+    probes: int = 3,
+    segments: tuple[int, int] = (60, 200),
+    bang: bool = False,
 ) -> float:
     """Worst relative mismatch between the adjoint gradient and central
     finite differences over random bounded-control problems (both detuning
     modes, segment counts drawn from ``segments``), probing a few random
-    coordinates per instance."""
+    coordinates per instance.
+
+    With ``bang`` the controls look like the optimizer's bang-bang iterates:
+    most values are exactly -1, 0 or 1, fixed-detuning problems use
+    delta = 0, and a few segments hold delta = omega = 0, where the spectrum
+    of H = diag(0, 0, 4) is degenerate; the first probe lands on the omega
+    of such a segment and, in joint mode, the second on its delta."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for k in range(instances):
@@ -39,15 +49,24 @@ def gradient_fd_worst_rel(
         problem = ControlProblem(
             T=float(rng.uniform(1.0, 4.0)),
             delta_mode=mode,
-            delta_value=float(rng.uniform(-0.5, 0.5)),
+            delta_value=0.0 if bang else float(rng.uniform(-0.5, 0.5)),
             segments=nseg,
         )
         nx = nseg if mode == "fixed" else 2 * nseg
         x = rng.uniform(-1.0, 1.0, size=nx)
+        coords = rng.choice(nx, size=probes, replace=False)
+        if bang:
+            x = np.where(rng.random(nx) < 0.8, rng.choice([-1.0, 0.0, 1.0], size=nx), x)
+            idle = rng.choice(nseg, size=3, replace=False)
+            x[idle] = 0.0
+            coords[0] = idle[0]
+            if mode != "fixed":
+                x[nseg + idle] = 0.0
+                coords[1] = nseg + idle[0]
         _, g = adjoint_gradient(problem, x)
         scale = max(float(np.max(np.abs(g))), 1e-10)
         h = 1e-6
-        for i in rng.choice(nx, size=probes, replace=False):
+        for i in coords:
             xp, xm = x.copy(), x.copy()
             xp[i] += h
             xm[i] -= h

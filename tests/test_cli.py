@@ -126,6 +126,13 @@ class TestSimulate:
         f2 = float(out_exp.splitlines()[-1].split()[-1])
         assert f1 == pytest.approx(f2, abs=1e-7)
 
+    def test_exponential_route_with_steps_is_usage_error(self, tmp_path, capsys):
+        code, _, err = run(capsys, "simulate", "--method", "piecewise-exponential", "--steps", "10",
+                           "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "steps" in err
+        assert not (tmp_path / "o" / "simulate_trajectory.csv").exists()
+
 
 class TestOptimize:
     def test_small_piecewise_run(self, tmp_path, capsys):

@@ -7,12 +7,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import BENCH_DURATIONS, DETUNING_GRID, gradient_fd_worst_rel
 from isingbell import optimize
-from isingbell.model import TripletAmplitudes
+from isingbell.model import TripletAmplitudes, hc_batch
 from isingbell.optimize import (
     BENCHMARK_SERIES_T25_A,
     BENCHMARK_SERIES_T25_B,
@@ -38,7 +38,7 @@ from isingbell.optimize import (
     write_series_json,
     write_sweep_csv,
 )
-from isingbell.propagator import ControlWaveform, NonUnitaryDrift, fidelity, propagate
+from isingbell.propagator import ControlWaveform, NonUnitaryDrift, chain, fidelity, propagate
 
 SPIN_DOWN = TripletAmplitudes.spin_down()
 
@@ -88,9 +88,94 @@ class TestTrigSeries:
             TrigSeries(**kw)
 
 
+def _segment_maps(delta: np.ndarray, omega: np.ndarray, dt: float):
+    """exp(-i H_k dt) of every segment from its own eigendecomposition."""
+    evals, evecs = np.linalg.eigh(hc_batch(delta, omega))
+    return np.einsum("kij,kj,klj->kil", evecs, np.exp(-1j * dt * evals), evecs), evals, evecs
+
+
+def _gradient_per_segment(problem: ControlProblem, controls: np.ndarray) -> tuple[float, np.ndarray]:
+    """Reference for ``adjoint_gradient`` with no sharing between segments:
+    eigh on every segment, complex forward and adjoint chains, and each
+    segment's derivative dU = V (W o Phi) V^T built in the full basis."""
+    n = problem.segments
+    dt = problem.T / n
+    joint = problem.delta_mode == "trig-series"
+    omega, delta = (controls[:n], controls[n:]) if joint else (controls, np.full(n, problem.delta_value))
+    u, evals, evecs = _segment_maps(delta, omega, dt)
+    c = chain(u, np.array([1.0, 0.0, 0.0], dtype=complex))
+    amp = c[-1, 1]
+    lam = chain(u.conj().transpose(0, 2, 1)[::-1], amp * np.array([0.0, 1.0, 0.0], dtype=complex))[::-1]
+    esum = evals[:, :, None] + evals[:, None, :]
+    ediff = evals[:, :, None] - evals[:, None, :]
+    phi = -1j * dt * np.exp(-0.5j * dt * esum) * np.sinc(ediff * dt / (2.0 * math.pi))
+    dh_omega = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]) / math.sqrt(2.0)
+    dh_delta = np.diag([1.0, 0.0, -1.0])
+    grads = []
+    for dh in (dh_omega, dh_delta) if joint else (dh_omega,):
+        w = np.swapaxes(evecs, 1, 2) @ dh @ evecs
+        du = evecs @ (w * phi) @ np.swapaxes(evecs, 1, 2)
+        grads.append(2.0 * np.real(np.einsum("ki,kij,kj->k", lam[1:].conj(), du, c[:-1])))
+    return float(abs(amp) ** 2), np.concatenate(grads)
+
+
+@st.composite
+def repeated_controls(draw, joint: bool):
+    """A problem and controls that repeat a few values the way bang-bang
+    iterates do: every segment value comes from {-1, 0, 1} plus up to three
+    interior values.  In joint mode the first four segments hold equal
+    omega with different delta and equal delta with different omega."""
+    n = draw(st.integers(min_value=10, max_value=120))
+    interior = draw(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=3))
+    palette = st.sampled_from([-1.0, 0.0, 1.0, *interior])
+    problem = ControlProblem(
+        T=draw(st.floats(min_value=0.5, max_value=4.0)),
+        delta_mode="trig-series" if joint else "fixed",
+        delta_value=draw(palette),
+        segments=n,
+    )
+    omega = np.array(draw(st.lists(palette, min_size=n, max_size=n)))
+    if not joint:
+        return problem, omega
+    delta = np.array(draw(st.lists(palette, min_size=n, max_size=n)))
+    a, b = draw(st.lists(palette, min_size=2, max_size=2, unique=True))
+    omega[1] = omega[0]
+    delta[:2] = a, b
+    delta[3] = delta[2]
+    omega[2:4] = a, b
+    return problem, np.concatenate([omega, delta])
+
+
 class TestAdjointGradient:
     def test_matches_finite_differences(self, fd_worst_rel):
         assert fd_worst_rel <= 1e-6
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_matches_finite_differences_at_saturated_controls(self, seed):
+        # bang-bang-like points with degenerate delta = omega = 0 segments
+        assert gradient_fd_worst_rel(instances=8, seed=seed, bang=True) <= 1e-6
+
+    @given(case=st.one_of(repeated_controls(joint=False), repeated_controls(joint=True)))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_segment_reference(self, case):
+        # segments that share a (delta, omega) pair share their spectral
+        # work; the result must be that of the route that shares nothing
+        problem, x = case
+        f, g = adjoint_gradient(problem, x)
+        f_ref, g_ref = _gradient_per_segment(problem, x)
+        # below this, rounding of the amplitude itself (~1e-15) dominates F
+        assume(f_ref >= 1e-3)
+        assert abs(f - f_ref) <= 1e-12 * f_ref
+        assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+
+    def test_exponential_route_matches_per_segment_maps(self):
+        rng = np.random.default_rng(4)
+        omega = rng.choice([-1.0, 1.0, 0.0, 0.37], size=250, p=[0.45, 0.45, 0.05, 0.05])
+        wf = ControlWaveform.piecewise_constant(2.5, omega, delta=-0.11)
+        traj = propagate(wf, SPIN_DOWN, method="piecewise-exponential")
+        u, _, _ = _segment_maps(np.full(250, -0.11), omega, 2.5 / 250)
+        ref = chain(u, SPIN_DOWN.as_array())
+        assert np.max(np.abs(traj.states - ref)) <= 1e-12
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=15, deadline=None)

@@ -14,8 +14,9 @@ from isingbell.propagator import (
     ControlWaveform,
     MethodMismatch,
     NonUnitaryDrift,
-    _rk4_maps,
+    _rk4_table,
     chain,
+    chain_indexed,
     fidelity,
     hc_batch,
     population_trace,
@@ -120,6 +121,13 @@ class TestPropagate:
         assert (traj.method, traj.steps) == ("piecewise-exponential", 3)
         assert 0.0 <= traj.max_drift <= 1e-14
 
+    def test_exponential_route_rejects_steps(self):
+        # the exponential route steps once per segment; a step count would
+        # be silently ignored and recorded in the artifact's config
+        wf = ControlWaveform.piecewise_constant(2.0, [1.0, -0.5, 0.8])
+        with pytest.raises(ValueError, match="steps"):
+            propagate(wf, SPIN_DOWN, steps=400, method="piecewise-exponential")
+
     def test_too_few_steps_rejected(self):
         wf = ControlWaveform.piecewise_constant(1.0, [1.0])
         with pytest.raises(ValueError):
@@ -174,12 +182,41 @@ class TestPropagate:
         assert np.max(np.abs(t_exp.states[-1] - t_rk4.states[-1])) <= 1e-7
 
 
+def _complex_maps(table: np.ndarray) -> np.ndarray:
+    """The complex maps M of real-form rows [[Re M, -Im M], [Im M, Re M]]."""
+    d = table.shape[-1] // 2
+    return table[:, :d, :d] + 1j * table[:, d:, :d]
+
+
 class TestSegmentPropagators:
     def test_unitary(self):
         rng = np.random.default_rng(5)
-        u, _, _ = segment_propagators(rng.uniform(-1, 1, 8), rng.uniform(-1, 1, 8), 0.1)
+        delta, omega = rng.uniform(-1, 1, 8), rng.uniform(-1, 1, 8)
+        table, index, _, _ = segment_propagators(delta, omega, 0.1)
+        assert table.shape == (17, 6, 6) and np.array_equal(np.sort(index), np.arange(8))
+        u = _complex_maps(table[:8])
         eye = np.broadcast_to(np.eye(3), (8, 3, 3))
         assert np.allclose(np.matmul(u.conj().transpose(0, 2, 1), u), eye, atol=1e-13)
+        h = hc_batch(delta, omega)
+        for k in range(8):
+            assert np.max(np.abs(u[index[k]] - expm(-0.1j * h[k]))) <= 1e-13
+        # the adjoint rows are the transposed real forms, the last row pads
+        assert np.array_equal(table[8:16], table[:8].transpose(0, 2, 1))
+        assert np.array_equal(table[16], np.eye(6))
+
+    def test_table_holds_each_distinct_pair_once(self):
+        # equal omega with different delta and equal delta with different
+        # omega are different pairs; -0.0 and 0.0 are the same value
+        delta = np.array([0.0, -0.0, 0.3, 0.0, 0.3, 0.0])
+        omega = np.array([1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
+        table, index, evals, _ = segment_propagators(delta, omega, 0.2)
+        assert table.shape == (9, 6, 6) and evals.shape == (4, 3)
+        assert index[0] == index[1] == index[5]
+        assert len({index[0], index[2], index[3], index[4]}) == 4
+        h = hc_batch(delta, omega)
+        u = _complex_maps(table[:4])
+        for k in range(6):
+            assert np.max(np.abs(u[index[k]] - expm(-0.2j * h[k]))) <= 1e-13
 
 
 class TestChain:
@@ -212,12 +249,40 @@ class TestChain:
         ref = [_chain_reference(m, c) for m, c in zip(maps.reshape(-1, n, dim, dim), c0.reshape(-1, dim))]
         assert np.max(np.abs(states.reshape(-1, n + 1, dim) - np.array(ref))) <= 1e-13 * n
 
+    @given(
+        n=st.integers(min_value=1, max_value=300),
+        rows=st.integers(min_value=1, max_value=6),
+        batch=st.integers(min_value=1, max_value=2),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(n=250, rows=3, batch=2, seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_indexed_matches_sequential_loop(self, n, rows, batch, seed):
+        # a few maps shared by many steps, read by index, as the optimizer
+        # reads its distinct-pair table
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(rows, 3, 3)) + 1j * rng.normal(size=(rows, 3, 3))
+        maps, _ = np.linalg.qr(z)
+        table = np.empty((rows + 1, 6, 6))
+        table[:rows, :3, :3] = table[:rows, 3:, 3:] = maps.real
+        table[:rows, 3:, :3] = maps.imag
+        table[:rows, :3, 3:] = -maps.imag
+        table[rows] = np.eye(6)
+        index = rng.integers(0, rows, size=(batch, n))
+        c0 = rng.normal(size=(batch, 3)) + 1j * rng.normal(size=(batch, 3))
+        c0 /= np.linalg.norm(c0, axis=-1, keepdims=True)
+        states = chain_indexed(table, index, c0)
+        assert states.shape == (batch, n + 1, 3)
+        assert np.array_equal(states[:, 0], c0)
+        ref = np.array([_chain_reference(maps[i], c) for i, c in zip(index, c0)])
+        assert np.max(np.abs(states - ref)) <= 1e-13 * n
+
     @given(drive=drives, dt=steps, c0=states3)
     @settings(max_examples=40, deadline=None)
     def test_norm_preserved(self, drive, dt, c0):
         delta, omega = np.array(drive).T
-        u, _, _ = segment_propagators(delta, omega, dt)
-        states = chain(u, _unit(c0))
+        table, index, _, _ = segment_propagators(delta, omega, dt)
+        states = chain_indexed(table, index[None], _unit(c0)[None])[0]
         assert states.shape == (len(drive) + 1, 3)
         assert np.array_equal(states[0], _unit(c0))
         assert np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)) <= 1e-12
@@ -227,9 +292,11 @@ class TestChain:
     def test_forward_and_adjoint_pair_conserve_overlap(self, drive, dt, c0, lam_final):
         # c_{k+1} = U_k c_k and lam_k = U_k^H lam_{k+1} keep <lam_k, c_k> fixed
         delta, omega = np.array(drive).T
-        u, _, _ = segment_propagators(delta, omega, dt)
-        c = chain(u, _unit(c0))
-        lam = chain(u.conj().transpose(0, 2, 1)[::-1], _unit(lam_final))[::-1]
+        table, index, evals, _ = segment_propagators(delta, omega, dt)
+        m = evals.shape[0]
+        # forward and adjoint passes in one call, as the optimizer runs them
+        c, lam = chain_indexed(table, np.stack([index, m + index[::-1]]), np.stack([_unit(c0), _unit(lam_final)]))
+        lam = lam[::-1]
         assert np.array_equal(lam[-1], _unit(lam_final))
         overlap = np.einsum("ki,ki->k", lam.conj(), c)
         assert np.max(np.abs(overlap - overlap[0])) <= 1e-12
@@ -242,7 +309,7 @@ class TestChain:
         # plus round-off slack
         delta, omega = np.array(drive).T
         h = build(delta, omega)
-        maps = _rk4_maps(h, dt)
+        maps = _complex_maps(_rk4_table(h, dt)[:-1])
         for hk, mk in zip(h, maps):
             x = np.linalg.norm(hk, 2) * dt
             bound = x**5 / 120.0 * math.exp(x) + 1e-14
