@@ -11,7 +11,7 @@ which side runs first, over a list of seeds:
 For every workload and seed it stores both sides' end-to-end metrics
 (``--trace 0``), then medians over the seeds and how many seed pairs the
 change won.  ``--traced`` adds one per-layer run (``--trace 1``) per side on
-``--trace-seed``; ``--tier1`` times the tier-1 test suite in each clone.
+the first seed; ``--tier1`` times the tier-1 test suite in each clone.
 Each side records its git sha, ``src/`` line count, and the python, numpy
 and scipy versions.  Runs are sequential: two at once would share the cores
 they are timing.
@@ -102,7 +102,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     parser.add_argument("--workloads", nargs="+", default=["shortcut-cli", "bangbang-sweep"])
     parser.add_argument("--traced", nargs="*", default=[], help="workloads to trace once per side")
-    parser.add_argument("--trace-seed", type=int, default=1)
     parser.add_argument("--tier1", action="store_true", help="also time the tier-1 suite in each clone")
     parser.add_argument("--workdir", help="where the clones go (default: a temporary directory)")
     parser.add_argument("--what", default="", help="one-line description of the change")
@@ -135,9 +134,9 @@ def main(argv=None) -> int:
     for workload in args.traced:
         order = SIDES if turn % 2 == 0 else SIDES[::-1]
         turn += 1
-        traced = {s: bench(roots[s], workload, args.trace_seed, trace=True) for s in order}
-        record["workloads"].setdefault(workload, {})[f"trace1_seed{args.trace_seed}"] = traced
-        print(f"{workload} traced seed {args.trace_seed}: done", flush=True)
+        traced = {s: bench(roots[s], workload, args.seeds[0], trace=True) for s in order}
+        record["workloads"].setdefault(workload, {})[f"trace1_seed{args.seeds[0]}"] = traced
+        print(f"{workload} traced seed {args.seeds[0]}: done", flush=True)
     if args.tier1:
         record["tier1"] = {s: tier1(roots[s]) for s in SIDES}
         print("tier-1: " + ", ".join(f"{s} {record['tier1'][s]['wall_s']} s" for s in SIDES), flush=True)

@@ -163,8 +163,9 @@ class TestAdjointGradient:
         problem, x = case
         f, g = adjoint_gradient(problem, x)
         f_ref, g_ref = _gradient_per_segment(problem, x)
-        # below this, rounding of the amplitude itself (~1e-15) dominates F
-        assume(f_ref >= 1e-3)
+        # a tiny amplitude is a cancellation of O(1) terms, so its relative
+        # rounding grows as it shrinks: 4e-12 was seen below F = 1e-8
+        assume(f_ref >= 1e-6)
         assert abs(f - f_ref) <= 1e-12 * f_ref
         assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
 
