@@ -1,20 +1,19 @@
 """Record a before/after benchmark comparison as ``BENCH_<pr>.json``.
 
 Clones two revisions of this repository into fresh directories and runs the
-unmodified ``bench/run.py`` of each clone from its own root, alternating
-which side runs first, over a list of seeds:
+unmodified ``bench/run.py`` of each clone from its own root, one pair of
+runs per seed, alternating which side runs first:
 
-    python3 scripts/bench_record.py --parent HEAD~1 --change HEAD --pr 5 \\
-        --seeds 1 2 3 --workloads shortcut-cli bangbang-sweep \\
-        --traced bangbang-sweep series-joint --tier1
+    python3 scripts/bench_record.py --parent HEAD~1 --change HEAD --pr 5
 
-For every workload and seed it stores both sides' end-to-end metrics
-(``--trace 0``), then medians over the seeds and how many seed pairs the
-change won.  ``--traced`` adds one per-layer run (``--trace 1``) per side on
-the first seed; ``--tier1`` times the tier-1 test suite in each clone.
-Each side records its git sha, ``src/`` line count, and the python, numpy
-and scipy versions.  Runs are sequential: two at once would share the cores
-they are timing.
+For every listed workload and each of the ten seeds it stores both sides'
+end-to-end metrics (``--trace 0``), then per metric each side's median and
+quartiles over the seeds, the parent's inter-quartile spread and how many
+pairs the change won.  One per-layer run (``--trace 1``) per side on the
+first seed covers every workload, the unlisted ``series-joint`` too, and
+the tier-1 test suite is timed in each clone.  Each side records its git
+sha, ``src/`` line count, and the python, numpy and scipy versions.  Runs
+are sequential: two at once would share the cores they are timing.
 """
 
 import argparse
@@ -32,6 +31,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 RUN_TIMEOUT_S = 900
+#: one parent/change pair per seed; a gain is claimed only when the change
+#: wins at least nine pairs in ten and the medians differ by more than the
+#: parent's inter-quartile spread
+SEEDS = tuple(range(1, 11))
+WORKLOADS = ("shortcut-cli", "bangbang-sweep")
+TRACED = ("bangbang-sweep", "series-joint", "shortcut-cli")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 
 
@@ -77,18 +82,20 @@ def tier1(root: Path) -> dict:
 
 
 def compare(by_seed: dict) -> dict:
-    """Medians over seeds per side and metric, and the change's wins."""
+    """Per side and metric the quartiles over seeds, the parent's
+    inter-quartile spread, and the pairs in which the change read lower."""
     out = {}
     seeds = list(by_seed)
     for name in by_seed[seeds[0]]["parent"]:
         values = {s: [by_seed[k][s][name] for k in seeds] for s in SIDES}
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values["parent"]):
             continue
-        med = {s: statistics.median(values[s]) for s in SIDES}
+        q = {s: statistics.quantiles(values[s], n=4) for s in SIDES}
         out[name] = {
-            "parent_median": med["parent"],
-            "change_median": med["change"],
-            "change_over_parent": med["change"] / med["parent"] if med["parent"] else None,
+            **{f"{s}_quartiles": q[s] for s in SIDES},
+            "parent_iqr": q["parent"][2] - q["parent"][0],
+            "median_change_minus_parent": q["change"][1] - q["parent"][1],
+            "change_over_parent": q["change"][1] / q["parent"][1] if q["parent"][1] else None,
             "change_lower_in": f"{sum(c < p for p, c in zip(values['parent'], values['change']))} of {len(seeds)}",
         }
     return out
@@ -99,10 +106,6 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--change", required=True, help="git revision of the change")
     parser.add_argument("--pr", required=True, help="number in the output name BENCH_<pr>.json")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--workloads", nargs="+", default=["shortcut-cli", "bangbang-sweep"])
-    parser.add_argument("--traced", nargs="*", default=[], help="workloads to trace once per side")
-    parser.add_argument("--tier1", action="store_true", help="also time the tier-1 suite in each clone")
     parser.add_argument("--workdir", help="where the clones go (default: a temporary directory)")
     parser.add_argument("--what", default="", help="one-line description of the change")
     args = parser.parse_args(argv)
@@ -122,24 +125,23 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     turn = 0
-    for workload in args.workloads:
+    for workload in WORKLOADS:
         by_seed = {}
-        for seed in args.seeds:
+        for seed in SEEDS:
             order = SIDES if turn % 2 == 0 else SIDES[::-1]
             turn += 1
             by_seed[seed] = {s: bench(roots[s], workload, seed, trace=False) for s in order}
             print(f"{workload} seed {seed}: " + ", ".join(f"{s} {by_seed[seed][s]['wall_s']:.3f} s" for s in SIDES),
                   flush=True)
         record["workloads"][workload] = {"trace0_by_seed": by_seed, "trace0_over_seeds": compare(by_seed)}
-    for workload in args.traced:
+    for workload in TRACED:
         order = SIDES if turn % 2 == 0 else SIDES[::-1]
         turn += 1
-        traced = {s: bench(roots[s], workload, args.seeds[0], trace=True) for s in order}
-        record["workloads"].setdefault(workload, {})[f"trace1_seed{args.seeds[0]}"] = traced
-        print(f"{workload} traced seed {args.seeds[0]}: done", flush=True)
-    if args.tier1:
-        record["tier1"] = {s: tier1(roots[s]) for s in SIDES}
-        print("tier-1: " + ", ".join(f"{s} {record['tier1'][s]['wall_s']} s" for s in SIDES), flush=True)
+        traced = {s: bench(roots[s], workload, SEEDS[0], trace=True) for s in order}
+        record["workloads"].setdefault(workload, {})[f"trace1_seed{SEEDS[0]}"] = traced
+        print(f"{workload} traced seed {SEEDS[0]}: done", flush=True)
+    record["tier1"] = {s: tier1(roots[s]) for s in SIDES}
+    print("tier-1: " + ", ".join(f"{s} {record['tier1'][s]['wall_s']} s" for s in SIDES), flush=True)
 
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")

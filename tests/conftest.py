@@ -24,6 +24,16 @@ BENCH_DURATIONS = (2.0, 2.5, 3.0, 3.6)
 DETUNING_GRID = (-0.3, -0.2, -0.15, -0.11, -0.05, 0.0, 0.05, 0.11, 0.2, 0.3)
 
 
+def chain_reference(maps: np.ndarray, c0: np.ndarray) -> np.ndarray:
+    """The plain per-step loop c_{k+1} = maps[k] @ c_k that the package's
+    blocked scan must reproduce; shares no code with it."""
+    out = np.empty((maps.shape[0] + 1, maps.shape[1]), dtype=complex)
+    out[0] = c0
+    for k, m in enumerate(maps):
+        out[k + 1] = m @ out[k]
+    return out
+
+
 def gradient_fd_worst_rel(
     instances: int = 20,
     seed: int = 7,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import BENCH_DURATIONS, DETUNING_GRID, gradient_fd_worst_rel
+from conftest import BENCH_DURATIONS, DETUNING_GRID, chain_reference, gradient_fd_worst_rel
 from isingbell import optimize
 from isingbell.model import TripletAmplitudes, hc_batch
 from isingbell.optimize import (
@@ -38,7 +38,7 @@ from isingbell.optimize import (
     write_series_json,
     write_sweep_csv,
 )
-from isingbell.propagator import ControlWaveform, NonUnitaryDrift, chain, fidelity, propagate
+from isingbell.propagator import ControlWaveform, NonUnitaryDrift, fidelity, propagate
 
 SPIN_DOWN = TripletAmplitudes.spin_down()
 
@@ -96,16 +96,16 @@ def _segment_maps(delta: np.ndarray, omega: np.ndarray, dt: float):
 
 def _gradient_per_segment(problem: ControlProblem, controls: np.ndarray) -> tuple[float, np.ndarray]:
     """Reference for ``adjoint_gradient`` with no sharing between segments:
-    eigh on every segment, complex forward and adjoint chains, and each
+    eigh on every segment, per-step forward and adjoint loops, and each
     segment's derivative dU = V (W o Phi) V^T built in the full basis."""
     n = problem.segments
     dt = problem.T / n
     joint = problem.delta_mode == "trig-series"
     omega, delta = (controls[:n], controls[n:]) if joint else (controls, np.full(n, problem.delta_value))
     u, evals, evecs = _segment_maps(delta, omega, dt)
-    c = chain(u, np.array([1.0, 0.0, 0.0], dtype=complex))
+    c = chain_reference(u, np.array([1.0, 0.0, 0.0], dtype=complex))
     amp = c[-1, 1]
-    lam = chain(u.conj().transpose(0, 2, 1)[::-1], amp * np.array([0.0, 1.0, 0.0], dtype=complex))[::-1]
+    lam = chain_reference(u.conj().transpose(0, 2, 1)[::-1], amp * np.array([0.0, 1.0, 0.0], dtype=complex))[::-1]
     esum = evals[:, :, None] + evals[:, None, :]
     ediff = evals[:, :, None] - evals[:, None, :]
     phi = -1j * dt * np.exp(-0.5j * dt * esum) * np.sinc(ediff * dt / (2.0 * math.pi))
@@ -175,7 +175,7 @@ class TestAdjointGradient:
         wf = ControlWaveform.piecewise_constant(2.5, omega, delta=-0.11)
         traj = propagate(wf, SPIN_DOWN, method="piecewise-exponential")
         u, _, _ = _segment_maps(np.full(250, -0.11), omega, 2.5 / 250)
-        ref = chain(u, SPIN_DOWN.as_array())
+        ref = chain_reference(u, SPIN_DOWN.as_array())
         assert np.max(np.abs(traj.states - ref)) <= 1e-12
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from conftest import chain_reference
 from isingbell.model import ControlSample, TripletAmplitudes, h2_batch
 from isingbell.propagator import (
     ControlWaveform,
@@ -40,15 +41,6 @@ states3 = st.lists(st.complex_numbers(max_magnitude=1.0), min_size=3, max_size=3
 def _unit(c) -> np.ndarray:
     c = np.asarray(c, dtype=complex)
     return c / np.linalg.norm(c)
-
-
-def _chain_reference(maps: np.ndarray, c0: np.ndarray) -> np.ndarray:
-    """The plain per-step loop that ``chain`` must reproduce."""
-    out = np.empty((maps.shape[0] + 1, maps.shape[1]), dtype=complex)
-    out[0] = c0
-    for k, m in enumerate(maps):
-        out[k + 1] = m @ out[k]
-    return out
 
 
 class TestControlWaveform:
@@ -246,7 +238,7 @@ class TestChain:
         states = chain(maps, c0)
         assert states.shape == lead + (n + 1, dim)
         assert np.array_equal(states[..., 0, :], c0)
-        ref = [_chain_reference(m, c) for m, c in zip(maps.reshape(-1, n, dim, dim), c0.reshape(-1, dim))]
+        ref = [chain_reference(m, c) for m, c in zip(maps.reshape(-1, n, dim, dim), c0.reshape(-1, dim))]
         assert np.max(np.abs(states.reshape(-1, n + 1, dim) - np.array(ref))) <= 1e-13 * n
 
     @given(
@@ -274,7 +266,7 @@ class TestChain:
         states = chain_indexed(table, index, c0)
         assert states.shape == (batch, n + 1, 3)
         assert np.array_equal(states[:, 0], c0)
-        ref = np.array([_chain_reference(maps[i], c) for i, c in zip(index, c0)])
+        ref = np.array([chain_reference(maps[i], c) for i, c in zip(index, c0)])
         assert np.max(np.abs(states - ref)) <= 1e-13 * n
 
     @given(drive=drives, dt=steps, c0=states3)
