@@ -4,7 +4,7 @@ Clones two revisions of this repository into fresh directories and runs the
 unmodified ``bench/run.py`` of each clone from its own root, one pair of
 runs per seed, alternating which side runs first:
 
-    python3 scripts/bench_record.py --parent HEAD~1 --change HEAD --pr 5
+    python3 scripts/bench_record.py --parent HEAD~1 --change HEAD --pr N
 
 For every listed workload and each of the ten seeds it stores both sides'
 end-to-end metrics (``--trace 0``), then per metric each side's median and
