@@ -57,7 +57,6 @@ from .optimize import (
     optimize_trig,
     read_series_json,
     saturation_fraction,
-    series_waveform,
     sweep_detuning,
     sweep_duration,
     trig_harmonic_scan,
@@ -67,6 +66,8 @@ from .optimize import (
 )
 
 REPRO_IDS = ("fig1b", "fig2", "fig3a", "fig3b", "fig4c", "table1")
+#: integer flags of ``repro``; each dataset takes only those in its defaults
+REPRO_FLAGS = ("segments", "restarts", "seed", "steps")
 
 
 #: value type of the config keys whose default is None; every other key
@@ -361,6 +362,9 @@ def cmd_repro(args: argparse.Namespace) -> int:
     if args.id not in runners:
         raise ValueError(f"unknown reproduction id {args.id!r}; choose from {', '.join(REPRO_IDS)}")
     runner, defaults = runners[args.id]
+    for flag in REPRO_FLAGS:
+        if getattr(args, flag) is not None and flag not in defaults:
+            raise ValueError(f"repro {args.id} takes no --{flag}")
     cfg, out = _experiment(args, f"repro-{args.id}", defaults)
     runner(cfg, out)
     return 0
@@ -442,10 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("repro", help="regenerate a benchmark dataset")
     sp.add_argument("id", help=f"one of {', '.join(REPRO_IDS)}")
-    sp.add_argument("--segments", type=int)
-    sp.add_argument("--restarts", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--steps", type=int)
+    for flag in REPRO_FLAGS:
+        sp.add_argument(f"--{flag}", type=int)
     common(sp)
     sp.set_defaults(func=cmd_repro)
 

@@ -67,22 +67,6 @@ class TripletAmplitudes:
 
 
 @dataclass(frozen=True)
-class ControlSample:
-    """Instantaneous control pair: detuning ``delta`` and Rabi frequency
-    ``omega`` (both in xi units) at time ``t`` (in 1/xi units)."""
-
-    delta: float
-    omega: float
-    t: float = 0.0
-
-    def __post_init__(self):
-        for name in ("delta", "omega", "t"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
-
-
-@dataclass(frozen=True)
 class RotatingFrame:
     """Rotating transverse-field frame at angular frequency ``omega_rf``
     (xi units).  The frame frequency is a free parameter of the transform;
@@ -124,17 +108,6 @@ def h2_batch(delta, omega) -> np.ndarray:
     return h
 
 
-def hamiltonian_c(sample: ControlSample) -> np.ndarray:
-    """Rotating-frame triplet Hamiltonian at one sample: a real symmetric
-    3x3 array (see ``hc_batch``)."""
-    return hc_batch([sample.delta], [sample.omega])[0]
-
-
-def hamiltonian_two_level(sample: ControlSample) -> np.ndarray:
-    """Two-level reduction at one sample (see ``h2_batch``)."""
-    return h2_batch([sample.delta], [sample.omega])[0]
-
-
 def _frame_phases(t: float, frame: RotatingFrame) -> np.ndarray:
     # lab amplitude a_i picks up these phases on the way to the rotating frame:
     # c1 = a1 e^{-i(w+1)t}, c2 = a2 e^{-i t}, c3 = a3 e^{+i(w-1)t}
@@ -159,11 +132,3 @@ def frame_transform(
         raise ValueError(f"unknown direction {direction!r}")
     return TripletAmplitudes.from_array(out)
 
-
-def polar_controls(e0: float, theta: float, t: float = 0.0) -> ControlSample:
-    """Polar control parametrization: delta = E0 cos(theta),
-    omega = (E0/sqrt(2)) sin(theta).  The two-level Hamiltonian of such a
-    sample has eigenvalues exactly +-E0/2."""
-    if not (math.isfinite(e0) and e0 >= 0.0):
-        raise ValueError(f"energy scale must be non-negative, got {e0}")
-    return ControlSample(delta=e0 * math.cos(theta), omega=e0 * math.sin(theta) / SQRT2, t=t)

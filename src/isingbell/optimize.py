@@ -152,7 +152,22 @@ class TrigSeries:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrigSeries":
-        return cls(p=int(d["p"]), a=np.asarray(d["a"], dtype=float), b=np.asarray(d["b"], dtype=float))
+        """Parse {"p": integer, "a": [numbers], "b": [numbers]}, as read from
+        JSON; a missing key or a value of the wrong type is a ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError(f"series must be a JSON object with keys p, a, b; got {json.dumps(d)}")
+        for key in ("p", "a", "b"):
+            if key not in d:
+                raise ValueError(f"series has no key {key!r}")
+        if type(d["p"]) is not int:
+            raise ValueError(f"series key 'p' must be an integer, got {json.dumps(d['p'])}")
+        coeffs = {}
+        for key in ("a", "b"):
+            try:
+                coeffs[key] = np.asarray(d[key], dtype=float)
+            except TypeError:
+                raise ValueError(f"series key {key!r} must be a list of numbers, got {json.dumps(d[key])}") from None
+        return cls(p=d["p"], **coeffs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,7 +428,7 @@ def series_waveform(
         delta = np.full(ts.size, delta_fixed) if delta_fixed is not None else m @ series.b
         return delta, omega
 
-    return ControlWaveform.from_callable(T, fn)
+    return ControlWaveform(T, fn)
 
 
 def evaluate_series(
@@ -729,7 +744,7 @@ def adiabatic_baseline(
         omega = omega0 * np.exp(-0.5 * ((ts - 0.5 * T) / sigma) ** 2)
         return delta, omega
 
-    return ControlWaveform.from_callable(T, fn)
+    return ControlWaveform(T, fn)
 
 
 # ---------------------------------------------------------------------------

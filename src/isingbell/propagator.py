@@ -9,7 +9,7 @@ Both build their per-step maps in batch and share one kernel,
 ``chain_indexed``, a blocked scan in real arithmetic that applies them in
 order with O(sqrt(n)) numpy calls instead of one call per step.  It reads
 each step's map from a table by index, so a map shared by many steps is
-built once; ``chain`` is the case of one table row per step:
+built once:
 
 * fixed-step RK4 with the control pair frozen at each step midpoint.  For a
   frozen H one RK4 step is exactly the degree-4 Taylor polynomial of
@@ -40,7 +40,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .artifacts import write_csv
-from .model import ControlSample, TripletAmplitudes, hc_batch
+from .model import TripletAmplitudes, hc_batch
 
 DRIFT_LIMIT = 1e-8
 MIN_STEPS = 100
@@ -120,21 +120,10 @@ class ControlWaveform:
 
         return cls(duration, sampler, piece_delta=delta, piece_omega=omega)
 
-    @classmethod
-    def from_callable(
-        cls, duration: float, fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-    ) -> "ControlWaveform":
-        """Parametric waveform; ``fn`` must accept an array of times."""
-        return cls(duration, fn)
-
     def sample(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ts = np.asarray(ts, dtype=float)
         delta, omega = self.sampler(ts)
         return np.asarray(delta, dtype=float), np.asarray(omega, dtype=float)
-
-    def evaluate(self, t: float) -> ControlSample:
-        d, w = self.sample(np.array([t]))
-        return ControlSample(delta=float(d[0]), omega=float(w[0]), t=float(t))
 
 
 @dataclass(frozen=True)
@@ -158,10 +147,6 @@ class Trajectory:
     @property
     def final(self) -> TripletAmplitudes:
         return TripletAmplitudes.from_array(self.states[-1])
-
-    @property
-    def duration(self) -> float:
-        return float(self.times[-1])
 
 
 def _real_form(re: np.ndarray, im: np.ndarray, out: np.ndarray) -> None:
@@ -204,25 +189,6 @@ def segment_propagators(
     table[m : 2 * m] = np.swapaxes(table[:m], 1, 2)
     table[2 * m] = np.eye(6)
     return table, index, evals, evecs
-
-
-def chain(maps: np.ndarray, c0: np.ndarray) -> np.ndarray:
-    """States of c_{k+1} = maps[k] @ c_k from c_0 = ``c0``: the (n+1, dim)
-    history through a stack of n step maps of shape (n, dim, dim).
-
-    A leading batch axis chains independent stacks in one call: maps of
-    shape (b, n, dim, dim) from c0 of shape (b, dim) give (b, n+1, dim).
-    ``out[..., 0, :]`` is ``c0`` exactly.  This is ``chain_indexed`` with
-    every map in the table and the steps in order.
-    """
-    *batch, n, d, _ = maps.shape
-    b = math.prod(batch)
-    maps = maps.reshape(b * n, d, d)
-    table = np.empty((b * n + 1, 2 * d, 2 * d))
-    _real_form(maps.real, maps.imag, table[:-1])
-    table[-1] = np.eye(2 * d)
-    out = chain_indexed(table, np.arange(b * n).reshape(b, n), np.asarray(c0).reshape(b, d))
-    return out.reshape(*batch, n + 1, d)
 
 
 def chain_indexed(table: np.ndarray, index: np.ndarray, c0: np.ndarray) -> np.ndarray:
@@ -372,12 +338,6 @@ def propagate(
 def fidelity(traj: Trajectory) -> float:
     """Final population of the triplet Bell state, |c2(T)|^2."""
     return float(np.abs(traj.states[-1, 1]) ** 2)
-
-
-def population_trace(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three population time series |c1|^2, |c2|^2, |c3|^2 on the grid."""
-    pops = traj.populations
-    return pops[:, 0], pops[:, 1], pops[:, 2]
 
 
 def write_trajectory_csv(traj: Trajectory, path, config: Mapping | None = None) -> None:

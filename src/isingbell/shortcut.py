@@ -33,11 +33,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .artifacts import write_csv
-from .model import SQRT2, ControlSample, TripletAmplitudes, h2_batch
+from .model import SQRT2, TripletAmplitudes, h2_batch
 from .propagator import (
     ControlWaveform,
     NonUnitaryDrift,
-    Trajectory,
     _auto_steps,
     fidelity,
     propagate,
@@ -52,7 +51,7 @@ KINDS = (SYMMETRIC, NONSYMMETRIC)
 DEFAULT_AMPLITUDE = 0.1
 
 #: inside this distance of s = 0, 1 the 0/0 forms are replaced by their
-#: analytic limits: b = pi/2, delta' = omega' = 0
+#: analytic limits: delta' = omega' = 0
 ENDPOINT_EPS = 1e-9
 
 
@@ -75,14 +74,6 @@ class ShortcutSpec:
             raise ValueError(f"envelope amplitude must be positive, got {self.e}")
         if not (math.isfinite(self.T) and self.T > 0.0):
             raise ValueError(f"duration must be positive, got {self.T}")
-
-
-@dataclass(frozen=True)
-class GaugeAngle:
-    """Gauge rotation angle b and its time derivative at one instant."""
-
-    b: float
-    bdot: float
 
 
 class ShortTimeControls(NamedTuple):
@@ -126,28 +117,6 @@ def envelope(s, e: float):
     return e * s * (1.0 - s), e * (1.0 - 2.0 * s)
 
 
-def gauge_angle(s: float, spec: ShortcutSpec) -> GaugeAngle:
-    """Gauge angle b = atan2(thetadot, E0 sin theta) and its derivative.
-
-    Both arctangent arguments are >= 0 on [0, 1], so b lives in [0, pi/2]
-    continuously; at the endpoints the 0/0 form has limit b = pi/2 and
-    bdot = 0, which is substituted directly.
-    """
-    if s < ENDPOINT_EPS or s > 1.0 - ENDPOINT_EPS:
-        _check_domain(np.asarray(s, dtype=float))
-        return GaugeAngle(b=0.5 * math.pi, bdot=0.0)
-    th, d1, d2 = theta(s, spec.kind)
-    e0, de0 = envelope(s, spec.e)
-    sin_th, cos_th = math.sin(th), math.cos(th)
-    t_tot = spec.T
-    g = d1 / t_tot  # thetadot >= 0
-    h = e0 * sin_th  # >= 0
-    b = math.atan2(g, h)
-    num = (d2 * e0 * sin_th - d1 * de0 * sin_th - e0 * d1 * d1 * cos_th) / t_tot**2
-    den = h * h + g * g
-    return GaugeAngle(b=float(b), bdot=float(num / den))
-
-
 def _controls_arrays(s: np.ndarray, spec: ShortcutSpec) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized modified controls on a normalized-time grid."""
     s = np.asarray(s, dtype=float)
@@ -168,19 +137,6 @@ def _controls_arrays(s: np.ndarray, spec: ShortcutSpec) -> tuple[np.ndarray, np.
     return delta, omega
 
 
-def modified_controls(t: float, spec: ShortcutSpec) -> ControlSample:
-    """Shortcut control pair (delta'(t), omega'(t)) at lab time t in [0, T].
-
-    Both controls vanish at t = 0 and t = T (the envelope and thetadot do),
-    so the shortcut Hamiltonian joins the reference one at the boundaries.
-    """
-    s = t / spec.T
-    if -1e-12 < s < 0.0 or 1.0 < s < 1.0 + 1e-12:
-        s = min(max(s, 0.0), 1.0)  # absorb t/T rounding at the edges
-    d, w = _controls_arrays(np.array([s]), spec)
-    return ControlSample(delta=float(d[0]), omega=float(w[0]), t=float(t))
-
-
 def shortcut_waveform(spec: ShortcutSpec) -> ControlWaveform:
     """The modified-control pair packaged as a parametric waveform."""
 
@@ -188,7 +144,7 @@ def shortcut_waveform(spec: ShortcutSpec) -> ControlWaveform:
         s = np.clip(np.asarray(ts, dtype=float) / spec.T, 0.0, 1.0)
         return _controls_arrays(s, spec)
 
-    return ControlWaveform.from_callable(spec.T, fn)
+    return ControlWaveform(spec.T, fn)
 
 
 def short_time_controls(s: float, spec: ShortcutSpec) -> ShortTimeControls:

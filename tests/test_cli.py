@@ -222,12 +222,31 @@ class TestEvaluateSeries:
         doc = json.loads((out / "series_eval.json").read_text())
         assert doc["series"]["a"] == [0.7]
 
+    @pytest.mark.parametrize("text, named", [
+        ('{"p": 3}', "'a'"),
+        ('{"p": 1, "a": [0, 0, 0]}', "'b'"),
+        ("[1, 2]", "JSON object"),
+        ('{"p": [1], "a": [0, 0, 0], "b": [0, 0, 0]}', "'p'"),
+    ], ids=["no-a", "no-b", "list", "p-list"])
+    def test_malformed_series_is_usage_error(self, tmp_path, capsys, text, named):
+        series_path = tmp_path / "series.json"
+        series_path.write_text(text)
+        code, _, err = run(capsys, "evaluate-series", "--series", str(series_path), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert err.startswith("error: ") and named in err
+
 
 class TestRepro:
     def test_unknown_id(self, tmp_path, capsys):
         code, _, err = run(capsys, "repro", "fig9", "--out", str(tmp_path / "o"))
         assert code == 2
         assert "unknown reproduction id" in err
+
+    @pytest.mark.parametrize("argv", [("table1", "--segments", "50"), ("fig1b", "--restarts", "3")])
+    def test_flag_the_dataset_does_not_take_is_usage_error(self, tmp_path, capsys, argv):
+        code, _, err = run(capsys, "repro", *argv, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert f"repro {argv[0]} takes no {argv[1]}" in err
 
     def test_table1(self, tmp_path, capsys):
         out = tmp_path / "o"

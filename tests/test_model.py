@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 
 from isingbell.model import (
     SQRT2,
-    ControlSample,
     RotatingFrame,
     TripletAmplitudes,
     frame_transform,
-    hamiltonian_c,
-    hamiltonian_two_level,
-    polar_controls,
+    h2_batch,
+    hc_batch,
 )
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
@@ -44,28 +42,17 @@ class TestTripletAmplitudes:
         assert np.allclose(c.as_array(), arr)
 
 
-class TestControlSample:
-    def test_holds_controls(self):
-        s = ControlSample(delta=-0.11, omega=1.0, t=2.5)
-        assert s.delta == -0.11 and s.omega == 1.0
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_rejects_nonfinite(self, bad):
-        with pytest.raises(ValueError):
-            ControlSample(delta=bad, omega=0.0)
-
-
 class TestHamiltonianC:
     def test_zero_controls_leaves_ising_shift(self):
-        h = hamiltonian_c(ControlSample(delta=0.0, omega=0.0))
+        h = hc_batch([0.0], [0.0])[0]
         assert np.array_equal(h, np.diag([0.0, 0.0, 4.0]))
 
     def test_symmetric_detuning_point(self):
-        h = hamiltonian_c(ControlSample(delta=2.0, omega=0.0))
+        h = hc_batch([2.0], [0.0])[0]
         assert np.array_equal(h, np.diag([2.0, 0.0, 2.0]))
 
     def test_benchmark_detuning_entries(self):
-        h = hamiltonian_c(ControlSample(delta=-0.11, omega=1.0))
+        h = hc_batch([-0.11], [1.0])[0]
         assert h[0, 0] == pytest.approx(-0.11)
         assert h[2, 2] == pytest.approx(4.11)
         assert h[0, 1] == pytest.approx(1 / SQRT2)
@@ -74,50 +61,30 @@ class TestHamiltonianC:
     @given(delta=finite, omega=finite)
     @settings(max_examples=60, deadline=None)
     def test_exactly_hermitian_and_tridiagonal(self, delta, omega):
-        h = hamiltonian_c(ControlSample(delta=delta, omega=omega))
+        h = hc_batch([delta], [omega])[0]
         assert np.array_equal(h, h.conj().T)
         assert h[0, 2] == 0.0 and h[2, 0] == 0.0
 
 
 class TestHamiltonianTwoLevel:
     def test_zero_controls(self):
-        h = hamiltonian_two_level(ControlSample(delta=0.0, omega=0.0))
+        h = h2_batch([0.0], [0.0])[0]
         assert np.array_equal(h, np.zeros((2, 2)))
 
     def test_structure(self):
-        h = hamiltonian_two_level(ControlSample(delta=0.6, omega=0.8 / SQRT2))
+        h = h2_batch([0.6], [0.8 / SQRT2])[0]
         assert np.allclose(h, 0.5 * np.array([[0.6, 0.8], [0.8, -0.6]]))
         assert np.allclose(np.linalg.eigvalsh(h), [-0.5, 0.5])
 
     @given(e0=st.floats(min_value=0.0, max_value=10.0), theta=st.floats(min_value=-10.0, max_value=10.0))
     @settings(max_examples=60, deadline=None)
     def test_polar_eigenvalues_are_half_energy(self, e0, theta):
-        # parametrized controls give instantaneous levels exactly +/- E0/2
-        h = hamiltonian_two_level(polar_controls(e0, theta))
+        # polar controls delta = E0 cos(theta), omega = E0 sin(theta)/sqrt(2)
+        # give instantaneous levels exactly +/- E0/2
+        h = h2_batch([e0 * math.cos(theta)], [e0 * math.sin(theta) / SQRT2])[0]
         evals = np.linalg.eigvalsh(h)
         assert abs(evals[0] + e0 / 2) < 1e-12
         assert abs(evals[1] - e0 / 2) < 1e-12
-
-
-class TestPolarControls:
-    def test_theta_zero_is_pure_detuning(self):
-        s = polar_controls(1.0, 0.0)
-        assert s.delta == pytest.approx(1.0) and s.omega == pytest.approx(0.0)
-
-    def test_theta_right_angle_is_pure_rabi(self):
-        s = polar_controls(1.0, math.pi / 2)
-        assert s.delta == pytest.approx(0.0, abs=1e-16)
-        assert s.omega == pytest.approx(1 / SQRT2)
-
-    def test_oblique_angle(self):
-        s = polar_controls(2.0, math.pi / 3)
-        assert s.delta == pytest.approx(1.0)
-        assert s.omega == pytest.approx(2.0 * math.sin(math.pi / 3) / SQRT2)
-        assert s.omega == pytest.approx(1.224744871391589)
-
-    def test_rejects_negative_energy(self):
-        with pytest.raises(ValueError):
-            polar_controls(-1.0, 0.0)
 
 
 @st.composite

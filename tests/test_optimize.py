@@ -278,7 +278,7 @@ class TestSaturationFraction:
         assert saturation_fraction(wf) == pytest.approx(0.75)
 
     def test_requires_piecewise(self):
-        wf = ControlWaveform.from_callable(1.0, lambda ts: (0 * ts, 0 * ts))
+        wf = ControlWaveform(1.0, lambda ts: (0 * ts, 0 * ts))
         with pytest.raises(ValueError):
             saturation_fraction(wf)
 

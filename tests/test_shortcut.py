@@ -1,4 +1,4 @@
-"""Shortcut schedules, gauge angle, modified controls, and their limits."""
+"""Shortcut schedules, modified controls, and their limits."""
 
 import math
 
@@ -14,8 +14,6 @@ from isingbell.shortcut import (
     DomainError,
     ShortcutSpec,
     envelope,
-    gauge_angle,
-    modified_controls,
     short_time_controls,
     short_time_fidelity_limit,
     shortcut_waveform,
@@ -97,48 +95,17 @@ class TestEnvelope:
             envelope(1.5, 0.1)
 
 
-class TestGaugeAngle:
-    def test_boundary_values(self):
-        spec = ShortcutSpec(kind="symmetric", e=0.1, T=10.0)
-        for s in (0.0, 1e-12, 1.0 - 1e-12, 1.0):
-            ga = gauge_angle(s, spec)
-            assert ga.b == pytest.approx(math.pi / 2)
-            assert ga.bdot == 0.0
-
-    def test_midpoint_against_direct_formula(self):
-        spec = ShortcutSpec(kind="symmetric", e=0.1, T=10.0)
-        ga = gauge_angle(0.5, spec)
-        assert ga.b == pytest.approx(math.atan2(1.5 * math.pi / 10.0, 0.025), abs=1e-14)
-
-    @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
-    def test_rate_against_finite_difference(self, s):
-        spec = ShortcutSpec(kind="nonsymmetric", e=0.1, T=10.0)
-        h = 1e-6
-        fd = (gauge_angle(s + h, spec).b - gauge_angle(s - h, spec).b) / (2 * h * spec.T)
-        assert gauge_angle(s, spec).bdot == pytest.approx(fd, abs=1e-6)
-
-    def test_strong_envelope_pulls_angle_down(self):
-        ga = gauge_angle(0.5, ShortcutSpec(kind="symmetric", e=1e6, T=10.0))
-        assert ga.b < 1e-4
-
-    @given(s=unit_interval, kind=kinds)
-    @settings(max_examples=80, deadline=None)
-    def test_angle_stays_in_first_quadrant(self, s, kind):
-        ga = gauge_angle(s, ShortcutSpec(kind=kind, e=0.1, T=5.0))
-        assert 0.0 <= ga.b <= math.pi / 2 + 1e-15
-
-
 class TestModifiedControls:
     def test_controls_vanish_at_boundaries(self):
         spec = ShortcutSpec(kind="symmetric", e=0.1, T=10.0)
-        for t in (0.0, 10.0):
-            s = modified_controls(t, spec)
-            assert s.delta == 0.0 and s.omega == 0.0
+        delta, omega = shortcut_waveform(spec).sample([0.0, 10.0])
+        assert np.all(delta == 0.0) and np.all(omega == 0.0)
 
     def test_against_direct_formula_evaluation(self):
         # independent evaluation of the closed forms at s = 1/4, 1/2, 3/4
         spec = ShortcutSpec(kind="symmetric", e=0.1, T=10.0)
-        for s in (0.25, 0.5, 0.75):
+        got_delta, got_omega = shortcut_waveform(spec).sample([2.5, 5.0, 7.5])
+        for s, got_d, got_w in zip((0.25, 0.5, 0.75), got_delta, got_omega):
             th = math.pi * s * s * (3 - 2 * s)
             d1 = 6 * math.pi * s * (1 - s)
             d2 = math.pi * (6 - 12 * s)
@@ -150,16 +117,14 @@ class TestModifiedControls:
                      + e0dot * thdot * math.sin(th)
                      + e0 * (2 * thdot**2 * math.cos(th) - thddot * math.sin(th))) / den
             omega = math.sqrt(den / 2)
-            got = modified_controls(s * 10.0, spec)
-            assert got.delta == pytest.approx(delta, rel=1e-12)
-            assert got.omega == pytest.approx(omega, rel=1e-12)
+            assert got_d == pytest.approx(delta, rel=1e-12)
+            assert got_w == pytest.approx(omega, rel=1e-12)
 
     def test_antisymmetric_detuning_for_symmetric_kind(self):
         spec = ShortcutSpec(kind="symmetric", e=0.1, T=10.0)
-        a = modified_controls(2.5, spec)
-        b = modified_controls(7.5, spec)
-        assert a.delta == pytest.approx(-b.delta, rel=1e-12)
-        assert modified_controls(5.0, spec).delta == pytest.approx(0.0, abs=1e-14)
+        (a, b, mid), _ = shortcut_waveform(spec).sample([2.5, 7.5, 5.0])
+        assert a == pytest.approx(-b, rel=1e-12)
+        assert mid == pytest.approx(0.0, abs=1e-14)
 
     @given(s=st.floats(min_value=1e-6, max_value=1.0 - 1e-6), kind=kinds)
     @settings(max_examples=80, deadline=None)
@@ -167,8 +132,8 @@ class TestModifiedControls:
         # omega' >= |thetadot|/sqrt(2): dropping the envelope term only shrinks it
         spec = ShortcutSpec(kind=kind, e=0.1, T=5.0)
         _, d1, _ = theta(s, kind)
-        got = modified_controls(s * spec.T, spec)
-        assert got.omega >= abs(d1 / spec.T) / SQRT2 - 1e-12
+        _, omega = shortcut_waveform(spec).sample([s * spec.T])
+        assert omega[0] >= abs(d1 / spec.T) / SQRT2 - 1e-12
 
 
 class TestShortTimeLimit:
@@ -179,17 +144,18 @@ class TestShortTimeLimit:
     def test_limit_controls_match_modified_at_small_T(self):
         for kind in ("symmetric", "nonsymmetric"):
             spec4 = ShortcutSpec(kind=kind, e=0.1, T=1e-4)
-            for s in (0.25, 0.5, 0.75):
-                lim = short_time_controls(s, spec4)
-                mc = modified_controls(s * spec4.T, spec4)
-                assert mc.omega * spec4.T == pytest.approx(lim.omega_scaled, rel=1e-3)
-                assert mc.delta == pytest.approx(lim.delta, abs=1e-3)
+            s = np.array([0.25, 0.5, 0.75])
+            delta, omega = shortcut_waveform(spec4).sample(s * spec4.T)
+            for sk, d, w in zip(s, delta, omega):
+                lim = short_time_controls(sk, spec4)
+                assert w * spec4.T == pytest.approx(lim.omega_scaled, rel=1e-3)
+                assert d == pytest.approx(lim.delta, abs=1e-3)
 
     def test_delta_limit_is_T_independent(self):
         vals = []
         for T in (1e-3, 1e-4):
             spec = ShortcutSpec(kind="nonsymmetric", e=0.1, T=T)
-            vals.append(modified_controls(0.25 * T, spec).delta)
+            vals.append(shortcut_waveform(spec).sample([0.25 * T])[0][0])
         lim = short_time_controls(0.25, ShortcutSpec(kind="nonsymmetric", e=0.1, T=1.0)).delta
         assert vals[0] == pytest.approx(lim, abs=1e-4)
         assert vals[1] == pytest.approx(lim, abs=1e-5)
