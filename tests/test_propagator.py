@@ -206,28 +206,11 @@ class TestSegmentPropagators:
 
 
 class TestChain:
-    # n = 1; one block (2); padded last blocks (3, 7, 17); a square (16); a
-    # block length near that of the optimizer's 250 segments.  rows=None
-    # gives every step of every batch its own table row, as RK4's table does;
-    # otherwise a few rows are shared by many steps, as in the optimizer's
-    # distinct-pair table
-    @given(
-        n=st.integers(min_value=1, max_value=300),
-        dim=st.sampled_from([2, 3]),
-        rows=st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
-        batch=st.integers(min_value=1, max_value=2),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    @example(n=1, dim=3, rows=None, batch=1, seed=0)
-    @example(n=2, dim=2, rows=None, batch=2, seed=0)
-    @example(n=3, dim=3, rows=None, batch=2, seed=0)
-    @example(n=7, dim=2, rows=None, batch=1, seed=0)
-    @example(n=16, dim=3, rows=None, batch=1, seed=0)
-    @example(n=17, dim=3, rows=None, batch=2, seed=0)
-    @example(n=250, dim=3, rows=None, batch=2, seed=0)
-    @example(n=250, dim=3, rows=3, batch=2, seed=0)
-    @settings(max_examples=120, deadline=None)
-    def test_indexed_matches_sequential_loop(self, n, dim, rows, batch, seed):
+    @staticmethod
+    def _check_against_loop(n, dim, rows, batch, seed):
+        # rows=None gives every step of every batch its own table row, as
+        # RK4's table does; otherwise a few rows are shared by many steps, as
+        # in the optimizer's distinct-pair table
         rng = np.random.default_rng(seed)
         m = batch * n if rows is None else rows
         z = rng.normal(size=(m, dim, dim)) + 1j * rng.normal(size=(m, dim, dim))
@@ -245,6 +228,39 @@ class TestChain:
         assert np.array_equal(states[:, 0], c0)
         ref = np.array([chain_reference(maps[i], c) for i, c in zip(index, c0)])
         assert np.max(np.abs(states - ref)) <= 1e-13 * n
+
+    # one map per step, in order: n = 1; one block (2); padded last blocks
+    # (3, 7, 17); a square (16); a block length near that of the optimizer's
+    # 250 segments
+    @given(
+        n=st.integers(min_value=1, max_value=300),
+        dim=st.sampled_from([2, 3]),
+        batch=st.integers(min_value=1, max_value=2),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(n=1, dim=3, batch=1, seed=0)
+    @example(n=2, dim=2, batch=2, seed=0)
+    @example(n=3, dim=3, batch=2, seed=0)
+    @example(n=7, dim=2, batch=1, seed=0)
+    @example(n=16, dim=3, batch=1, seed=0)
+    @example(n=17, dim=3, batch=2, seed=0)
+    @example(n=250, dim=3, batch=2, seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sequential_loop(self, n, dim, batch, seed):
+        self._check_against_loop(n, dim, None, batch, seed)
+
+    # a few maps shared by many steps, read by index
+    @given(
+        n=st.integers(min_value=1, max_value=300),
+        dim=st.sampled_from([2, 3]),
+        rows=st.integers(min_value=1, max_value=6),
+        batch=st.integers(min_value=1, max_value=2),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(n=250, dim=3, rows=3, batch=2, seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_indexed_matches_sequential_loop(self, n, dim, rows, batch, seed):
+        self._check_against_loop(n, dim, rows, batch, seed)
 
     @given(drive=drives, dt=steps, c0=states3)
     @settings(max_examples=40, deadline=None)
