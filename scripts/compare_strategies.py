@@ -16,11 +16,11 @@ essentially exact while the bounded optima are still climbing.
 """
 
 import argparse
-import json
 from pathlib import Path
 
 import numpy as np
 
+from isingbell.artifacts import write_json
 from isingbell.model import TripletAmplitudes
 from isingbell.optimize import (
     ControlProblem,
@@ -86,9 +86,7 @@ def main() -> None:
         "seed": args.seed,
         "fidelity": {name: fid for name, fid, _ in rows},
     }
-    with open(out / "strategy_comparison.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "strategy_comparison.json", payload)
     print(f"wrote {out / 'strategy_comparison.json'}")
 
 

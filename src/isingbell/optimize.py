@@ -10,13 +10,15 @@ of ``ControlProblem.segments`` segments (1000 by default).  Each segment's
 propagator is an exact matrix exponential, built once per distinct
 (delta, omega) pair, so the adjoint gradient below is exact for the discrete
 objective (checked against central finite differences to 1e-6).  Series
-coefficients are optimized with a quadratic penalty on bound violations at
-the discretization grid, tightened over continuation rounds, and finished
-with an exact rescale onto the box.
+coefficients form stacked channels of 2p + 1 (omega, then delta when shaped),
+each optimized with a quadratic penalty on bound violations at the
+discretization grid, tightened over continuation rounds, and finished with
+an exact rescale onto the box.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -50,6 +52,10 @@ MIN_SEGMENTS = 10
 DEFAULT_RESTARTS = 8
 DEFAULT_SEED = 42
 
+#: |omega| <= BOUND, and |delta| <= BOUND when shaped, in coupling units
+BOUND = 1.0
+#: a piecewise segment within this of +-BOUND counts as saturated
+SATURATION_TOL = 1e-3
 GRAD_TOL = 1e-8
 MAX_ITER = 2000
 #: a run whose best fidelity stays below this is treated as failed
@@ -85,15 +91,13 @@ class InfeasibleResult(RuntimeError):
 class ControlProblem:
     """Bounded control problem: maximize final |c2(T)|^2.
 
-    delta_mode "fixed" holds the detuning at ``delta_value``; "trig-series"
-    lets the optimizer shape it within ``delta_bounds``.
+    Both controls are bounded by ``BOUND``.  delta_mode "fixed" holds the
+    detuning at ``delta_value``; "trig-series" lets the optimizer shape it.
     """
 
     T: float
-    omega_bounds: tuple[float, float] = (-1.0, 1.0)
     delta_mode: str = DELTA_FIXED
     delta_value: float = 0.0
-    delta_bounds: tuple[float, float] = (-1.0, 1.0)
     segments: int = DEFAULT_SEGMENTS
 
     def __post_init__(self):
@@ -101,9 +105,6 @@ class ControlProblem:
             raise ValueError(f"duration must be positive, got {self.T}")
         if self.delta_mode not in (DELTA_FIXED, DELTA_TRIG):
             raise ValueError(f"delta_mode must be {DELTA_FIXED!r} or {DELTA_TRIG!r}")
-        for name, (lo, hi) in (("omega", self.omega_bounds), ("delta", self.delta_bounds)):
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise ValueError(f"{name}_bounds must be a finite (lo, hi) pair with lo < hi")
         if not math.isfinite(self.delta_value):
             raise ValueError("delta_value must be finite")
         if self.segments < MIN_SEGMENTS:
@@ -112,10 +113,10 @@ class ControlProblem:
     def to_dict(self) -> dict:
         return {
             "T": self.T,
-            "omega_bounds": list(self.omega_bounds),
+            "omega_bounds": [-1.0, 1.0],
             "delta_mode": self.delta_mode,
             "delta_value": self.delta_value,
-            "delta_bounds": list(self.delta_bounds),
+            "delta_bounds": [-1.0, 1.0],
             "segments": self.segments,
             "objective": "final-bell-population",
         }
@@ -216,15 +217,19 @@ class OptimizationReport:
 # forward/adjoint machinery
 
 
+def _channels(problem: ControlProblem) -> int:
+    """Stacked control channels: omega, then delta when the detuning is shaped too."""
+    return 1 if problem.delta_mode == DELTA_FIXED else 2
+
+
 def _segment_controls(problem: ControlProblem, controls: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     n = problem.segments
+    k = _channels(problem)
     controls = np.asarray(controls, dtype=float)
-    if problem.delta_mode == DELTA_FIXED:
-        if controls.shape != (n,):
-            raise ValueError(f"expected {n} omega values, got shape {controls.shape}")
+    if controls.shape != (k * n,):
+        raise ValueError(f"expected {k} stacked channels of {n} segment values, got shape {controls.shape}")
+    if k == 1:
         return np.full(n, problem.delta_value), controls, False
-    if controls.shape != (2 * n,):
-        raise ValueError(f"expected {2 * n} stacked (omega, delta) values, got shape {controls.shape}")
     return controls[n:], controls[:n], True
 
 
@@ -287,11 +292,11 @@ def adjoint_gradient(problem: ControlProblem, controls: np.ndarray) -> tuple[flo
     return fid, g[..., 0].T.ravel()
 
 
-def _projected_grad_inf(x: np.ndarray, g: np.ndarray, lo: float, hi: float) -> float:
+def _projected_grad_inf(x: np.ndarray, g: np.ndarray) -> float:
     """Infinity norm of the projected gradient of the *minimized* objective."""
     pg = g.copy()
-    at_lo = x <= lo + 1e-12
-    at_hi = x >= hi - 1e-12
+    at_lo = x <= -BOUND + 1e-12
+    at_hi = x >= BOUND - 1e-12
     pg[at_lo] = np.minimum(pg[at_lo], 0.0)
     pg[at_hi] = np.maximum(pg[at_hi], 0.0)
     return float(np.max(np.abs(pg)))
@@ -327,15 +332,14 @@ def optimize_piecewise(
     if problem.delta_mode != DELTA_FIXED:
         raise ValueError("optimize_piecewise requires delta_mode='fixed'")
     n = problem.segments
-    lo, hi = problem.omega_bounds
     rng = np.random.default_rng(seed)
-    starts = [rng.uniform(lo, hi, size=n) for _ in range(restarts)]
-    starts.append(np.full(n, hi))
+    starts = [rng.uniform(-BOUND, BOUND, size=n) for _ in range(restarts)]
+    starts.append(np.full(n, BOUND))
     for x0 in extra_starts or ():
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (n,):
             raise ValueError(f"extra start must have shape ({n},)")
-        starts.append(np.clip(x0, lo, hi))
+        starts.append(np.clip(x0, -BOUND, BOUND))
 
     def objective(x):
         f, g = adjoint_gradient(problem, x)
@@ -346,7 +350,7 @@ def optimize_piecewise(
         x, negf, info = fmin_l_bfgs_b(
             objective,
             x0,
-            bounds=[(lo, hi)] * n,
+            bounds=[(-BOUND, BOUND)] * n,
             m=10,
             factr=10.0,
             pgtol=GRAD_TOL,
@@ -357,7 +361,7 @@ def optimize_piecewise(
             best = (x, -negf, info)
 
     x, fid, info = best
-    x = np.clip(x, lo, hi)  # exact box feasibility for the reported waveform
+    x = np.clip(x, -BOUND, BOUND)  # exact box feasibility for the reported waveform
     fid, g = adjoint_gradient(problem, x)
     if fid <= MIN_USEFUL_FIDELITY:
         raise NoConvergence(
@@ -370,23 +374,21 @@ def optimize_piecewise(
         waveform=waveform,
         fidelity=float(fid),
         iterations=int(info["nit"]),
-        grad_norm=_projected_grad_inf(x, -g, lo, hi),
+        grad_norm=_projected_grad_inf(x, -g),
         restarts=restarts,
         seed=seed,
         exit_reason=_exit_reason(info),
     )
 
 
-def saturation_fraction(waveform: ControlWaveform, bounds: tuple[float, float] = (-1.0, 1.0), tol: float = 1e-3) -> float:
-    """Fraction of piecewise segments within ``tol`` of either bound.
+def saturation_fraction(waveform: ControlWaveform) -> float:
+    """Fraction of piecewise segments within ``SATURATION_TOL`` of either bound.
 
     Bang-bang structure diagnostic: optimal unconstrained-in-sign transfers
     ride the box boundary except at switches."""
     if waveform.piece_omega is None:
         raise ValueError("saturation_fraction needs a piecewise-constant waveform")
-    w = waveform.piece_omega
-    lo, hi = bounds
-    at_bound = (np.abs(w - lo) <= tol) | (np.abs(w - hi) <= tol)
+    at_bound = np.abs(np.abs(waveform.piece_omega) - BOUND) <= SATURATION_TOL
     return float(np.mean(at_bound))
 
 
@@ -444,13 +446,12 @@ def evaluate_series(
     return fidelity(traj)
 
 
-def _rescale_into_box(coeffs: np.ndarray, values: np.ndarray, hi: float) -> tuple[np.ndarray, float]:
-    """Shrink a coefficient vector so its realized values fit |v| <= hi."""
+def _rescale_into_box(coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Shrink a channel's coefficients so its realized values fit |v| <= BOUND."""
     peak = float(np.max(np.abs(values)))
-    if peak <= hi:
-        return coeffs, 1.0
-    factor = peak / hi
-    return coeffs / factor, factor
+    if peak <= BOUND:
+        return coeffs
+    return coeffs / (peak / BOUND)
 
 
 def optimize_trig(
@@ -462,63 +463,47 @@ def optimize_trig(
 ) -> OptimizationReport:
     """Optimize series coefficients for omega (and delta when joint).
 
-    Bounds are enforced at the segment midpoints through a quadratic hinge
-    penalty whose weight is raised over continuation rounds; each start's
-    coefficient vector is then rescaled onto the box (the bounds are
-    symmetric, so uniform shrinking preserves feasibility) and re-checked,
-    and a start that still overshoots loses to every feasible one.
-    ``extra_starts`` takes stacked (a, b) coefficient vectors, e.g. the
-    zero-padded optimum of a lower harmonic count.  The search scores the
-    series sampled at segment midpoints; the reported fidelity is that of
-    the smooth series waveform the report ships (its RK4 propagation).
+    The coefficient vector stacks channels of 2p + 1 coefficients: omega,
+    then delta in trig-series mode.  Bounds are enforced at the segment
+    midpoints through a quadratic hinge penalty on each channel, whose
+    weight is raised over continuation rounds; each start's channels are
+    then rescaled onto the box (the bound is symmetric, so uniform
+    shrinking preserves feasibility) and re-checked, and a start that still
+    overshoots loses to every feasible one.  ``extra_starts`` takes vectors
+    of the same layout, e.g. the zero-padded optimum of a lower harmonic
+    count.  The search scores the series sampled at segment midpoints; the
+    reported fidelity is that of the smooth series waveform the report
+    ships (its RK4 propagation), which in fixed mode has b = 0 and the
+    fixed detuning.
     """
-    lo, hi = problem.omega_bounds
-    dlo, dhi = problem.delta_bounds
-    if not (math.isclose(-lo, hi) and math.isclose(-dlo, dhi)):
-        raise ValueError("series optimization assumes symmetric bounds")
-    joint = problem.delta_mode == DELTA_TRIG
+    k = _channels(problem)
     n = problem.segments
     nc = 2 * p + 1
     dt = problem.T / n
     t_mid = (np.arange(n) + 0.5) * dt
     m = trig_basis(p, t_mid)
-    nx = 2 * nc if joint else nc
-
-    def split(x):
-        a = x[:nc]
-        b = x[nc:] if joint else None
-        return a, b
 
     def objective(x, weight):
-        a, b = split(x)
-        omega = m @ a
-        if joint:
-            delta = m @ b
-            f, g_seg = adjoint_gradient(problem, np.concatenate([omega, delta]))
-            g_om, g_de = g_seg[:n], g_seg[n:]
-        else:
-            f, g_om = adjoint_gradient(problem, omega)
+        values = [m @ c for c in x.reshape(k, nc)]
+        f, g_seg = adjoint_gradient(problem, np.concatenate(values))
         val = -f
-        grad = np.empty(nx)
-        viol_om = np.maximum(np.abs(omega) - hi, 0.0)
-        val += weight * float(np.sum(viol_om**2))
-        grad[:nc] = m.T @ (-g_om + 2.0 * weight * viol_om * np.sign(omega))
-        if joint:
-            viol_de = np.maximum(np.abs(delta) - dhi, 0.0)
-            val += weight * float(np.sum(viol_de**2))
-            grad[nc:] = m.T @ (-g_de + 2.0 * weight * viol_de * np.sign(delta))
-        return val, grad
+        grad = np.empty((k, nc))
+        for j, (v, g) in enumerate(zip(values, g_seg.reshape(k, n))):
+            viol = np.maximum(np.abs(v) - BOUND, 0.0)
+            val += weight * float(np.sum(viol**2))
+            grad[j] = m.T @ (-g + 2.0 * weight * viol * np.sign(v))
+        return val, grad.ravel()
 
     rng = np.random.default_rng(seed)
     # random starts are scaled down so the realized waveforms begin feasible
-    starts = [rng.uniform(-hi, hi, size=nx) / nc for _ in range(restarts)]
-    const = np.zeros(nx)
-    const[0] = hi
+    starts = [rng.uniform(-BOUND, BOUND, size=k * nc) / nc for _ in range(restarts)]
+    const = np.zeros(k * nc)
+    const[0] = BOUND
     starts.append(const)
     for x0 in extra_starts or ():
         x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (nx,):
-            raise ValueError(f"extra start must have shape ({nx},)")
+        if x0.shape != (k * nc,):
+            raise ValueError(f"extra start must have shape ({k * nc},)")
         starts.append(x0)
 
     best = None
@@ -538,25 +523,18 @@ def optimize_trig(
                 maxls=SERIES_LINE_SEARCH,
             )
             nit += int(info["nit"])
-        a, b = split(x)
-        a, _ = _rescale_into_box(a, m @ a, hi)
-        viol = float(np.max(np.abs(m @ a))) - hi
-        if joint:
-            b, _ = _rescale_into_box(b, m @ b, dhi)
-            viol = max(viol, float(np.max(np.abs(m @ b))) - dhi)
-            f, _ = adjoint_gradient(problem, np.concatenate([m @ a, m @ b]))
-        else:
-            f, _ = adjoint_gradient(problem, m @ a)
-        x_feas = np.concatenate([a, b]) if joint else a
+        channels = np.stack([_rescale_into_box(c, m @ c) for c in x.reshape(k, nc)])
+        values = [m @ c for c in channels]
+        viol = max(float(np.max(np.abs(v))) - BOUND for v in values)
+        f, _ = adjoint_gradient(problem, np.concatenate(values))
         # the rescale is exact only up to rounding, which huge coefficients
         # (ill-conditioned fits) can push past the tolerance: feasible
         # candidates win over infeasible ones, then the higher fidelity wins
         rank = (viol <= TRIG_FEASIBILITY_TOL, f)
         if best is None or rank > best[0]:
-            best = (rank, x_feas, viol, nit, info)
+            best = (rank, channels, viol, nit, info)
 
-    (_, fid), x, viol, nit, info = best
-    a, b = split(x)
+    (_, fid), channels, viol, nit, info = best
     if fid <= MIN_USEFUL_FIDELITY:
         raise NoConvergence(
             f"best fidelity {fid:.3e} <= {MIN_USEFUL_FIDELITY}; "
@@ -565,10 +543,11 @@ def optimize_trig(
     if viol > TRIG_FEASIBILITY_TOL:
         raise InfeasibleResult(f"series overshoots bounds by {viol:.3e} after polishing")
 
-    series = TrigSeries(p=p, a=a, b=(b if joint else np.zeros(nc)))
-    wf = series_waveform(series, problem.T, delta_fixed=None if joint else problem.delta_value)
+    fixed = problem.delta_mode == DELTA_FIXED
+    series = TrigSeries(p=p, a=channels[0], b=np.zeros(nc) if fixed else channels[1])
+    wf = series_waveform(series, problem.T, delta_fixed=problem.delta_value if fixed else None)
     fid = fidelity(propagate(wf, TripletAmplitudes.spin_down()))
-    _, g_last = objective(x, PENALTY_WEIGHTS[-1])
+    _, g_last = objective(channels.ravel(), PENALTY_WEIGHTS[-1])
     return OptimizationReport(
         problem=problem,
         waveform=wf,
@@ -594,24 +573,14 @@ def trig_harmonic_scan(
     p_list = list(p_list)
     if any(p2 <= p1 for p1, p2 in zip(p_list, p_list[1:])):
         raise ValueError("harmonic counts must be strictly increasing")
-    joint = problem.delta_mode == DELTA_TRIG
+    k = _channels(problem)
     reports: list[OptimizationReport] = []
-    prev: TrigSeries | None = None
     for i, p in enumerate(p_list):
         extra = []
-        if prev is not None:
-            nc = 2 * p + 1
-            a = np.zeros(nc)
-            a[: prev.a.size] = prev.a
-            if joint:
-                b = np.zeros(nc)
-                b[: prev.b.size] = prev.b
-                extra.append(np.concatenate([a, b]))
-            else:
-                extra.append(a)
-        rep = optimize_trig(problem, p, restarts=restarts, seed=seed + i, extra_starts=extra)
-        reports.append(rep)
-        prev = rep.series
+        if reports:
+            prev = reports[-1].series
+            extra.append(np.pad(np.stack([prev.a, prev.b])[:k], ((0, 0), (0, 2 * (p - prev.p)))).ravel())
+        reports.append(optimize_trig(problem, p, restarts=restarts, seed=seed + i, extra_starts=extra))
     return reports
 
 
@@ -627,6 +596,19 @@ class SweepCell:
     delta: float
     fidelity: float
     error: str | None = None
+
+
+def _sweep_cell(
+    problem: ControlProblem, restarts: int, seed: int, extra_starts: Sequence[np.ndarray] | None = None
+) -> tuple[SweepCell, np.ndarray | None]:
+    """optimize_piecewise on one sweep cell, with the optimum's omega
+    segments; a cell it cannot solve gets fidelity NaN, its error and no
+    segments."""
+    try:
+        rep = optimize_piecewise(problem, restarts=restarts, seed=seed, extra_starts=extra_starts)
+    except (NoConvergence, NonUnitaryDrift) as exc:
+        return SweepCell(T=problem.T, delta=problem.delta_value, fidelity=float("nan"), error=str(exc)), None
+    return SweepCell(T=problem.T, delta=problem.delta_value, fidelity=rep.fidelity), rep.waveform.piece_omega
 
 
 def sweep_detuning(
@@ -646,16 +628,9 @@ def sweep_detuning(
     if not T_list or not delta_grid:
         raise ValueError("sweep grids must be non-empty")
     cells = []
-    idx = 0
-    for t_tot in T_list:
-        for dval in delta_grid:
-            problem = ControlProblem(T=t_tot, delta_value=dval, segments=segments)
-            try:
-                rep = optimize_piecewise(problem, restarts=restarts, seed=seed + idx)
-                cells.append(SweepCell(T=t_tot, delta=dval, fidelity=rep.fidelity))
-            except (NoConvergence, NonUnitaryDrift) as exc:
-                cells.append(SweepCell(T=t_tot, delta=dval, fidelity=float("nan"), error=str(exc)))
-            idx += 1
+    for idx, (t_tot, dval) in enumerate(itertools.product(T_list, delta_grid)):
+        problem = ControlProblem(T=t_tot, delta_value=dval, segments=segments)
+        cells.append(_sweep_cell(problem, restarts, seed + idx)[0])
     return cells
 
 
@@ -691,57 +666,41 @@ def sweep_duration(
     for i, t_tot in enumerate(T_grid):
         problem = ControlProblem(T=t_tot, delta_value=delta_fixed, segments=segments)
         extra = [_pad_resample(prev[0], prev[1], t_tot)] if prev is not None else []
-        try:
-            rep = optimize_piecewise(problem, restarts=restarts, seed=seed + i, extra_starts=extra)
-            cells.append(SweepCell(T=t_tot, delta=delta_fixed, fidelity=rep.fidelity))
-            best_omega.append(rep.waveform.piece_omega)
-            prev = (rep.waveform.piece_omega, t_tot)
-        except (NoConvergence, NonUnitaryDrift) as exc:
-            cells.append(SweepCell(T=t_tot, delta=delta_fixed, fidelity=float("nan"), error=str(exc)))
-            best_omega.append(None)
+        cell, omega = _sweep_cell(problem, restarts, seed + i, extra)
+        cells.append(cell)
+        best_omega.append(omega)
+        if omega is not None:
+            prev = (omega, t_tot)
     # repair pass: a dip means a cell landed in a worse local optimum
     for i in range(1, len(cells)):
         if cells[i].error or cells[i - 1].error or cells[i].fidelity + 1e-9 >= cells[i - 1].fidelity:
             continue
         problem = ControlProblem(T=cells[i].T, delta_value=delta_fixed, segments=segments)
-        extra = []
-        if best_omega[i - 1] is not None:
-            extra.append(_pad_resample(best_omega[i - 1], cells[i - 1].T, cells[i].T))
-        try:
-            rerun = optimize_piecewise(problem, restarts=2 * restarts, seed=seed + 1000 + i, extra_starts=extra)
-        except (NoConvergence, NonUnitaryDrift):
-            continue  # keep the first-pass cell
+        extra = [_pad_resample(best_omega[i - 1], cells[i - 1].T, cells[i].T)]
+        rerun, omega = _sweep_cell(problem, 2 * restarts, seed + 1000 + i, extra)
+        # a failed rerun has fidelity NaN, so the first-pass cell stays
         if rerun.fidelity > cells[i].fidelity:
-            cells[i] = SweepCell(T=cells[i].T, delta=delta_fixed, fidelity=rerun.fidelity)
-            best_omega[i] = rerun.waveform.piece_omega
+            cells[i] = rerun
+            best_omega[i] = omega
     return cells
 
 
-def adiabatic_baseline(
-    T: float,
-    A: float | None = None,
-    omega0: float | None = None,
-    sigma: float | None = None,
-) -> ControlWaveform:
-    """Rapid-adiabatic-passage reference: linear detuning sweep through the
-    two-level degeneracy at T/2 with a Gaussian Rabi pulse centered there.
+def adiabatic_baseline(T: float) -> ControlWaveform:
+    """Rapid-adiabatic-passage reference: linear detuning sweep at rate 8 / T
+    through the two-level degeneracy at T/2 with a unit-peak Gaussian Rabi
+    pulse of width T / 6 centered there.
 
-    Defaults (A = 8 / T, omega0 = 1, sigma = T / 6) are heuristic shape
-    choices; the scheme exists for qualitative comparison against the
-    shortcut and optimal controls, not as a tuned benchmark.
+    The shape is a heuristic choice; the scheme exists for qualitative
+    comparison against the shortcut and optimal controls, not as a tuned
+    benchmark.
     """
     if not (math.isfinite(T) and T > 0.0):
         raise ValueError(f"duration must be positive, got {T}")
-    A = 8.0 / T if A is None else A
-    omega0 = 1.0 if omega0 is None else omega0
-    sigma = T / 6.0 if sigma is None else sigma
-    if A <= 0.0 or sigma <= 0.0 or omega0 < 0.0:
-        raise ValueError("sweep rate and width must be positive, peak Rabi non-negative")
 
     def fn(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ts = np.asarray(ts, dtype=float)
-        delta = A * (ts - 0.5 * T)
-        omega = omega0 * np.exp(-0.5 * ((ts - 0.5 * T) / sigma) ** 2)
+        delta = (8.0 / T) * (ts - 0.5 * T)
+        omega = np.exp(-0.5 * ((ts - 0.5 * T) / (T / 6.0)) ** 2)
         return delta, omega
 
     return ControlWaveform(T, fn)

@@ -48,6 +48,9 @@ DEFAULT_STEPS = 4000
 #: extra RK4 steps per unit of max|omega|*T; pulse area, not duration, sets
 #: the resolution a delta-like pulse needs.
 STEPS_PER_UNIT_AREA = 1000
+#: most RK4 steps one propagation may take, at a few hundred bytes of arrays
+#: each; the datasets need at most 38,234 (``repro table1``)
+MAX_STEPS = 1_000_000
 #: RK4 step maps are built and chained this many steps at a time, so the
 #: scan's real-form scratch stays O(MAP_BLOCK).  Peak RSS of `repro table1`
 #: (38,234 steps per propagation; ru_maxrss, one process): 86.6 MiB blocked,
@@ -135,10 +138,10 @@ class Trajectory:
     delta: np.ndarray
     omega: np.ndarray
     #: how ``propagate`` made it: route, step count and the largest
-    #: |norm - 1| over the states (None when built by hand)
-    method: str | None = None
-    steps: int | None = None
-    max_drift: float | None = None
+    #: |norm - 1| over the states
+    method: str
+    steps: int
+    max_drift: float
 
     @property
     def populations(self) -> np.ndarray:
@@ -270,6 +273,8 @@ def rk4_evolve(h_mid: np.ndarray, c0: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _auto_steps(waveform: ControlWaveform, requested: int | None) -> int:
+    """RK4 step count, ``requested`` or scaled to the pulse area max|omega|*T;
+    above ``MAX_STEPS`` it is a ValueError, raised before any allocation."""
     if requested is not None:
         if requested < MIN_STEPS:
             raise ValueError(f"steps must be at least {MIN_STEPS}, got {requested}")
@@ -280,11 +285,16 @@ def _auto_steps(waveform: ControlWaveform, requested: int | None) -> int:
         else:
             _, w = waveform.sample(np.linspace(0.0, waveform.duration, 513))
             peak = float(np.max(np.abs(w)))
+        # an infinite or NaN area fails this comparison too
+        if not STEPS_PER_UNIT_AREA * peak * waveform.duration <= MAX_STEPS:
+            raise ValueError(f"pulse area {peak * waveform.duration:.3g} needs over {MAX_STEPS} RK4 steps")
         steps = max(DEFAULT_STEPS, math.ceil(STEPS_PER_UNIT_AREA * peak * waveform.duration))
     if waveform.piece_omega is not None:
         # align step edges with segment edges so no step straddles a jump
         nseg = waveform.piece_omega.size
         steps = math.ceil(steps / nseg) * nseg
+    if steps > MAX_STEPS:
+        raise ValueError(f"{steps} RK4 steps exceed the ceiling of {MAX_STEPS}")
     return steps
 
 

@@ -133,6 +133,19 @@ class TestSimulate:
         assert "steps" in err
         assert not (tmp_path / "o" / "simulate_trajectory.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--T", "2.5", "--omega", "1e308"),
+        ("tqd", "--e", "1e300", "--T", "1"),
+        ("evaluate-series", "--series", "{series}"),
+    ], ids=["simulate", "tqd", "evaluate-series"])
+    def test_pulse_too_strong_for_the_step_policy_is_usage_error(self, tmp_path, capsys, argv):
+        series_path = tmp_path / "series.json"
+        series_path.write_text('{"p": 0, "a": [1e308], "b": [0]}')
+        argv = [a.format(series=series_path) for a in argv]
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert err.count("error: ") == 1 and "pulse area" in err and "Traceback" not in err
+
 
 class TestOptimize:
     def test_small_piecewise_run(self, tmp_path, capsys):

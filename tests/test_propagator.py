@@ -12,9 +12,11 @@ from scipy.linalg import expm
 from conftest import chain_reference
 from isingbell.model import TripletAmplitudes, h2_batch
 from isingbell.propagator import (
+    MAX_STEPS,
     ControlWaveform,
     MethodMismatch,
     NonUnitaryDrift,
+    _auto_steps,
     _rk4_table,
     chain_indexed,
     fidelity,
@@ -129,6 +131,12 @@ class TestPropagate:
         wf = ControlWaveform.piecewise_constant(10.0, np.full(4, 50.0))
         traj = propagate(wf, SPIN_DOWN)
         assert traj.times.size - 1 == 500000
+
+    def test_step_count_above_the_ceiling_is_rejected(self):
+        wf = ControlWaveform(1.0, lambda ts: (0 * ts, 0 * ts))
+        assert _auto_steps(wf, MAX_STEPS) == MAX_STEPS
+        with pytest.raises(ValueError, match="ceiling"):
+            _auto_steps(wf, MAX_STEPS + 1)
 
     def test_rk4_steps_align_with_segments(self):
         wf = ControlWaveform.piecewise_constant(1.0, np.ones(7))
