@@ -5,10 +5,13 @@ optimize, sweep-detuning, sweep-duration, evaluate-series, limit) plus
 ``repro`` which regenerates a named benchmark dataset end to end.
 
 Configuration precedence is flags > JSON config file > built-in defaults;
-the fully resolved configuration is echoed to stdout and embedded in every
-artifact, so any output file can be replayed exactly.  Exit codes: 0 ok,
-2 invalid usage/parameters, 3 numeric failure (norm drift, no convergence,
-infeasible series).
+the fully resolved configuration, experiment id and output directory
+included, is echoed to stdout and embedded in every artifact, so passing it
+back with ``--config`` replays the run exactly.  No command takes an RK4
+step count: ``propagator._auto_steps`` picks it, and the ``tqd`` and
+``simulate`` summaries record it.  Exit codes: 0 ok, 2 invalid
+usage/parameters, 3 numeric failure (norm drift, no convergence, infeasible
+series).
 """
 
 from __future__ import annotations
@@ -67,12 +70,8 @@ from .optimize import (
 
 REPRO_IDS = ("fig1b", "fig2", "fig3a", "fig3b", "fig4c", "table1")
 #: integer flags of ``repro``; each dataset takes only those in its defaults
-REPRO_FLAGS = ("segments", "restarts", "seed", "steps")
-
-
-#: value type of the config keys whose default is None; every other key
-#: takes the type of its default
-_NONE_DEFAULT_TYPES = {"steps": int, "series": str}
+REPRO_FLAGS = ("segments", "restarts", "seed")
+DEFAULT_OUT = "isingbell_out"
 
 
 def _is_number(value) -> bool:
@@ -82,10 +81,10 @@ def _is_number(value) -> bool:
 def _check_config_value(key: str, value, default) -> None:
     """A config-file value must be JSON of its key's type: a number for a
     float, an integer for an int, a list of numbers for a list; null only
-    where the default is None."""
+    where the default is None (``series``, otherwise a path string)."""
     if value is None and default is None:
         return
-    want = _NONE_DEFAULT_TYPES[key] if default is None else type(default)
+    want = str if default is None else type(default)
     if want is float:
         ok = _is_number(value)
     elif want is list:
@@ -96,42 +95,55 @@ def _check_config_value(key: str, value, default) -> None:
         raise ValueError(f"config key {key!r} must be of type {want.__name__}, got {json.dumps(value)}")
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """flags > config file > defaults; only known keys of the right type may
-    appear in the file."""
-    cfg = dict(defaults)
-    path = getattr(args, "config", None)
-    if path:
-        with open(path) as fh:
-            file_cfg = json.load(fh)
-        if not isinstance(file_cfg, dict):
-            raise ValueError(f"config file must hold a JSON object, got {json.dumps(file_cfg)}")
-        unknown = sorted(set(file_cfg) - set(defaults))
-        if unknown:
-            raise ValueError(f"unknown config keys {unknown}; expected a subset of {sorted(defaults)}")
-        for key, value in file_cfg.items():
-            _check_config_value(key, value, defaults[key])
-        cfg.update(file_cfg)
-    for key in defaults:
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            cfg[key] = val
-    return cfg
+def _read_config(path: str, name: str, defaults: dict) -> dict:
+    """A config file's entries: parameters of this command, plus the
+    ``experiment`` (which must be ``name``) and ``out`` that the echoed
+    config holds, each of its key's type."""
+    with open(path) as fh:
+        file_cfg = json.load(fh)
+    if not isinstance(file_cfg, dict):
+        raise ValueError(f"config file must hold a JSON object, got {json.dumps(file_cfg)}")
+    known = {"experiment": name, "out": DEFAULT_OUT, **defaults}
+    unknown = sorted(set(file_cfg) - set(known))
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}; expected a subset of {sorted(known)}")
+    for key, value in file_cfg.items():
+        _check_config_value(key, value, known[key])
+    if file_cfg.get("experiment", name) != name:
+        raise ValueError(f"config file is for experiment {file_cfg['experiment']!r}, not {name!r}")
+    return file_cfg
 
 
 def _experiment(args: argparse.Namespace, name: str, defaults: dict) -> tuple[dict, Path]:
     """The resolved configuration (experiment id, output directory and every
-    parameter, echoed to stdout) and the created output directory."""
-    params = _resolve(args, defaults)
-    out = Path(getattr(args, "out", None) or "isingbell_out")
+    parameter; flags > config file > defaults), echoed to stdout, and the
+    created output directory."""
+    config = {"experiment": name, "out": DEFAULT_OUT, **defaults}
+    if args.config:
+        config.update(_read_config(args.config, name, defaults))
+    for key in ("out", *defaults):
+        val = getattr(args, key.replace("-", "_"), None)
+        if val is not None:
+            config[key] = val
+    out = Path(config["out"] or DEFAULT_OUT)
     out.mkdir(parents=True, exist_ok=True)
-    config = {"experiment": name, "out": str(out), **params}
+    config["out"] = str(out)
     print("config: " + json.dumps(config, sort_keys=True))
     return config, out
 
 
 def _floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _write_summary(path: Path, cfg: dict, traj) -> None:
+    """Write a propagation's summary (config, fidelity, and how ``propagate``
+    made it: route, automatic step count, measured norm drift) and print
+    the fidelity."""
+    fid = fidelity(traj)
+    summary = {"config": cfg, "fidelity": fid, "method": traj.method, "steps": traj.steps, "max_drift": traj.max_drift}
+    write_json(path, summary)
+    print(f"fidelity: {fid:.12g}")
 
 
 def _best_cell(cells):
@@ -148,28 +160,24 @@ def _best_cell(cells):
 
 
 def cmd_tqd(args: argparse.Namespace) -> int:
-    defaults = {"kind": SYMMETRIC, "e": 0.1, "T": 10.0, "steps": None}
+    defaults = {"kind": SYMMETRIC, "e": 0.1, "T": 10.0}
     cfg, out = _experiment(args, "tqd", defaults)
     spec = ShortcutSpec(kind=cfg["kind"], e=float(cfg["e"]), T=float(cfg["T"]))
     wf = shortcut_waveform(spec)
-    traj = propagate(wf, TripletAmplitudes.spin_down(), steps=cfg["steps"])
-    fid = fidelity(traj)
+    traj = propagate(wf, TripletAmplitudes.spin_down())
     write_waveform_csv(wf, out / "tqd_waveform.csv", config=cfg)
     write_trajectory_csv(traj, out / "tqd_trajectory.csv", config=cfg)
-    write_json(out / "tqd_summary.json", {"config": cfg, "fidelity": fid})
-    print(f"fidelity: {fid:.12g}")
+    _write_summary(out / "tqd_summary.json", cfg, traj)
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    defaults = {"T": 2.5, "delta": 0.0, "omega": 1.0, "steps": None, "method": "rk4"}
+    defaults = {"T": 2.5, "delta": 0.0, "omega": 1.0, "method": "rk4"}
     cfg, out = _experiment(args, "simulate", defaults)
     wf = ControlWaveform.piecewise_constant(float(cfg["T"]), [float(cfg["omega"])], delta=float(cfg["delta"]))
-    traj = propagate(wf, TripletAmplitudes.spin_down(), steps=cfg["steps"], method=cfg["method"])
-    fid = fidelity(traj)
+    traj = propagate(wf, TripletAmplitudes.spin_down(), method=cfg["method"])
     write_trajectory_csv(traj, out / "simulate_trajectory.csv", config=cfg)
-    write_json(out / "simulate_summary.json", {"config": cfg, "fidelity": fid})
-    print(f"fidelity: {fid:.12g}")
+    _write_summary(out / "simulate_summary.json", cfg, traj)
     return 0
 
 
@@ -248,13 +256,13 @@ def cmd_sweep_duration(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate_series(args: argparse.Namespace) -> int:
-    defaults = {"series": None, "T": 2.5, "convention": CONVENTION_XI, "steps": None}
+    defaults = {"series": None, "T": 2.5, "convention": CONVENTION_XI}
     cfg, out = _experiment(args, "evaluate-series", defaults)
     if cfg["series"] is None:
         series = TrigSeries(p=3, a=np.array(BENCHMARK_SERIES_T25_A), b=np.array(BENCHMARK_SERIES_T25_B))
     else:
         series = read_series_json(cfg["series"])
-    fid = evaluate_series(series, float(cfg["T"]), convention=cfg["convention"], steps=cfg["steps"])
+    fid = evaluate_series(series, float(cfg["T"]), convention=cfg["convention"])
     write_json(
         out / "series_eval.json",
         {"config": cfg, "series": series.to_dict(), "fidelity": fid},
@@ -274,8 +282,8 @@ def cmd_limit(args: argparse.Namespace) -> int:
 
 def _repro_fig1b(cfg: dict, out: Path) -> None:
     t_grid = np.geomspace(0.01, 15.0, 100)
-    sym = tqd_fidelity_curve(SYMMETRIC, float(cfg["e"]), t_grid, steps=cfg["steps"])
-    non = tqd_fidelity_curve(NONSYMMETRIC, float(cfg["e"]), t_grid, steps=cfg["steps"])
+    sym = tqd_fidelity_curve(SYMMETRIC, float(cfg["e"]), t_grid)
+    non = tqd_fidelity_curve(NONSYMMETRIC, float(cfg["e"]), t_grid)
     write_fidelity_curve_csv(
         out / "fig1b.csv",
         t_grid,
@@ -352,7 +360,7 @@ def _repro_table1(cfg: dict, out: Path) -> None:
 
 def cmd_repro(args: argparse.Namespace) -> int:
     runners = {
-        "fig1b": (_repro_fig1b, {"e": 0.1, "steps": None}),
+        "fig1b": (_repro_fig1b, {"e": 0.1}),
         "fig2": (_repro_fig2, {"segments": DEFAULT_SEGMENTS, "restarts": DEFAULT_RESTARTS, "seed": DEFAULT_SEED}),
         "fig3a": (_repro_fig3a, {"segments": DEFAULT_SEGMENTS, "restarts": 2, "seed": DEFAULT_SEED}),
         "fig3b": (_repro_fig3b, {"segments": DEFAULT_SEGMENTS, "restarts": 2, "seed": DEFAULT_SEED}),
@@ -382,14 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--out", help="output directory (default ./isingbell_out)")
+        sp.add_argument("--out", help=f"output directory (default ./{DEFAULT_OUT})")
         sp.add_argument("--config", help="JSON config file; flags override its entries")
 
     sp = sub.add_parser("tqd", help="propagate the shortcut drive and record the trajectory")
     sp.add_argument("--kind", choices=KINDS)
     sp.add_argument("--e", type=float, help="envelope amplitude")
     sp.add_argument("--T", type=float, help="duration")
-    sp.add_argument("--steps", type=int)
     common(sp)
     sp.set_defaults(func=cmd_tqd)
 
@@ -397,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--T", type=float)
     sp.add_argument("--delta", type=float)
     sp.add_argument("--omega", type=float)
-    sp.add_argument("--steps", type=int)
     sp.add_argument("--method", choices=("rk4", "piecewise-exponential"))
     common(sp)
     sp.set_defaults(func=cmd_simulate)
@@ -437,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--series", help="JSON file {p, a, b}; defaults to the built-in T=2.5 benchmark")
     sp.add_argument("--T", type=float)
     sp.add_argument("--convention", choices=(CONVENTION_XI, CONVENTION_PERIOD))
-    sp.add_argument("--steps", type=int)
     common(sp)
     sp.set_defaults(func=cmd_evaluate_series)
 

@@ -433,16 +433,11 @@ def series_waveform(
     return ControlWaveform(T, fn)
 
 
-def evaluate_series(
-    series: TrigSeries,
-    T: float,
-    convention: str = CONVENTION_XI,
-    steps: int | None = None,
-) -> float:
-    """Propagate the series waveform from the spin-down state and return the
-    final Bell population."""
+def evaluate_series(series: TrigSeries, T: float, convention: str = CONVENTION_XI) -> float:
+    """Propagate the series waveform from the spin-down state (RK4 at
+    ``propagate``'s step count) and return the final Bell population."""
     wf = series_waveform(series, T, convention=convention)
-    traj = propagate(wf, TripletAmplitudes.spin_down(), steps=steps)
+    traj = propagate(wf, TripletAmplitudes.spin_down())
     return fidelity(traj)
 
 

@@ -27,8 +27,11 @@ The optimizer runs its forward pass and its adjoint pass (the adjoint maps
 in reverse order, stored in the same table) through the same kernel in one
 batched call.
 
-Norm drift beyond 1e-8 raises ``NonUnitaryDrift``: that always means the
-step is too coarse for the pulse, never a physical effect.
+The RK4 step count has one source, ``_auto_steps``: max(4000,
+ceil(1000 max|omega| T)), raised to a multiple of the segment count of a
+piecewise waveform, at most ``MAX_STEPS``; no caller picks it.  Norm drift
+beyond 1e-8, or a NaN norm, raises ``NonUnitaryDrift``: that always means the
+policy under-resolves the waveform, never a physical effect.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from .artifacts import write_csv
 from .model import TripletAmplitudes, hc_batch
 
 DRIFT_LIMIT = 1e-8
-MIN_STEPS = 100
 DEFAULT_STEPS = 4000
 #: extra RK4 steps per unit of max|omega|*T; pulse area, not duration, sets
 #: the resolution a delta-like pulse needs.
@@ -272,23 +274,21 @@ def rk4_evolve(h_mid: np.ndarray, c0: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def _auto_steps(waveform: ControlWaveform, requested: int | None) -> int:
-    """RK4 step count, ``requested`` or scaled to the pulse area max|omega|*T;
-    above ``MAX_STEPS`` it is a ValueError, raised before any allocation."""
-    if requested is not None:
-        if requested < MIN_STEPS:
-            raise ValueError(f"steps must be at least {MIN_STEPS}, got {requested}")
-        steps = int(requested)
+def _auto_steps(waveform: ControlWaveform) -> int:
+    """RK4 step count scaled to the pulse area max|omega|*T; above
+    ``MAX_STEPS`` it is a ValueError, raised before any allocation."""
+    if waveform.piece_omega is not None:
+        peak = float(np.max(np.abs(waveform.piece_omega)))
     else:
-        if waveform.piece_omega is not None:
-            peak = float(np.max(np.abs(waveform.piece_omega)))
-        else:
+        # a sampler that overflows gives a non-finite peak, which the area
+        # check below reports, rather than numpy warnings
+        with np.errstate(all="ignore"):
             _, w = waveform.sample(np.linspace(0.0, waveform.duration, 513))
             peak = float(np.max(np.abs(w)))
-        # an infinite or NaN area fails this comparison too
-        if not STEPS_PER_UNIT_AREA * peak * waveform.duration <= MAX_STEPS:
-            raise ValueError(f"pulse area {peak * waveform.duration:.3g} needs over {MAX_STEPS} RK4 steps")
-        steps = max(DEFAULT_STEPS, math.ceil(STEPS_PER_UNIT_AREA * peak * waveform.duration))
+    # an infinite or NaN area fails this comparison too
+    if not STEPS_PER_UNIT_AREA * peak * waveform.duration <= MAX_STEPS:
+        raise ValueError(f"pulse area {peak * waveform.duration:.3g} needs over {MAX_STEPS} RK4 steps")
+    steps = max(DEFAULT_STEPS, math.ceil(STEPS_PER_UNIT_AREA * peak * waveform.duration))
     if waveform.piece_omega is not None:
         # align step edges with segment edges so no step straddles a jump
         nseg = waveform.piece_omega.size
@@ -298,23 +298,18 @@ def _auto_steps(waveform: ControlWaveform, requested: int | None) -> int:
     return steps
 
 
-def propagate(
-    waveform: ControlWaveform,
-    c0: TripletAmplitudes,
-    steps: int | None = None,
-    method: str = "rk4",
-) -> Trajectory:
+def propagate(waveform: ControlWaveform, c0: TripletAmplitudes, method: str = "rk4") -> Trajectory:
     """Integrate i dc/dt = H_c(t) c over the waveform from state ``c0``.
 
-    method="rk4": fixed-step midpoint-frozen RK4; ``steps`` defaults to 4000,
-    raised automatically in proportion to max|omega|*duration so delta-like
-    pulses stay resolved.  method="piecewise-exponential": exact segment
-    exponentials; requires a piecewise-constant waveform, takes no
-    ``steps`` (ValueError) and returns states on the segment-edge grid.
+    method="rk4": fixed-step midpoint-frozen RK4 at the ``_auto_steps``
+    count.  method="piecewise-exponential": exact segment exponentials;
+    requires a piecewise-constant waveform and returns states on the
+    segment-edge grid.  The trajectory records the route, its step count
+    and the measured drift.
     """
     c_init = c0.as_array()
     if method == "rk4":
-        n = _auto_steps(waveform, steps)
+        n = _auto_steps(waveform)
         dt = waveform.duration / n
         t_mid = (np.arange(n) + 0.5) * dt
         d_mid, w_mid = waveform.sample(t_mid)
@@ -323,8 +318,6 @@ def propagate(
     elif method == "piecewise-exponential":
         if waveform.piece_omega is None:
             raise MethodMismatch("piecewise-exponential integration needs a piecewise-constant waveform")
-        if steps is not None:
-            raise ValueError("steps applies to method='rk4' only; the exponential route steps once per segment")
         dvals, wvals = waveform.piece_delta, waveform.piece_omega
         n = wvals.size
         dt = waveform.duration / n
@@ -335,9 +328,11 @@ def propagate(
         raise ValueError(f"unknown method {method!r}")
 
     drift = float(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)))
-    if drift > DRIFT_LIMIT:
+    # a NaN drift fails this comparison too
+    if not drift <= DRIFT_LIMIT:
         raise NonUnitaryDrift(
-            f"norm drift {drift:.3e} exceeds {DRIFT_LIMIT:.0e}; increase steps for this waveform"
+            f"norm drift {drift:.3e} exceeds {DRIFT_LIMIT:.0e}; the step policy under-resolves this waveform"
+            " (for example a pulse narrower than its peak sampling)"
         )
     d_nodes, w_nodes = waveform.sample(times)
     return Trajectory(

@@ -54,6 +54,9 @@ DEFAULT_AMPLITUDE = 0.1
 #: analytic limits: delta' = omega' = 0
 ENDPOINT_EPS = 1e-9
 
+#: sample points of a waveform CSV, endpoints included
+WAVEFORM_CSV_POINTS = 1001
+
 
 class DomainError(ValueError):
     """Normalized time outside the schedule domain [0, 1]."""
@@ -170,14 +173,10 @@ def short_time_fidelity_limit() -> float:
     return 0.5 * math.sin(math.pi / SQRT2) ** 2
 
 
-def tqd_fidelity_curve(
-    kind: str,
-    e: float,
-    T_grid: Sequence[float] | np.ndarray,
-    steps: int | None = None,
-) -> list[tuple[float, float]]:
+def tqd_fidelity_curve(kind: str, e: float, T_grid: Sequence[float] | np.ndarray) -> list[tuple[float, float]]:
     """Final Bell fidelity of the three-level system for each duration in
-    ``T_grid`` under the modified controls, starting from |dd>."""
+    ``T_grid`` under the modified controls, starting from |dd> (RK4 at
+    ``propagate``'s step count)."""
     t_grid = np.asarray(T_grid, dtype=float)
     if t_grid.size == 0 or np.any(t_grid <= 0.0) or np.any(np.diff(t_grid) <= 0.0):
         raise ValueError("T_grid must be positive and strictly ascending")
@@ -186,32 +185,33 @@ def tqd_fidelity_curve(
     for t_tot in t_grid:
         spec = ShortcutSpec(kind=kind, e=e, T=float(t_tot))
         try:
-            traj = propagate(shortcut_waveform(spec), c0, steps=steps)
+            traj = propagate(shortcut_waveform(spec), c0)
         except NonUnitaryDrift as exc:
             raise NonUnitaryDrift(f"T={t_tot:g}: {exc}") from exc
         out.append((float(t_tot), fidelity(traj)))
     return out
 
 
-def two_level_inversion(spec: ShortcutSpec, steps: int | None = None) -> float:
+def two_level_inversion(spec: ShortcutSpec) -> float:
     """Final inverted population when the modified controls drive the
     two-level block alone, starting from (1, 0).
 
     This is the defining exactness property of the construction: the result
     is 1 up to integrator error for any duration; only the three-level
-    embedding degrades the transfer.
+    embedding degrades the transfer.  RK4 runs at ``propagate``'s step count.
     """
     wf = shortcut_waveform(spec)
-    n = _auto_steps(wf, steps)
+    n = _auto_steps(wf)
     dt = spec.T / n
     d, w = wf.sample((np.arange(n) + 0.5) * dt)
     psi = rk4_evolve(h2_batch(d, w), np.array([1.0 + 0.0j, 0.0j]), dt)
     return float(np.abs(psi[-1, 1]) ** 2)
 
 
-def write_waveform_csv(waveform: ControlWaveform, path, n: int = 1001, config=None) -> None:
-    """Sample a waveform on n points and dump (t, delta, omega) as CSV."""
-    ts = np.linspace(0.0, waveform.duration, n)
+def write_waveform_csv(waveform: ControlWaveform, path, config=None) -> None:
+    """Sample a waveform on ``WAVEFORM_CSV_POINTS`` points and dump (t,
+    delta, omega) as CSV."""
+    ts = np.linspace(0.0, waveform.duration, WAVEFORM_CSV_POINTS)
     write_csv(path, ("t", "delta", "omega"), [ts, *waveform.sample(ts)], config)
 
 

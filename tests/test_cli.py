@@ -47,6 +47,8 @@ class TestTqd:
         summary = json.loads((out / "tqd_summary.json").read_text())
         assert summary["fidelity"] == pytest.approx(0.9993, abs=5e-4)
         assert summary["config"]["kind"] == "symmetric"
+        rows = (out / "tqd_trajectory.csv").read_text().splitlines()[2:]
+        assert (summary["method"], summary["steps"]) == ("rk4", len(rows) - 1)
         assert any(line.startswith("fidelity: ") for line in stdout.splitlines())
 
     def test_invalid_duration_is_usage_error(self, tmp_path, capsys):
@@ -85,8 +87,8 @@ class TestConfigResolution:
         ("null", None),
         ('{"T": null}', "T"),
         ('{"T": [1, 2]}', "T"),
-        ('{"steps": "x"}', "steps"),
-    ], ids=["int", "null", "T-null", "T-list", "steps-string"])
+        ('{"e": "x"}', "e"),
+    ], ids=["int", "null", "T-null", "T-list", "e-string"])
     def test_malformed_config_is_usage_error(self, tmp_path, capsys, text, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
@@ -100,6 +102,41 @@ class TestConfigResolution:
         code, _, err = run(capsys, "tqd", "--config", str(tmp_path / "nope.json"),
                            "--out", str(tmp_path / "o"))
         assert code == 2
+
+    def test_echoed_config_replays_the_run(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "A"
+        code, stdout, _ = run(capsys, "simulate", "--T", "1.0", "--out", str(out))
+        assert code == 0
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        for p in out.iterdir():
+            p.unlink()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config_line(stdout)))
+        code, _, _ = run(capsys, "simulate", "--config", str(cfg))
+        assert code == 0
+        # the replay writes to the recorded `out`, not the default directory
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+    def test_config_of_another_experiment_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "simulate"}))
+        code, _, err = run(capsys, "tqd", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "'simulate', not 'tqd'" in err
+
+    @pytest.mark.parametrize("argv", [("tqd",), ("simulate",), ("evaluate-series",), ("repro", "fig1b")],
+                             ids=["tqd", "simulate", "evaluate-series", "repro-fig1b"])
+    def test_no_command_takes_a_step_count(self, tmp_path, capsys, argv):
+        code, _, err = run(capsys, *argv, "--steps", "4000", "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "--steps" in err
+        # a config echoed before the step count was automatic
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"steps": None}))
+        code, _, err = run(capsys, *argv, "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "unknown config keys ['steps']" in err
 
     def test_config_embedded_in_artifacts(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -126,18 +163,25 @@ class TestSimulate:
         f2 = float(out_exp.splitlines()[-1].split()[-1])
         assert f1 == pytest.approx(f2, abs=1e-7)
 
-    def test_exponential_route_with_steps_is_usage_error(self, tmp_path, capsys):
-        code, _, err = run(capsys, "simulate", "--method", "piecewise-exponential", "--steps", "10",
-                           "--out", str(tmp_path / "o"))
-        assert code == 2
-        assert "steps" in err
-        assert not (tmp_path / "o" / "simulate_trajectory.csv").exists()
+    @pytest.mark.parametrize("method", ["rk4", "piecewise-exponential"])
+    def test_summary_records_the_chosen_step_count(self, tmp_path, capsys, method):
+        out = tmp_path / "o"
+        code, _, _ = run(capsys, "simulate", "--method", method, "--out", str(out))
+        assert code == 0
+        summary = json.loads((out / "simulate_summary.json").read_text())
+        rows = (out / "simulate_trajectory.csv").read_text().splitlines()[2:]
+        assert summary["method"] == method
+        assert summary["steps"] == len(rows) - 1
+        assert 0.0 <= summary["max_drift"] <= 1e-8
 
+    # overflow and divide-by-zero warnings would reach the user's terminal
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("argv", [
         ("simulate", "--T", "2.5", "--omega", "1e308"),
         ("tqd", "--e", "1e300", "--T", "1"),
         ("evaluate-series", "--series", "{series}"),
-    ], ids=["simulate", "tqd", "evaluate-series"])
+        ("tqd", "--T", "1e-200"),
+    ], ids=["simulate", "tqd", "evaluate-series", "tqd-short"])
     def test_pulse_too_strong_for_the_step_policy_is_usage_error(self, tmp_path, capsys, argv):
         series_path = tmp_path / "series.json"
         series_path.write_text('{"p": 0, "a": [1e308], "b": [0]}')

@@ -38,6 +38,16 @@ states3 = st.lists(st.complex_numbers(max_magnitude=1.0), min_size=3, max_size=3
 )
 
 
+def _narrow_pulse(omega: float) -> ControlWaveform:
+    """omega on (0.5006, 0.5014) of T = 1, zero elsewhere: narrower than
+    the 1/512 spacing of ``_auto_steps``' peak samples, and between two."""
+
+    def sampler(ts):
+        return 0.0 * ts, np.where((ts > 0.5006) & (ts < 0.5014), omega, 0.0)
+
+    return ControlWaveform(1.0, sampler)
+
+
 def _unit(c) -> np.ndarray:
     c = np.asarray(c, dtype=complex)
     return c / np.linalg.norm(c)
@@ -79,7 +89,7 @@ class TestPropagate:
     def test_constant_pulse_matches_exact_exponential(self):
         # one constant segment: rk4 against the closed-form exponential
         wf = ControlWaveform.piecewise_constant(1.0, [1.0], delta=0.0)
-        traj = propagate(wf, SPIN_DOWN, steps=4000, method="rk4")
+        traj = propagate(wf, SPIN_DOWN, method="rk4")
         h = hc_batch(np.array([0.0]), np.array([1.0]))[0]
         evals, evecs = np.linalg.eigh(h)
         u = evecs @ np.diag(np.exp(-1j * evals * 1.0)) @ evecs.T
@@ -109,22 +119,17 @@ class TestPropagate:
         assert (traj.method, traj.steps) == ("piecewise-exponential", 3)
         assert 0.0 <= traj.max_drift <= 1e-14
 
-    def test_exponential_route_rejects_steps(self):
-        # the exponential route steps once per segment; a step count would
-        # be silently ignored and recorded in the artifact's config
-        wf = ControlWaveform.piecewise_constant(2.0, [1.0, -0.5, 0.8])
-        with pytest.raises(ValueError, match="steps"):
-            propagate(wf, SPIN_DOWN, steps=400, method="piecewise-exponential")
-
-    def test_too_few_steps_rejected(self):
-        wf = ControlWaveform.piecewise_constant(1.0, [1.0])
-        with pytest.raises(ValueError):
-            propagate(wf, SPIN_DOWN, steps=10)
-
     def test_coarse_steps_raise_drift(self):
-        wf = ControlWaveform.piecewise_constant(10.0, np.full(4, 50.0))
-        with pytest.raises(NonUnitaryDrift):
-            propagate(wf, SPIN_DOWN, steps=100)
+        # the pulse lies between two of the policy's peak samples, so the
+        # policy picks 4000 steps, four of them inside a pulse of area 8
+        with pytest.raises(NonUnitaryDrift, match="under-resolves"):
+            propagate(_narrow_pulse(1e4), SPIN_DOWN)
+
+    def test_nan_trajectory_raises_drift(self):
+        # at omega = 1e200 the RK4 maps overflow and the norm is NaN, which
+        # a plain `drift > limit` test would let through
+        with pytest.warns(RuntimeWarning), pytest.raises(NonUnitaryDrift, match="nan"):
+            propagate(_narrow_pulse(1e200), SPIN_DOWN)
 
     def test_auto_steps_track_pulse_area(self):
         # max|omega|*T = 500 -> 500000 steps, and the drift guard passes
@@ -133,10 +138,11 @@ class TestPropagate:
         assert traj.times.size - 1 == 500000
 
     def test_step_count_above_the_ceiling_is_rejected(self):
-        wf = ControlWaveform(1.0, lambda ts: (0 * ts, 0 * ts))
-        assert _auto_steps(wf, MAX_STEPS) == MAX_STEPS
+        # max|omega|*T = 1000 asks for exactly MAX_STEPS; aligning that to 7
+        # segments gives 1,000,006
+        assert _auto_steps(ControlWaveform.piecewise_constant(1.0, np.full(8, 1000.0))) == MAX_STEPS
         with pytest.raises(ValueError, match="ceiling"):
-            _auto_steps(wf, MAX_STEPS + 1)
+            _auto_steps(ControlWaveform.piecewise_constant(1.0, np.full(7, 1000.0)))
 
     def test_rk4_steps_align_with_segments(self):
         wf = ControlWaveform.piecewise_constant(1.0, np.ones(7))
@@ -329,7 +335,7 @@ class TestFidelityAndPopulations:
 class TestTrajectoryCsv:
     def test_layout_and_precision(self, tmp_path):
         wf = ControlWaveform.piecewise_constant(1.0, [1.0, -1.0])
-        traj = propagate(wf, SPIN_DOWN, steps=100)
+        traj = propagate(wf, SPIN_DOWN)
         path = tmp_path / "traj.csv"
         write_trajectory_csv(traj, path, config={"T": 1.0})
         lines = path.read_text().splitlines()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isingbell import propagator
 from isingbell.model import SQRT2
 from isingbell.propagator import DRIFT_LIMIT, NonUnitaryDrift, propagate
 from isingbell.model import TripletAmplitudes
@@ -182,10 +183,6 @@ class TestTwoLevelInversion:
         p = two_level_inversion(ShortcutSpec(kind=kind, e=0.1, T=T))
         assert p >= 1.0 - 1e-6
 
-    def test_step_policy_shared_with_propagate(self):
-        with pytest.raises(ValueError, match="steps must be at least"):
-            two_level_inversion(ShortcutSpec(kind="symmetric", e=0.1, T=1.0), steps=10)
-
 
 class TestFidelityCurve:
     def test_benchmark_durations(self, tqd_curves):
@@ -225,21 +222,23 @@ class TestFidelityCurve:
         with pytest.raises(ValueError):
             tqd_fidelity_curve("symmetric", 0.1, [])
 
-    def test_propagation_error_carries_duration(self):
+    def test_propagation_error_carries_duration(self, monkeypatch):
         # a violent envelope at 100 steps under-resolves and must say which T
+        monkeypatch.setattr(propagator, "DEFAULT_STEPS", 100)
+        monkeypatch.setattr(propagator, "STEPS_PER_UNIT_AREA", 0)
         with pytest.raises(NonUnitaryDrift, match="T=10"):
-            tqd_fidelity_curve("symmetric", 100.0, [10.0], steps=100)
+            tqd_fidelity_curve("symmetric", 100.0, [10.0])
 
 
 class TestCsvWriters:
     def test_waveform_csv(self, tmp_path):
         wf = shortcut_waveform(ShortcutSpec(kind="symmetric", e=0.1, T=10.0))
         path = tmp_path / "wave.csv"
-        write_waveform_csv(wf, path, n=11, config={"kind": "symmetric"})
+        write_waveform_csv(wf, path, config={"kind": "symmetric"})
         lines = path.read_text().splitlines()
         assert lines[0].startswith("# config:")
         assert lines[1] == "t,delta,omega"
-        assert len(lines) == 13
+        assert len(lines) == 2 + 1001
         first = [float(x) for x in lines[2].split(",")]
         assert first == [0.0, 0.0, 0.0]
 
