@@ -23,6 +23,8 @@ import numpy as np
 from isingbell.artifacts import write_json
 from isingbell.model import TripletAmplitudes
 from isingbell.optimize import (
+    DEFAULT_SEED,
+    DEFAULT_SEGMENTS,
     ControlProblem,
     adiabatic_baseline,
     optimize_piecewise,
@@ -37,8 +39,8 @@ def parse_args() -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--T", type=float, default=2.5, help="common duration")
     parser.add_argument("--restarts", type=int, default=2)
-    parser.add_argument("--segments", type=int, default=1000)
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--segments", type=int, default=DEFAULT_SEGMENTS)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--out", default="comparison_out")
     return parser.parse_args()
 

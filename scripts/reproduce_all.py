@@ -22,7 +22,7 @@ import sys
 import time
 from pathlib import Path
 
-from isingbell.cli import REPRO_IDS, main as isingbell
+from isingbell.cli import REPRO_DATASETS, main as isingbell
 
 
 def run(argv: list[str]) -> None:
@@ -36,7 +36,7 @@ def parse_args() -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="repro_out", help="root output directory")
     parser.add_argument("--only", default=None,
-                        help=f"comma-separated subset of {','.join(REPRO_IDS)}")
+                        help=f"comma-separated subset of {','.join(REPRO_DATASETS)}")
     parser.add_argument("--restarts", type=int, default=None,
                         help="override optimizer restarts for the heavy datasets")
     parser.add_argument("--segments", type=int, default=None)
@@ -46,20 +46,19 @@ def parse_args() -> argparse.Namespace:
 
 def main() -> None:
     args = parse_args()
-    ids = args.only.split(",") if args.only else list(REPRO_IDS)
-    unknown = sorted(set(ids) - set(REPRO_IDS))
+    ids = args.only.split(",") if args.only else list(REPRO_DATASETS)
+    unknown = sorted(set(ids) - set(REPRO_DATASETS))
     if unknown:
         sys.exit(f"unknown dataset ids: {', '.join(unknown)}")
 
     out_root = Path(args.out)
-    optimizer_backed = {"fig2", "fig3a", "fig3b", "fig4c"}
     for dataset in ids:
         argv = ["repro", dataset, "--out", str(out_root / dataset)]
-        if dataset in optimizer_backed:
-            for flag in ("restarts", "segments", "seed"):
-                value = getattr(args, flag)
-                if value is not None:
-                    argv += [f"--{flag}", str(value)]
+        _, params = REPRO_DATASETS[dataset]
+        for flag in ("restarts", "segments", "seed"):
+            value = getattr(args, flag)
+            if value is not None and flag in params:
+                argv += [f"--{flag}", str(value)]
         t0 = time.perf_counter()
         run(argv)
         print(f"[{dataset}] done in {time.perf_counter() - t0:.1f} s\n")

@@ -4,14 +4,21 @@ Subcommands map one-to-one onto the library surface (tqd, simulate,
 optimize, sweep-detuning, sweep-duration, evaluate-series, limit) plus
 ``repro`` which regenerates a named benchmark dataset end to end.
 
-Configuration precedence is flags > JSON config file > built-in defaults;
-the fully resolved configuration, experiment id and output directory
-included, is echoed to stdout and embedded in every artifact, so passing it
-back with ``--config`` replays the run exactly.  No command takes an RK4
-step count: ``propagator._auto_steps`` picks it, and the ``tqd`` and
-``simulate`` summaries record it.  Exit codes: 0 ok, 2 invalid
-usage/parameters, 3 numeric failure (norm drift, no convergence, infeasible
-series).
+Each command's parameters are declared once, as ``{parameter: default}``
+in ``COMMANDS`` (and each ``repro`` dataset's in ``REPRO_DATASETS``).
+Every parameter is both a flag and a config key of its default's type: a
+float, an int, a list of numbers (a comma-separated flag), a bool (a
+``--x/--no-x`` switch), a tuple of choices whose first entry is the default
+(``--help`` lists them), or None for an optional path.  Configuration
+precedence is flags > JSON config file > defaults; the fully resolved
+configuration, experiment id and output directory included, is echoed to
+stdout and embedded in every artifact, so passing it back with ``--config``
+replays the run exactly.  A flag the run does not read (one of another
+``repro`` dataset, or one ``optimize`` ignores in its mode) is a usage
+error.  No command takes an RK4 step count: ``propagator._auto_steps``
+picks it, and the ``tqd`` and ``simulate`` summaries record it.  Exit
+codes: 0 ok, 2 invalid usage/parameters, 3 numeric failure (norm drift, no
+convergence, infeasible series).
 """
 
 from __future__ import annotations
@@ -68,10 +75,11 @@ from .optimize import (
     write_sweep_csv,
 )
 
-REPRO_IDS = ("fig1b", "fig2", "fig3a", "fig3b", "fig4c", "table1")
-#: integer flags of ``repro``; each dataset takes only those in its defaults
-REPRO_FLAGS = ("segments", "restarts", "seed")
 DEFAULT_OUT = "isingbell_out"
+#: the detuning grid of ``sweep-detuning`` and ``repro fig3a``
+_DELTA_GRID = [round(x, 10) for x in np.linspace(-0.5, 0.5, 21)]
+#: the duration grid of ``sweep-duration`` and ``repro fig3b``
+_DURATION_GRID = [round(x, 10) for x in np.arange(1.0, 3.7, 0.2)]
 
 
 def _is_number(value) -> bool:
@@ -80,19 +88,24 @@ def _is_number(value) -> bool:
 
 def _check_config_value(key: str, value, default) -> None:
     """A config-file value must be JSON of its key's type: a number for a
-    float, an integer for an int, a list of numbers for a list; null only
-    where the default is None (``series``, otherwise a path string)."""
-    if value is None and default is None:
-        return
-    want = str if default is None else type(default)
-    if want is float:
-        ok = _is_number(value)
-    elif want is list:
-        ok = isinstance(value, list) and all(_is_number(v) for v in value)
+    float, an integer for an int, a list of numbers for a list, one of the
+    choices for a tuple; null only where the default is None (``series``,
+    otherwise a path string)."""
+    if isinstance(default, tuple):
+        ok, want = value in default, "one of " + ", ".join(default)
     else:
-        ok = type(value) is want
+        want = str if default is None else type(default)
+        if value is None and default is None:
+            ok = True
+        elif want is float:
+            ok = _is_number(value)
+        elif want is list:
+            ok = isinstance(value, list) and all(_is_number(v) for v in value)
+        else:
+            ok = type(value) is want
+        want = f"of type {want.__name__}"
     if not ok:
-        raise ValueError(f"config key {key!r} must be of type {want.__name__}, got {json.dumps(value)}")
+        raise ValueError(f"config key {key!r} must be {want}, got {json.dumps(value)}")
 
 
 def _read_config(path: str, name: str, defaults: dict) -> dict:
@@ -114,22 +127,30 @@ def _read_config(path: str, name: str, defaults: dict) -> dict:
     return file_cfg
 
 
-def _experiment(args: argparse.Namespace, name: str, defaults: dict) -> tuple[dict, Path]:
-    """The resolved configuration (experiment id, output directory and every
-    parameter; flags > config file > defaults), echoed to stdout, and the
-    created output directory."""
-    config = {"experiment": name, "out": DEFAULT_OUT, **defaults}
+def _resolve(args: argparse.Namespace, name: str, defaults: dict) -> dict:
+    """The configuration of a run: experiment id, output directory and every
+    parameter (flags > config file > defaults), each of its default's type."""
+    config = {"experiment": name, "out": DEFAULT_OUT}
+    config.update((key, d[0] if isinstance(d, tuple) else d) for key, d in defaults.items())
     if args.config:
         config.update(_read_config(args.config, name, defaults))
     for key in ("out", *defaults):
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            config[key] = val
-    out = Path(config["out"] or DEFAULT_OUT)
-    out.mkdir(parents=True, exist_ok=True)
-    config["out"] = str(out)
-    print("config: " + json.dumps(config, sort_keys=True))
-    return config, out
+        if getattr(args, key) is not None:
+            config[key] = getattr(args, key)
+    for key, default in defaults.items():  # a JSON integer where a float is due becomes a float
+        if isinstance(default, float):
+            config[key] = float(config[key])
+        elif isinstance(default, list):
+            config[key] = [float(v) for v in config[key]]
+    return config
+
+
+def _reject_flags(args: argparse.Namespace, ignored, label: str) -> None:
+    """A flag given on the command line that the run does not read is a
+    usage error."""
+    for key in ignored:
+        if getattr(args, key) is not None:
+            raise ValueError(f"{label} takes no --{key}")
 
 
 def _floats(text: str) -> list[float]:
@@ -159,121 +180,73 @@ def _best_cell(cells):
 # subcommand implementations
 
 
-def cmd_tqd(args: argparse.Namespace) -> int:
-    defaults = {"kind": SYMMETRIC, "e": 0.1, "T": 10.0}
-    cfg, out = _experiment(args, "tqd", defaults)
-    spec = ShortcutSpec(kind=cfg["kind"], e=float(cfg["e"]), T=float(cfg["T"]))
-    wf = shortcut_waveform(spec)
+def cmd_tqd(cfg: dict, out: Path) -> None:
+    """propagate the shortcut drive and record the trajectory"""
+    wf = shortcut_waveform(ShortcutSpec(kind=cfg["kind"], e=cfg["e"], T=cfg["T"]))
     traj = propagate(wf, TripletAmplitudes.spin_down())
     write_waveform_csv(wf, out / "tqd_waveform.csv", config=cfg)
     write_trajectory_csv(traj, out / "tqd_trajectory.csv", config=cfg)
     _write_summary(out / "tqd_summary.json", cfg, traj)
-    return 0
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    defaults = {"T": 2.5, "delta": 0.0, "omega": 1.0, "method": "rk4"}
-    cfg, out = _experiment(args, "simulate", defaults)
-    wf = ControlWaveform.piecewise_constant(float(cfg["T"]), [float(cfg["omega"])], delta=float(cfg["delta"]))
+def cmd_simulate(cfg: dict, out: Path) -> None:
+    """propagate constant controls"""
+    wf = ControlWaveform.piecewise_constant(cfg["T"], [cfg["omega"]], delta=cfg["delta"])
     traj = propagate(wf, TripletAmplitudes.spin_down(), method=cfg["method"])
     write_trajectory_csv(traj, out / "simulate_trajectory.csv", config=cfg)
     _write_summary(out / "simulate_summary.json", cfg, traj)
-    return 0
 
 
-def cmd_optimize(args: argparse.Namespace) -> int:
-    defaults = {
-        "mode": "piecewise",
-        "T": 2.5,
-        "delta": 0.0,
-        "joint": False,
-        "p": 3,
-        "segments": DEFAULT_SEGMENTS,
-        "restarts": DEFAULT_RESTARTS,
-        "seed": DEFAULT_SEED,
-    }
-    cfg, out = _experiment(args, "optimize", defaults)
+def _optimize_ignores(cfg: dict) -> tuple[str, tuple[str, ...]]:
+    """The mode of a resolved ``optimize`` configuration and the parameters
+    it does not read."""
     if cfg["mode"] == "piecewise":
-        problem = ControlProblem(T=float(cfg["T"]), delta_value=float(cfg["delta"]), segments=int(cfg["segments"]))
-        report = optimize_piecewise(problem, restarts=int(cfg["restarts"]), seed=int(cfg["seed"]))
+        return "--mode piecewise", ("p", "joint")
+    return ("--mode trig --joint", ("delta",)) if cfg["joint"] else ("--mode trig", ())
+
+
+def cmd_optimize(cfg: dict, out: Path) -> None:
+    """optimize bounded controls for the Bell transfer"""
+    if cfg["mode"] == "piecewise":
+        problem = ControlProblem(T=cfg["T"], delta_value=cfg["delta"], segments=cfg["segments"])
+        report = optimize_piecewise(problem, restarts=cfg["restarts"], seed=cfg["seed"])
         print(f"fidelity: {report.fidelity:.12g}  saturation: {saturation_fraction(report.waveform):.4f}")
-    elif cfg["mode"] == "trig":
-        mode = "trig-series" if cfg["joint"] else "fixed"
-        problem = ControlProblem(
-            T=float(cfg["T"]), delta_mode=mode, delta_value=float(cfg["delta"]), segments=int(cfg["segments"])
-        )
-        report = optimize_trig(problem, p=int(cfg["p"]), restarts=int(cfg["restarts"]), seed=int(cfg["seed"]))
-        print(f"fidelity: {report.fidelity:.12g}")
     else:
-        raise ValueError(f"mode must be 'piecewise' or 'trig', got {cfg['mode']!r}")
+        mode = "trig-series" if cfg["joint"] else "fixed"
+        problem = ControlProblem(T=cfg["T"], delta_mode=mode, delta_value=cfg["delta"], segments=cfg["segments"])
+        report = optimize_trig(problem, p=cfg["p"], restarts=cfg["restarts"], seed=cfg["seed"])
+        print(f"fidelity: {report.fidelity:.12g}")
     write_report_json(report, out / "optimize_report.json", config=cfg)
     write_waveform_csv(report.waveform, out / "optimize_waveform.csv", config=cfg)
-    return 0
 
 
-def cmd_sweep_detuning(args: argparse.Namespace) -> int:
-    defaults = {
-        "T": [2.5],
-        "deltas": [round(x, 10) for x in np.linspace(-0.5, 0.5, 21)],
-        "segments": DEFAULT_SEGMENTS,
-        "restarts": 2,
-        "seed": DEFAULT_SEED,
-    }
-    cfg, out = _experiment(args, "sweep-detuning", defaults)
+def cmd_sweep_detuning(cfg: dict, out: Path) -> None:
+    """best fidelity over a constant-detuning grid"""
     cells = sweep_detuning(
-        [float(t) for t in cfg["T"]],
-        [float(d) for d in cfg["deltas"]],
-        restarts=int(cfg["restarts"]),
-        seed=int(cfg["seed"]),
-        segments=int(cfg["segments"]),
+        cfg["T"], cfg["deltas"], restarts=cfg["restarts"], seed=cfg["seed"], segments=cfg["segments"]
     )
     write_sweep_csv(cells, out / "sweep_detuning.csv", config=cfg)
     best = _best_cell(cells)
     print(f"best: T={best.T:g} delta={best.delta:g} fidelity={best.fidelity:.12g}")
-    return 0
 
 
-def cmd_sweep_duration(args: argparse.Namespace) -> int:
-    defaults = {
-        "delta": 0.0,
-        "T": [round(x, 10) for x in np.arange(1.0, 3.7, 0.2)],
-        "segments": DEFAULT_SEGMENTS,
-        "restarts": 2,
-        "seed": DEFAULT_SEED,
-    }
-    cfg, out = _experiment(args, "sweep-duration", defaults)
-    cells = sweep_duration(
-        float(cfg["delta"]),
-        [float(t) for t in cfg["T"]],
-        restarts=int(cfg["restarts"]),
-        seed=int(cfg["seed"]),
-        segments=int(cfg["segments"]),
-    )
+def cmd_sweep_duration(cfg: dict, out: Path) -> None:
+    """best fidelity against duration at fixed detuning"""
+    cells = sweep_duration(cfg["delta"], cfg["T"], restarts=cfg["restarts"], seed=cfg["seed"], segments=cfg["segments"])
     write_sweep_csv(cells, out / "sweep_duration.csv", config=cfg)
     for c in cells:
         print(f"T={c.T:g} fidelity={c.fidelity:.12g}" + (f"  [{c.error}]" if c.error else ""))
-    return 0
 
 
-def cmd_evaluate_series(args: argparse.Namespace) -> int:
-    defaults = {"series": None, "T": 2.5, "convention": CONVENTION_XI}
-    cfg, out = _experiment(args, "evaluate-series", defaults)
+def cmd_evaluate_series(cfg: dict, out: Path) -> None:
+    """propagate a trigonometric series from a JSON file"""
     if cfg["series"] is None:
         series = TrigSeries(p=3, a=np.array(BENCHMARK_SERIES_T25_A), b=np.array(BENCHMARK_SERIES_T25_B))
     else:
         series = read_series_json(cfg["series"])
-    fid = evaluate_series(series, float(cfg["T"]), convention=cfg["convention"])
-    write_json(
-        out / "series_eval.json",
-        {"config": cfg, "series": series.to_dict(), "fidelity": fid},
-    )
+    fid = evaluate_series(series, cfg["T"], convention=cfg["convention"])
+    write_json(out / "series_eval.json", {"config": cfg, "series": series.to_dict(), "fidelity": fid})
     print(f"fidelity: {fid:.12g}")
-    return 0
-
-
-def cmd_limit(args: argparse.Namespace) -> int:
-    print(f"{short_time_fidelity_limit():.12f}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -282,15 +255,9 @@ def cmd_limit(args: argparse.Namespace) -> int:
 
 def _repro_fig1b(cfg: dict, out: Path) -> None:
     t_grid = np.geomspace(0.01, 15.0, 100)
-    sym = tqd_fidelity_curve(SYMMETRIC, float(cfg["e"]), t_grid)
-    non = tqd_fidelity_curve(NONSYMMETRIC, float(cfg["e"]), t_grid)
-    write_fidelity_curve_csv(
-        out / "fig1b.csv",
-        t_grid,
-        [f for _, f in sym],
-        [f for _, f in non],
-        config=cfg,
-    )
+    sym = tqd_fidelity_curve(SYMMETRIC, cfg["e"], t_grid)
+    non = tqd_fidelity_curve(NONSYMMETRIC, cfg["e"], t_grid)
+    write_fidelity_curve_csv(out / "fig1b.csv", t_grid, [f for _, f in sym], [f for _, f in non], config=cfg)
     print(f"fidelity at T={t_grid[0]:g}: {sym[0][1]:.6f} (sym) {non[0][1]:.6f} (non); limit {short_time_fidelity_limit():.6f}")
     print(f"fidelity at T={t_grid[-1]:g}: {sym[-1][1]:.6f} (sym) {non[-1][1]:.6f} (non)")
 
@@ -298,8 +265,8 @@ def _repro_fig1b(cfg: dict, out: Path) -> None:
 def _repro_fig2(cfg: dict, out: Path) -> None:
     rows = []
     for t_tot in (2.0, 2.5, 3.0, 3.6):
-        problem = ControlProblem(T=t_tot, segments=int(cfg["segments"]))
-        rep = optimize_piecewise(problem, restarts=int(cfg["restarts"]), seed=int(cfg["seed"]))
+        problem = ControlProblem(T=t_tot, segments=cfg["segments"])
+        rep = optimize_piecewise(problem, restarts=cfg["restarts"], seed=cfg["seed"])
         write_report_json(rep, out / f"fig2_T{t_tot:g}.json", config=cfg)
         rows.append((t_tot, rep.fidelity, saturation_fraction(rep.waveform)))
         print(f"T={t_tot:g}: fidelity={rep.fidelity:.12g} saturation={rows[-1][2]:.4f}")
@@ -307,21 +274,17 @@ def _repro_fig2(cfg: dict, out: Path) -> None:
 
 
 def _repro_fig3a(cfg: dict, out: Path) -> None:
-    deltas = [round(x, 10) for x in np.linspace(-0.5, 0.5, 21)]
-    cells = sweep_detuning(
-        [2.5], deltas, restarts=int(cfg["restarts"]), seed=int(cfg["seed"]), segments=int(cfg["segments"])
-    )
+    cells = sweep_detuning([2.5], _DELTA_GRID, restarts=cfg["restarts"], seed=cfg["seed"], segments=cfg["segments"])
     write_sweep_csv(cells, out / "fig3a.csv", config=cfg)
     best = _best_cell(cells)
     print(f"best delta={best.delta:g} fidelity={best.fidelity:.12g}")
 
 
 def _repro_fig3b(cfg: dict, out: Path) -> None:
-    t_grid = [round(x, 10) for x in np.arange(1.0, 3.7, 0.2)]
     all_cells = []
     for dval in (0.0, -0.11):
         cells = sweep_duration(
-            dval, t_grid, restarts=int(cfg["restarts"]), seed=int(cfg["seed"]), segments=int(cfg["segments"])
+            dval, _DURATION_GRID, restarts=cfg["restarts"], seed=cfg["seed"], segments=cfg["segments"]
         )
         all_cells.extend(cells)
         reach = next((c.T for c in cells if c.error is None and c.fidelity >= 0.999), None)
@@ -330,8 +293,8 @@ def _repro_fig3b(cfg: dict, out: Path) -> None:
 
 
 def _repro_fig4c(cfg: dict, out: Path) -> None:
-    problem = ControlProblem(T=2.5, delta_mode="trig-series", segments=int(cfg["segments"]))
-    reports = trig_harmonic_scan(problem, [1, 2, 3, 5], restarts=int(cfg["restarts"]), seed=int(cfg["seed"]))
+    problem = ControlProblem(T=2.5, delta_mode="trig-series", segments=cfg["segments"])
+    reports = trig_harmonic_scan(problem, [1, 2, 3, 5], restarts=cfg["restarts"], seed=cfg["seed"])
     columns = [[rep.series.p for rep in reports], [rep.fidelity for rep in reports]]
     write_csv(out / "fig4c.csv", ("p", "fidelity"), columns, cfg)
     for rep in reports:
@@ -343,43 +306,105 @@ def _repro_table1(cfg: dict, out: Path) -> None:
     series = TrigSeries(p=3, a=np.array(BENCHMARK_SERIES_T25_A), b=np.array(BENCHMARK_SERIES_T25_B))
     results = {conv: evaluate_series(series, 2.5, convention=conv) for conv in (CONVENTION_XI, CONVENTION_PERIOD)}
     succeeded = [conv for conv, fid in results.items() if fid >= 0.99]
-    write_series_json(
-        series,
-        out / "table1.json",
-        extra={
-            "config": cfg,
-            "T": 2.5,
-            "fidelity": results,
-            "convention_succeeded": succeeded,
-        },
-    )
+    extra = {"config": cfg, "T": 2.5, "fidelity": results, "convention_succeeded": succeeded}
+    write_series_json(series, out / "table1.json", extra=extra)
     for conv, fid in results.items():
         print(f"{conv}: fidelity={fid:.12g}")
     print(f"convention succeeded: {', '.join(succeeded) if succeeded else 'none'}")
 
 
-def cmd_repro(args: argparse.Namespace) -> int:
-    runners = {
-        "fig1b": (_repro_fig1b, {"e": 0.1}),
-        "fig2": (_repro_fig2, {"segments": DEFAULT_SEGMENTS, "restarts": DEFAULT_RESTARTS, "seed": DEFAULT_SEED}),
-        "fig3a": (_repro_fig3a, {"segments": DEFAULT_SEGMENTS, "restarts": 2, "seed": DEFAULT_SEED}),
-        "fig3b": (_repro_fig3b, {"segments": DEFAULT_SEGMENTS, "restarts": 2, "seed": DEFAULT_SEED}),
-        "fig4c": (_repro_fig4c, {"segments": DEFAULT_SEGMENTS, "restarts": 2, "seed": DEFAULT_SEED}),
-        "table1": (_repro_table1, {}),
-    }
-    if args.id not in runners:
-        raise ValueError(f"unknown reproduction id {args.id!r}; choose from {', '.join(REPRO_IDS)}")
-    runner, defaults = runners[args.id]
-    for flag in REPRO_FLAGS:
-        if getattr(args, flag) is not None and flag not in defaults:
-            raise ValueError(f"repro {args.id} takes no --{flag}")
-    cfg, out = _experiment(args, f"repro-{args.id}", defaults)
-    runner(cfg, out)
-    return 0
+# ---------------------------------------------------------------------------
+# parameter tables: every flag, config key and type comes from these
+
+#: the optimizer's parameters; sweeps take 2 restarts, single optima DEFAULT_RESTARTS
+_OPTIMIZER = {"segments": DEFAULT_SEGMENTS, "restarts": 2, "seed": DEFAULT_SEED}
+
+COMMANDS = {
+    "tqd": (cmd_tqd, {"kind": KINDS, "e": 0.1, "T": 10.0}),
+    "simulate": (cmd_simulate, {"T": 2.5, "delta": 0.0, "omega": 1.0, "method": ("rk4", "piecewise-exponential")}),
+    "optimize": (
+        cmd_optimize,
+        {"mode": ("piecewise", "trig"), "T": 2.5, "delta": 0.0, "joint": False, "p": 3,
+         **_OPTIMIZER, "restarts": DEFAULT_RESTARTS},
+    ),
+    "sweep-detuning": (cmd_sweep_detuning, {"T": [2.5], "deltas": _DELTA_GRID, **_OPTIMIZER}),
+    "sweep-duration": (cmd_sweep_duration, {"delta": 0.0, "T": _DURATION_GRID, **_OPTIMIZER}),
+    "evaluate-series": (
+        cmd_evaluate_series, {"series": None, "T": 2.5, "convention": (CONVENTION_XI, CONVENTION_PERIOD)}
+    ),
+}
+
+REPRO_DATASETS = {
+    "fig1b": (_repro_fig1b, {"e": 0.1}),
+    "fig2": (_repro_fig2, {**_OPTIMIZER, "restarts": DEFAULT_RESTARTS}),
+    "fig3a": (_repro_fig3a, _OPTIMIZER),
+    "fig3b": (_repro_fig3b, _OPTIMIZER),
+    "fig4c": (_repro_fig4c, _OPTIMIZER),
+    "table1": (_repro_table1, {}),
+}
+#: the flags of ``repro``: every dataset's parameters
+_REPRO_PARAMS = {key: default for _, params in REPRO_DATASETS.values() for key, default in params.items()}
+
+_HELP = {
+    ("tqd", "e"): "envelope amplitude",
+    ("tqd", "T"): "duration",
+    ("optimize", "delta"): "fixed detuning value",
+    ("optimize", "joint"): "optimize delta as a series too (trig mode)",
+    ("optimize", "p"): "harmonic count (trig mode)",
+    ("sweep-detuning", "T"): "comma-separated durations",
+    ("sweep-detuning", "deltas"):
+        "comma-separated detuning grid; write --deltas=-0.2,0,0.2 when the first entry is negative",
+    ("sweep-duration", "T"): "comma-separated ascending durations",
+    ("evaluate-series", "series"): "JSON file {p, a, b}; defaults to the built-in T=2.5 benchmark",
+}
+
+
+def _run(args: argparse.Namespace) -> None:
+    """Resolve a run's configuration, reject the flags it does not read,
+    echo the configuration and run the command in its output directory."""
+    if args.command == "repro":
+        if args.id not in REPRO_DATASETS:
+            raise ValueError(f"unknown reproduction id {args.id!r}; choose from {', '.join(REPRO_DATASETS)}")
+        func, defaults = REPRO_DATASETS[args.id]
+        _reject_flags(args, [key for key in _REPRO_PARAMS if key not in defaults], f"repro {args.id}")
+        cfg = _resolve(args, f"repro-{args.id}", defaults)
+    else:
+        func, defaults = COMMANDS[args.command]
+        cfg = _resolve(args, args.command, defaults)
+        if args.command == "optimize":
+            mode, ignored = _optimize_ignores(cfg)
+            _reject_flags(args, ignored, f"optimize {mode}")
+    out = Path(cfg["out"] or DEFAULT_OUT)
+    out.mkdir(parents=True, exist_ok=True)
+    cfg["out"] = str(out)
+    print("config: " + json.dumps(cfg, sort_keys=True))
+    func(cfg, out)
+
+
+def cmd_limit(args: argparse.Namespace) -> None:
+    print(f"{short_time_fidelity_limit():.12f}")
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _add_parameters(sp: argparse.ArgumentParser, command: str, params: dict) -> None:
+    """One flag per parameter, parsed as its default's type, then ``--out``
+    and ``--config``."""
+    for key, default in params.items():
+        if isinstance(default, bool):
+            kind = {"action": argparse.BooleanOptionalAction}
+        elif isinstance(default, tuple):
+            kind = {"choices": default}
+        elif isinstance(default, list):
+            kind = {"type": _floats}
+        else:
+            kind = {} if default is None else {"type": type(default)}
+        sp.add_argument(f"--{key}", help=_HELP.get((command, key)), **kind)
+    sp.add_argument("--out", help=f"output directory (default ./{DEFAULT_OUT})")
+    sp.add_argument("--config", help="JSON config file; flags override its entries")
+    sp.set_defaults(func=_run)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,74 +413,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bell-state generation in an Ising spin pair: shortcut and optimal-control experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--out", help=f"output directory (default ./{DEFAULT_OUT})")
-        sp.add_argument("--config", help="JSON config file; flags override its entries")
-
-    sp = sub.add_parser("tqd", help="propagate the shortcut drive and record the trajectory")
-    sp.add_argument("--kind", choices=KINDS)
-    sp.add_argument("--e", type=float, help="envelope amplitude")
-    sp.add_argument("--T", type=float, help="duration")
-    common(sp)
-    sp.set_defaults(func=cmd_tqd)
-
-    sp = sub.add_parser("simulate", help="propagate constant controls")
-    sp.add_argument("--T", type=float)
-    sp.add_argument("--delta", type=float)
-    sp.add_argument("--omega", type=float)
-    sp.add_argument("--method", choices=("rk4", "piecewise-exponential"))
-    common(sp)
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("optimize", help="optimize bounded controls for the Bell transfer")
-    sp.add_argument("--mode", choices=("piecewise", "trig"))
-    sp.add_argument("--T", type=float)
-    sp.add_argument("--delta", type=float, help="fixed detuning value")
-    sp.add_argument("--joint", action=argparse.BooleanOptionalAction, help="optimize delta as a series too (trig mode)")
-    sp.add_argument("--p", type=int, help="harmonic count (trig mode)")
-    sp.add_argument("--segments", type=int)
-    sp.add_argument("--restarts", type=int)
-    sp.add_argument("--seed", type=int)
-    common(sp)
-    sp.set_defaults(func=cmd_optimize)
-
-    sp = sub.add_parser("sweep-detuning", help="best fidelity over a constant-detuning grid")
-    sp.add_argument("--T", type=_floats, help="comma-separated durations")
-    sp.add_argument("--deltas", type=_floats,
-                    help="comma-separated detuning grid; write --deltas=-0.2,0,0.2 when the first entry is negative")
-    sp.add_argument("--segments", type=int)
-    sp.add_argument("--restarts", type=int)
-    sp.add_argument("--seed", type=int)
-    common(sp)
-    sp.set_defaults(func=cmd_sweep_detuning)
-
-    sp = sub.add_parser("sweep-duration", help="best fidelity against duration at fixed detuning")
-    sp.add_argument("--delta", type=float)
-    sp.add_argument("--T", type=_floats, help="comma-separated ascending durations")
-    sp.add_argument("--segments", type=int)
-    sp.add_argument("--restarts", type=int)
-    sp.add_argument("--seed", type=int)
-    common(sp)
-    sp.set_defaults(func=cmd_sweep_duration)
-
-    sp = sub.add_parser("evaluate-series", help="propagate a trigonometric series from a JSON file")
-    sp.add_argument("--series", help="JSON file {p, a, b}; defaults to the built-in T=2.5 benchmark")
-    sp.add_argument("--T", type=float)
-    sp.add_argument("--convention", choices=(CONVENTION_XI, CONVENTION_PERIOD))
-    common(sp)
-    sp.set_defaults(func=cmd_evaluate_series)
-
-    sp = sub.add_parser("limit", help="print the short-time fidelity ceiling of the shortcut")
-    sp.set_defaults(func=cmd_limit)
-
+    for command, (func, params) in COMMANDS.items():
+        _add_parameters(sub.add_parser(command, help=func.__doc__), command, params)
+    sub.add_parser("limit", help="print the short-time fidelity ceiling of the shortcut").set_defaults(func=cmd_limit)
     sp = sub.add_parser("repro", help="regenerate a benchmark dataset")
-    sp.add_argument("id", help=f"one of {', '.join(REPRO_IDS)}")
-    for flag in REPRO_FLAGS:
-        sp.add_argument(f"--{flag}", type=int)
-    common(sp)
-    sp.set_defaults(func=cmd_repro)
-
+    sp.add_argument("id", help=f"one of {', '.join(REPRO_DATASETS)}")
+    _add_parameters(sp, "repro", _REPRO_PARAMS)
     return parser
 
 
@@ -466,7 +429,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse handles its own help/usage output
         return 0 if exc.code in (0, None) else 2
     try:
-        return int(args.func(args) or 0)
+        args.func(args)
+        return 0
     except (NonUnitaryDrift, NoConvergence, InfeasibleResult) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

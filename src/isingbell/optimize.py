@@ -311,6 +311,14 @@ def _exit_reason(info: dict) -> str:
     return "gradient" if "PROJECTED_GRADIENT" in task.upper().replace(" ", "_") else "ftol"
 
 
+def _random_starts(restarts: int, seed: int, size: int) -> list[np.ndarray]:
+    """``restarts`` seeded uniform random vectors in the box; none for 0."""
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
+    rng = np.random.default_rng(seed)
+    return [rng.uniform(-BOUND, BOUND, size=size) for _ in range(restarts)]
+
+
 # ---------------------------------------------------------------------------
 # piecewise-constant optimization
 
@@ -332,8 +340,7 @@ def optimize_piecewise(
     if problem.delta_mode != DELTA_FIXED:
         raise ValueError("optimize_piecewise requires delta_mode='fixed'")
     n = problem.segments
-    rng = np.random.default_rng(seed)
-    starts = [rng.uniform(-BOUND, BOUND, size=n) for _ in range(restarts)]
+    starts = _random_starts(restarts, seed, n)
     starts.append(np.full(n, BOUND))
     for x0 in extra_starts or ():
         x0 = np.asarray(x0, dtype=float)
@@ -489,9 +496,8 @@ def optimize_trig(
             grad[j] = m.T @ (-g + 2.0 * weight * viol * np.sign(v))
         return val, grad.ravel()
 
-    rng = np.random.default_rng(seed)
     # random starts are scaled down so the realized waveforms begin feasible
-    starts = [rng.uniform(-BOUND, BOUND, size=k * nc) / nc for _ in range(restarts)]
+    starts = [x / nc for x in _random_starts(restarts, seed, k * nc)]
     const = np.zeros(k * nc)
     const[0] = BOUND
     starts.append(const)

@@ -1,12 +1,18 @@
 """Command-line interface: exit codes, config resolution, artifacts."""
 
+import ast
 import json
+import re
 
 import numpy as np
 import pytest
 
 from isingbell.cli import main
 from isingbell.optimize import TrigSeries, write_series_json
+
+
+COMMANDS = ("tqd", "simulate", "optimize", "sweep-detuning", "sweep-duration", "evaluate-series")
+REPRO_IDS = ("fig1b", "fig2", "fig3a", "fig3b", "fig4c", "table1")
 
 
 def run(capsys, *argv):
@@ -88,7 +94,8 @@ class TestConfigResolution:
         ('{"T": null}', "T"),
         ('{"T": [1, 2]}', "T"),
         ('{"e": "x"}', "e"),
-    ], ids=["int", "null", "T-null", "T-list", "e-string"])
+        ('{"kind": "sideways"}', "kind"),
+    ], ids=["int", "null", "T-null", "T-list", "e-string", "kind-choice"])
     def test_malformed_config_is_usage_error(self, tmp_path, capsys, text, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
@@ -97,6 +104,41 @@ class TestConfigResolution:
         assert err.startswith("error: ")
         if key is not None:
             assert repr(key) in err
+
+    @pytest.mark.parametrize("command, text, key", [
+        ("optimize", '{"mode": "x"}', "mode"),
+        ("evaluate-series", '{"convention": "x"}', "convention"),
+    ], ids=["optimize-mode", "evaluate-series-convention"])
+    def test_choice_outside_its_choices_is_usage_error(self, tmp_path, capsys, command, text, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, stdout, err = run(capsys, command, "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert f"config key {key!r} must be one of" in err
+        # rejected before any work: no config echo, no output directory
+        assert stdout == "" and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", [(c,) for c in COMMANDS] + [("repro", r) for r in REPRO_IDS],
+                             ids=list(COMMANDS) + [f"repro-{r}" for r in REPRO_IDS])
+    def test_flags_are_the_config_keys(self, tmp_path, capsys, command):
+        """Every parameter is both a flag and a config key: the parser's
+        flags equal the keys a config file may set (the echoed config's keys
+        but ``experiment`` and ``out``); a ``repro`` flag of another dataset
+        is rejected."""
+        assert main([*command, "--help"]) == 0
+        flags = set(re.findall(r"^  --([\w-]+)", capsys.readouterr().out, re.M)) - {"out", "config"}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"banana": 1}')
+        code, _, err = run(capsys, *command, "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 2
+        keys = set(ast.literal_eval(err.split("expected a subset of ")[1].strip())) - {"experiment", "out"}
+        if command[0] != "repro":
+            assert flags == keys
+            return
+        assert keys <= flags
+        for flag in sorted(flags - keys):
+            code, _, err = run(capsys, *command, f"--{flag}", "1", "--out", str(tmp_path / "o"))
+            assert code == 2 and f"repro {command[1]} takes no --{flag}" in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "tqd", "--config", str(tmp_path / "nope.json"),
@@ -213,6 +255,36 @@ class TestOptimize:
         assert report["waveform"]["kind"] == "trig-series"
         assert len(report["waveform"]["coefficients"]["a"]) == 3
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--mode", "piecewise", "--p", "7"), "optimize --mode piecewise takes no --p"),
+        (("--mode", "piecewise", "--no-joint"), "optimize --mode piecewise takes no --joint"),
+        (("--mode", "trig", "--joint", "--delta", "0.7"), "optimize --mode trig --joint takes no --delta"),
+    ], ids=["piecewise-p", "piecewise-joint", "joint-delta"])
+    def test_flag_the_mode_does_not_read_is_usage_error(self, tmp_path, capsys, argv, message):
+        code, stdout, err = run(capsys, "optimize", *argv, "--T", "2", "--segments", "20",
+                                "--restarts", "0", "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert message in err
+        assert stdout == "" and not (tmp_path / "o").exists()
+
+    def test_config_keys_the_mode_does_not_read_are_kept(self, tmp_path, capsys):
+        # the echoed config holds every parameter, so a replayed file may set p in piecewise mode
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "piecewise", "p": 7, "joint": True, "T": 2}))
+        code, stdout, _ = run(capsys, "optimize", "--config", str(cfg), "--segments", "20",
+                              "--restarts", "0", "--out", str(tmp_path / "o"))
+        assert code == 0
+        assert config_line(stdout)["p"] == 7
+
+    @pytest.mark.parametrize("argv", [
+        ("optimize", "--T", "2", "--segments", "20", "--restarts", "-3"),
+        ("sweep-detuning", "--T", "2", "--deltas=0", "--segments", "20", "--restarts", "-1"),
+    ], ids=["optimize", "sweep-detuning"])
+    def test_negative_restarts_is_usage_error(self, tmp_path, capsys, argv):
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "restarts must be >= 0" in err
+
     def test_impossible_duration_exits_3(self, tmp_path, capsys):
         code, _, err = run(capsys, "optimize", "--T", "0.01", "--segments", "10",
                            "--restarts", "1", "--out", str(tmp_path / "o"))
@@ -314,6 +386,11 @@ class TestRepro:
         assert doc["fidelity"]["per-duration"] < 0.9
         assert doc["convention_succeeded"] == ["xi-units"]
         assert "convention succeeded: xi-units" in stdout
+
+    def test_fig1b_takes_e(self, tmp_path, capsys):
+        code, stdout, _ = run(capsys, "repro", "fig1b", "--e", "0.2", "--out", str(tmp_path / "o"))
+        assert code == 0
+        assert config_line(stdout)["e"] == 0.2
 
     def test_fig1b_curve(self, tmp_path, capsys):
         out = tmp_path / "o"

@@ -272,6 +272,14 @@ class TestOptimizePiecewise:
         assert neg_detuning_report.fidelity > fig2_reports[2.5].fidelity
 
 
+@pytest.mark.parametrize("optimizer, kwargs", [(optimize_piecewise, {}), (optimize_trig, {"p": 1})],
+                         ids=["piecewise", "trig"])
+def test_negative_restarts_rejected(optimizer, kwargs):
+    # zero restarts is valid (the constant start alone); below zero is a usage error
+    with pytest.raises(ValueError, match="restarts must be >= 0, got -1"):
+        optimizer(ControlProblem(T=2.0, segments=20), restarts=-1, seed=0, **kwargs)
+
+
 class TestSaturationFraction:
     def test_counts_segments_at_either_bound(self):
         wf = ControlWaveform.piecewise_constant(1.0, [1.0, -1.0, 0.5, 0.99951])
