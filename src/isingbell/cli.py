@@ -18,13 +18,16 @@ replays the run exactly.  A flag the run does not read (one of another
 error.  No command takes an RK4 step count: ``propagator._auto_steps``
 picks it, and the ``tqd`` and ``simulate`` summaries record it.  Exit
 codes: 0 ok, 2 invalid usage/parameters, 3 numeric failure (norm drift, no
-convergence, infeasible series).
+convergence, infeasible series), 141 when the reader of stdout closed it
+(128 + SIGPIPE).  A fixed-detuning series optimum carries its detuning as
+the constant term b[0] of its delta series, so its report replays alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -212,8 +215,9 @@ def cmd_optimize(cfg: dict, out: Path) -> None:
         report = optimize_piecewise(problem, restarts=cfg["restarts"], seed=cfg["seed"])
         print(f"fidelity: {report.fidelity:.12g}  saturation: {saturation_fraction(report.waveform):.4f}")
     else:
-        mode = "trig-series" if cfg["joint"] else "fixed"
-        problem = ControlProblem(T=cfg["T"], delta_mode=mode, delta_value=cfg["delta"], segments=cfg["segments"])
+        # joint mode shapes the detuning, so a configured constant one is not used
+        mode, delta = ("trig-series", 0.0) if cfg["joint"] else ("fixed", cfg["delta"])
+        problem = ControlProblem(T=cfg["T"], delta_mode=mode, delta_value=delta, segments=cfg["segments"])
         report = optimize_trig(problem, p=cfg["p"], restarts=cfg["restarts"], seed=cfg["seed"])
         print(f"fidelity: {report.fidelity:.12g}")
     write_report_json(report, out / "optimize_report.json", config=cfg)
@@ -430,7 +434,13 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         args.func(args)
+        sys.stdout.flush()
         return 0
+    except BrokenPipeError:
+        # the reader of stdout went away: point stdout at devnull so the
+        # flush at exit cannot fail again, and exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (NonUnitaryDrift, NoConvergence, InfeasibleResult) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

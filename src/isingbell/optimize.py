@@ -311,12 +311,32 @@ def _exit_reason(info: dict) -> str:
     return "gradient" if "PROJECTED_GRADIENT" in task.upper().replace(" ", "_") else "ftol"
 
 
-def _random_starts(restarts: int, seed: int, size: int) -> list[np.ndarray]:
-    """``restarts`` seeded uniform random vectors in the box; none for 0."""
+def _starts(
+    const: np.ndarray, restarts: int, seed: int, shrink: float, extra_starts: Sequence[np.ndarray] | None
+) -> list[np.ndarray]:
+    """Starts of a multi-start search: ``restarts`` seeded uniform random
+    vectors in the box divided by ``shrink``, then the constant start
+    ``const``, then ``extra_starts``, each of const's shape."""
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
     rng = np.random.default_rng(seed)
-    return [rng.uniform(-BOUND, BOUND, size=size) for _ in range(restarts)]
+    starts = [rng.uniform(-BOUND, BOUND, size=const.size) / shrink for _ in range(restarts)]
+    starts.append(const)
+    for x0 in extra_starts or ():
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape != const.shape:
+            raise ValueError(f"extra start must have shape {const.shape}")
+        starts.append(x0)
+    return starts
+
+
+def _check_useful(fid: float, problem: ControlProblem) -> None:
+    """A best fidelity at or below ``MIN_USEFUL_FIDELITY`` raises NoConvergence."""
+    if fid <= MIN_USEFUL_FIDELITY:
+        raise NoConvergence(
+            f"best fidelity {fid:.3e} <= {MIN_USEFUL_FIDELITY}; "
+            f"bounded controls cannot transfer in T={problem.T:g}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +360,7 @@ def optimize_piecewise(
     if problem.delta_mode != DELTA_FIXED:
         raise ValueError("optimize_piecewise requires delta_mode='fixed'")
     n = problem.segments
-    starts = _random_starts(restarts, seed, n)
-    starts.append(np.full(n, BOUND))
-    for x0 in extra_starts or ():
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (n,):
-            raise ValueError(f"extra start must have shape ({n},)")
-        starts.append(np.clip(x0, -BOUND, BOUND))
+    starts = _starts(np.full(n, BOUND), restarts, seed, 1.0, extra_starts)
 
     def objective(x):
         f, g = adjoint_gradient(problem, x)
@@ -356,7 +370,7 @@ def optimize_piecewise(
     for x0 in starts:
         x, negf, info = fmin_l_bfgs_b(
             objective,
-            x0,
+            np.clip(x0, -BOUND, BOUND),
             bounds=[(-BOUND, BOUND)] * n,
             m=10,
             factr=10.0,
@@ -370,11 +384,7 @@ def optimize_piecewise(
     x, fid, info = best
     x = np.clip(x, -BOUND, BOUND)  # exact box feasibility for the reported waveform
     fid, g = adjoint_gradient(problem, x)
-    if fid <= MIN_USEFUL_FIDELITY:
-        raise NoConvergence(
-            f"best fidelity {fid:.3e} <= {MIN_USEFUL_FIDELITY}; "
-            f"bounded controls cannot transfer in T={problem.T:g}"
-        )
+    _check_useful(fid, problem)
     waveform = ControlWaveform.piecewise_constant(problem.T, x, delta=problem.delta_value)
     return OptimizationReport(
         problem=problem,
@@ -422,20 +432,12 @@ def trig_basis(p: int, t: np.ndarray, T: float | None = None, convention: str = 
     return m
 
 
-def series_waveform(
-    series: TrigSeries,
-    T: float,
-    convention: str = CONVENTION_XI,
-    delta_fixed: float | None = None,
-) -> ControlWaveform:
-    """Waveform realized by a coefficient pair; ``delta_fixed`` overrides the
-    b-series with a constant detuning (fixed-delta trig problems)."""
+def series_waveform(series: TrigSeries, T: float, convention: str = CONVENTION_XI) -> ControlWaveform:
+    """Waveform realized by a coefficient pair: omega from ``a``, delta from ``b``."""
 
     def fn(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         m = trig_basis(series.p, ts, T=T, convention=convention)
-        omega = m @ series.a
-        delta = np.full(ts.size, delta_fixed) if delta_fixed is not None else m @ series.b
-        return delta, omega
+        return m @ series.b, m @ series.a
 
     return ControlWaveform(T, fn)
 
@@ -474,9 +476,9 @@ def optimize_trig(
     overshoots loses to every feasible one.  ``extra_starts`` takes vectors
     of the same layout, e.g. the zero-padded optimum of a lower harmonic
     count.  The search scores the series sampled at segment midpoints; the
-    reported fidelity is that of the smooth series waveform the report
-    ships (its RK4 propagation), which in fixed mode has b = 0 and the
-    fixed detuning.
+    reported fidelity is ``evaluate_series`` of the series the report
+    ships, which in fixed mode carries the fixed detuning as its constant
+    term b = [delta_value, 0, ..., 0].
     """
     k = _channels(problem)
     n = problem.segments
@@ -496,16 +498,10 @@ def optimize_trig(
             grad[j] = m.T @ (-g + 2.0 * weight * viol * np.sign(v))
         return val, grad.ravel()
 
-    # random starts are scaled down so the realized waveforms begin feasible
-    starts = [x / nc for x in _random_starts(restarts, seed, k * nc)]
     const = np.zeros(k * nc)
     const[0] = BOUND
-    starts.append(const)
-    for x0 in extra_starts or ():
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (k * nc,):
-            raise ValueError(f"extra start must have shape ({k * nc},)")
-        starts.append(x0)
+    # random starts are scaled down so the realized waveforms begin feasible
+    starts = _starts(const, restarts, seed, nc, extra_starts)
 
     best = None
     for x0 in starts:
@@ -536,23 +532,19 @@ def optimize_trig(
             best = (rank, channels, viol, nit, info)
 
     (_, fid), channels, viol, nit, info = best
-    if fid <= MIN_USEFUL_FIDELITY:
-        raise NoConvergence(
-            f"best fidelity {fid:.3e} <= {MIN_USEFUL_FIDELITY}; "
-            f"bounded controls cannot transfer in T={problem.T:g}"
-        )
+    _check_useful(fid, problem)
     if viol > TRIG_FEASIBILITY_TOL:
         raise InfeasibleResult(f"series overshoots bounds by {viol:.3e} after polishing")
 
-    fixed = problem.delta_mode == DELTA_FIXED
-    series = TrigSeries(p=p, a=channels[0], b=np.zeros(nc) if fixed else channels[1])
-    wf = series_waveform(series, problem.T, delta_fixed=problem.delta_value if fixed else None)
-    fid = fidelity(propagate(wf, TripletAmplitudes.spin_down()))
+    # a fixed detuning is the constant term of the delta series
+    b = channels[1] if k == 2 else np.concatenate([[problem.delta_value], np.zeros(nc - 1)])
+    series = TrigSeries(p=p, a=channels[0], b=b)
+    fid = evaluate_series(series, problem.T)
     _, g_last = objective(channels.ravel(), PENALTY_WEIGHTS[-1])
     return OptimizationReport(
         problem=problem,
-        waveform=wf,
-        fidelity=float(fid),
+        waveform=series_waveform(series, problem.T),
+        fidelity=fid,
         iterations=nit,
         grad_norm=float(np.max(np.abs(g_last))),
         restarts=restarts,
@@ -695,8 +687,6 @@ def adiabatic_baseline(T: float) -> ControlWaveform:
     comparison against the shortcut and optimal controls, not as a tuned
     benchmark.
     """
-    if not (math.isfinite(T) and T > 0.0):
-        raise ValueError(f"duration must be positive, got {T}")
 
     def fn(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ts = np.asarray(ts, dtype=float)

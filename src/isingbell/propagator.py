@@ -298,6 +298,16 @@ def _auto_steps(waveform: ControlWaveform) -> int:
     return steps
 
 
+def _rk4_states(waveform: ControlWaveform, builder: Callable, c0: np.ndarray) -> np.ndarray:
+    """RK4 history of ``c0`` over the waveform at the ``_auto_steps`` count,
+    each step frozen at the Hamiltonian ``builder(delta, omega)`` of its
+    midpoint controls (``model.hc_batch`` or ``model.h2_batch``)."""
+    n = _auto_steps(waveform)
+    dt = waveform.duration / n
+    d_mid, w_mid = waveform.sample((np.arange(n) + 0.5) * dt)
+    return rk4_evolve(builder(d_mid, w_mid), c0, dt)
+
+
 def propagate(waveform: ControlWaveform, c0: TripletAmplitudes, method: str = "rk4") -> Trajectory:
     """Integrate i dc/dt = H_c(t) c over the waveform from state ``c0``.
 
@@ -309,11 +319,8 @@ def propagate(waveform: ControlWaveform, c0: TripletAmplitudes, method: str = "r
     """
     c_init = c0.as_array()
     if method == "rk4":
-        n = _auto_steps(waveform)
-        dt = waveform.duration / n
-        t_mid = (np.arange(n) + 0.5) * dt
-        d_mid, w_mid = waveform.sample(t_mid)
-        states = rk4_evolve(hc_batch(d_mid, w_mid), c_init, dt)
+        states = _rk4_states(waveform, hc_batch, c_init)
+        n = states.shape[0] - 1
         times = np.linspace(0.0, waveform.duration, n + 1)
     elif method == "piecewise-exponential":
         if waveform.piece_omega is None:

@@ -34,14 +34,7 @@ import numpy as np
 
 from .artifacts import write_csv
 from .model import SQRT2, TripletAmplitudes, h2_batch
-from .propagator import (
-    ControlWaveform,
-    NonUnitaryDrift,
-    _auto_steps,
-    fidelity,
-    propagate,
-    rk4_evolve,
-)
+from .propagator import ControlWaveform, NonUnitaryDrift, _rk4_states, fidelity, propagate
 
 SYMMETRIC = "symmetric"
 NONSYMMETRIC = "nonsymmetric"
@@ -125,7 +118,8 @@ def _controls_arrays(s: np.ndarray, spec: ShortcutSpec) -> tuple[np.ndarray, np.
     s = np.asarray(s, dtype=float)
     th, d1, d2 = theta(s, spec.kind)
     e0, de0 = envelope(s, spec.e)
-    t_tot = spec.T
+    # np.float64, not float: a huge T**2 overflows to inf instead of raising
+    t_tot = np.float64(spec.T)
     thdot = d1 / t_tot
     thddot = d2 / t_tot**2
     e0dot = de0 / t_tot
@@ -200,11 +194,7 @@ def two_level_inversion(spec: ShortcutSpec) -> float:
     is 1 up to integrator error for any duration; only the three-level
     embedding degrades the transfer.  RK4 runs at ``propagate``'s step count.
     """
-    wf = shortcut_waveform(spec)
-    n = _auto_steps(wf)
-    dt = spec.T / n
-    d, w = wf.sample((np.arange(n) + 0.5) * dt)
-    psi = rk4_evolve(h2_batch(d, w), np.array([1.0 + 0.0j, 0.0j]), dt)
+    psi = _rk4_states(shortcut_waveform(spec), h2_batch, np.array([1.0 + 0.0j, 0.0j]))
     return float(np.abs(psi[-1, 1]) ** 2)
 
 

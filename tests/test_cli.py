@@ -2,11 +2,16 @@
 
 import ast
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import isingbell
 from isingbell.cli import main
 from isingbell.optimize import TrigSeries, write_series_json
 
@@ -223,7 +228,8 @@ class TestSimulate:
         ("tqd", "--e", "1e300", "--T", "1"),
         ("evaluate-series", "--series", "{series}"),
         ("tqd", "--T", "1e-200"),
-    ], ids=["simulate", "tqd", "evaluate-series", "tqd-short"])
+        ("tqd", "--T", "1e200"),
+    ], ids=["simulate", "tqd", "evaluate-series", "tqd-short", "tqd-long"])
     def test_pulse_too_strong_for_the_step_policy_is_usage_error(self, tmp_path, capsys, argv):
         series_path = tmp_path / "series.json"
         series_path.write_text('{"p": 0, "a": [1e308], "b": [0]}')
@@ -275,6 +281,18 @@ class TestOptimize:
                               "--restarts", "0", "--out", str(tmp_path / "o"))
         assert code == 0
         assert config_line(stdout)["p"] == 7
+
+    def test_joint_report_records_no_unused_detuning(self, tmp_path, capsys):
+        # joint mode shapes delta, so a config file's constant delta is echoed but not used
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta": 0.7}))
+        out = tmp_path / "o"
+        code, stdout, _ = run(capsys, "optimize", "--mode", "trig", "--joint", "--p", "1", "--T", "2.5",
+                              "--segments", "40", "--restarts", "0", "--config", str(cfg), "--out", str(out))
+        assert code == 0
+        report = json.loads((out / "optimize_report.json").read_text())
+        assert report["problem"]["delta_value"] == 0.0
+        assert config_line(stdout)["delta"] == report["config"]["delta"] == 0.7
 
     @pytest.mark.parametrize("argv", [
         ("optimize", "--T", "2", "--segments", "20", "--restarts", "-3"),
@@ -427,3 +445,18 @@ class TestOutputHygiene:
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exits_141_quietly(self, unbuffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(isingbell.__file__).parents[1]), env.get("PYTHONPATH", "")])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the child writes
+        try:
+            proc = subprocess.run([sys.executable, "-m", "isingbell", "limit"], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")

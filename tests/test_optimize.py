@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import BENCH_DURATIONS, DETUNING_GRID, chain_reference, gradient_fd_worst_rel
 from isingbell import optimize
+from isingbell.cli import main
 from isingbell.model import TripletAmplitudes, hc_batch
 from isingbell.optimize import (
     BENCHMARK_SERIES_T25_A,
@@ -258,11 +259,6 @@ class TestOptimizePiecewise:
         rep = optimize_piecewise(ControlProblem(T=0.1, segments=20), restarts=1, seed=0)
         assert rep.fidelity < 0.05
 
-    def test_extra_start_shape_checked(self):
-        with pytest.raises(ValueError, match="extra start"):
-            optimize_piecewise(ControlProblem(T=2.0, segments=50), restarts=0, seed=0,
-                               extra_starts=[np.zeros(7)])
-
     def test_rejects_trig_mode(self):
         with pytest.raises(ValueError):
             optimize_piecewise(ControlProblem(T=2.0, delta_mode="trig-series"))
@@ -278,6 +274,13 @@ def test_negative_restarts_rejected(optimizer, kwargs):
     # zero restarts is valid (the constant start alone); below zero is a usage error
     with pytest.raises(ValueError, match="restarts must be >= 0, got -1"):
         optimizer(ControlProblem(T=2.0, segments=20), restarts=-1, seed=0, **kwargs)
+
+
+@pytest.mark.parametrize("optimizer, kwargs", [(optimize_piecewise, {}), (optimize_trig, {"p": 1})],
+                         ids=["piecewise", "trig"])
+def test_extra_start_shape_checked(optimizer, kwargs):
+    with pytest.raises(ValueError, match="extra start"):
+        optimizer(ControlProblem(T=2.0, segments=50), restarts=0, seed=0, extra_starts=[np.zeros(7)], **kwargs)
 
 
 class TestSaturationFraction:
@@ -336,8 +339,8 @@ class TestSeriesEvaluation:
         assert evaluate_series(s, 2.5, convention=CONVENTION_PERIOD) < 0.9
 
     def test_fixed_delta_plumbs_through(self):
-        s = TrigSeries(p=0, a=[0.7], b=[0.0])
-        wf = series_waveform(s, 2.5, delta_fixed=-0.11)
+        s = TrigSeries(p=0, a=[0.7], b=[-0.11])
+        wf = series_waveform(s, 2.5)
         d, w = wf.sample(np.array([0.3, 1.9]))
         np.testing.assert_allclose(d, -0.11)
         np.testing.assert_allclose(w, 0.7)
@@ -399,10 +402,24 @@ class TestOptimizeTrig:
         reports = trig_harmonic_scan(problem, [0, 1, 2], restarts=1, seed=3)
         ts = np.linspace(0.0, 2.5, 11)
         for rep in reports:
-            assert not np.any(rep.series.b)
+            np.testing.assert_array_equal(rep.series.b, [-0.11] + [0.0] * 2 * rep.series.p)
             np.testing.assert_array_equal(rep.waveform.sample(ts)[0], -0.11)
+            assert evaluate_series(rep.series, 2.5) == rep.fidelity
         fids = [r.fidelity for r in reports]
         assert all(b >= a - 1e-9 for a, b in zip(fids, fids[1:])), fids
+
+    def test_fixed_detuning_report_replays_from_its_coefficients(self, tmp_path):
+        # as the benchmark's series check replays a report: from its JSON alone
+        out = tmp_path / "o"
+        argv = ["optimize", "--mode", "trig", "--p", "2", "--T", "2.5", "--delta", "-0.11",
+                "--segments", "60", "--restarts", "1", "--seed", "3", "--out", str(out)]
+        assert main(argv) == 0
+        report = json.loads((out / "optimize_report.json").read_text())
+        wf = report["waveform"]
+        series = TrigSeries(p=int(wf["p"]), a=np.asarray(wf["coefficients"]["a"], dtype=float),
+                            b=np.asarray(wf["coefficients"]["b"], dtype=float))
+        replay = evaluate_series(series, float(wf["T"]), convention=wf["convention"])
+        assert replay == report["fidelity"]
 
     def test_scan_requires_increasing_harmonics(self):
         problem = ControlProblem(T=2.5, delta_mode="trig-series")
