@@ -320,7 +320,7 @@ def _repro_table1(cfg: dict, out: Path) -> None:
 # ---------------------------------------------------------------------------
 # parameter tables: every flag, config key and type comes from these
 
-#: the optimizer's parameters; sweeps take 2 restarts, single optima DEFAULT_RESTARTS
+#: the optimizer's parameters; single optima take DEFAULT_RESTARTS random starts, sweeps 2 until a cell is solved
 _OPTIMIZER = {"segments": DEFAULT_SEGMENTS, "restarts": 2, "seed": DEFAULT_SEED}
 
 COMMANDS = {

@@ -105,18 +105,18 @@ class ControlProblem:
             raise ValueError(f"duration must be positive, got {self.T}")
         if self.delta_mode not in (DELTA_FIXED, DELTA_TRIG):
             raise ValueError(f"delta_mode must be {DELTA_FIXED!r} or {DELTA_TRIG!r}")
-        if not math.isfinite(self.delta_value):
-            raise ValueError("delta_value must be finite")
+        if not abs(self.delta_value) <= BOUND:
+            raise ValueError(f"delta_value must be finite and within [-{BOUND}, {BOUND}], got {self.delta_value}")
         if self.segments < MIN_SEGMENTS:
             raise ValueError(f"need at least {MIN_SEGMENTS} segments, got {self.segments}")
 
     def to_dict(self) -> dict:
         return {
             "T": self.T,
-            "omega_bounds": [-1.0, 1.0],
+            "omega_bounds": [-BOUND, BOUND],
             "delta_mode": self.delta_mode,
             "delta_value": self.delta_value,
-            "delta_bounds": [-1.0, 1.0],
+            "delta_bounds": [-BOUND, BOUND],
             "segments": self.segments,
             "objective": "final-bell-population",
         }
@@ -604,6 +604,35 @@ def _sweep_cell(
     return SweepCell(T=problem.T, delta=problem.delta_value, fidelity=rep.fidelity), rep.waveform.piece_omega
 
 
+def _sweep(problems: Sequence[ControlProblem], restarts: int, seed: int) -> list[SweepCell]:
+    """Solve the cells in (T, delta) order, so durations never shrink; return
+    them in the caller's order.  Only a cell with no solved predecessor draws
+    ``restarts`` random starts (seed + its index); the others start from the
+    constant start and the last solved optimum, padded onto their duration.
+    Idling costs nothing, so a cell ending over 1e-9 below the last solved
+    cell of its detuning is re-run at once with 2 * restarts random starts
+    (seed + 1000 + index) and keeps the better result.  A failed cell passes
+    nothing on.
+    """
+    cells: list[SweepCell | None] = [None] * len(problems)
+    floor: dict[float, float] = {}  # fidelity of the last solved cell per detuning
+    prev: tuple[np.ndarray, float] | None = None  # (omega, T) of the last solved cell
+    for i in sorted(range(len(problems)), key=lambda j: (problems[j].T, problems[j].delta_value)):
+        problem = problems[i]
+        extra = [_pad_resample(*prev, problem.T)] if prev else []
+        cell, omega = _sweep_cell(problem, 0 if prev else restarts, seed + i, extra)
+        if cell.fidelity + 1e-9 < floor.get(problem.delta_value, -math.inf):
+            rerun, rerun_omega = _sweep_cell(problem, 2 * restarts, seed + 1000 + i, extra)
+            # a failed rerun has fidelity NaN, so the first-pass cell stays
+            if rerun.fidelity > cell.fidelity:
+                cell, omega = rerun, rerun_omega
+        cells[i] = cell
+        if omega is not None:
+            floor[problem.delta_value] = cell.fidelity
+            prev = (omega, problem.T)
+    return cells
+
+
 def sweep_detuning(
     T_list: Sequence[float],
     delta_grid: Sequence[float],
@@ -611,20 +640,15 @@ def sweep_detuning(
     seed: int = DEFAULT_SEED,
     segments: int = DEFAULT_SEGMENTS,
 ) -> list[SweepCell]:
-    """optimize_piecewise on every (T, constant delta) pair.
-
-    Cells are independent (seeded seed + index) so failures don't stop the
-    sweep; they are recorded with fidelity NaN instead.
-    """
+    """Best piecewise fidelity on every (T, constant delta) pair, marched by
+    ``_sweep`` once every cell has passed its checks; a failed cell gets
+    fidelity NaN and the sweep goes on."""
     T_list = list(T_list)
     delta_grid = list(delta_grid)
     if not T_list or not delta_grid:
         raise ValueError("sweep grids must be non-empty")
-    cells = []
-    for idx, (t_tot, dval) in enumerate(itertools.product(T_list, delta_grid)):
-        problem = ControlProblem(T=t_tot, delta_value=dval, segments=segments)
-        cells.append(_sweep_cell(problem, restarts, seed + idx)[0])
-    return cells
+    problems = [ControlProblem(T=t, delta_value=d, segments=segments) for t, d in itertools.product(T_list, delta_grid)]
+    return _sweep(problems, restarts, seed)
 
 
 def _pad_resample(omega_prev: np.ndarray, T_prev: float, T_new: float) -> np.ndarray:
@@ -643,39 +667,14 @@ def sweep_duration(
     seed: int = DEFAULT_SEED,
     segments: int = DEFAULT_SEGMENTS,
 ) -> list[SweepCell]:
-    """Best piecewise fidelity against duration at a fixed detuning.
-
-    Idling costs nothing (omega = 0 leaves |c2| alone), so the true optimum
-    is non-decreasing in T; each cell therefore also starts from the previous
-    optimum padded with idle time, and any residual dip is re-optimized with
-    doubled restarts before being reported.
-    """
+    """Best piecewise fidelity against duration at a fixed detuning, marched
+    by ``_sweep``: idling costs nothing, so no cell may end below the one
+    before it."""
     T_grid = list(T_grid)
     if not T_grid or any(t <= 0 for t in T_grid) or any(b <= a for a, b in zip(T_grid, T_grid[1:])):
         raise ValueError("T_grid must be positive and strictly ascending")
-    cells: list[SweepCell] = []
-    best_omega: list[np.ndarray | None] = []
-    prev: tuple[np.ndarray, float] | None = None
-    for i, t_tot in enumerate(T_grid):
-        problem = ControlProblem(T=t_tot, delta_value=delta_fixed, segments=segments)
-        extra = [_pad_resample(prev[0], prev[1], t_tot)] if prev is not None else []
-        cell, omega = _sweep_cell(problem, restarts, seed + i, extra)
-        cells.append(cell)
-        best_omega.append(omega)
-        if omega is not None:
-            prev = (omega, t_tot)
-    # repair pass: a dip means a cell landed in a worse local optimum
-    for i in range(1, len(cells)):
-        if cells[i].error or cells[i - 1].error or cells[i].fidelity + 1e-9 >= cells[i - 1].fidelity:
-            continue
-        problem = ControlProblem(T=cells[i].T, delta_value=delta_fixed, segments=segments)
-        extra = [_pad_resample(best_omega[i - 1], cells[i - 1].T, cells[i].T)]
-        rerun, omega = _sweep_cell(problem, 2 * restarts, seed + 1000 + i, extra)
-        # a failed rerun has fidelity NaN, so the first-pass cell stays
-        if rerun.fidelity > cells[i].fidelity:
-            cells[i] = rerun
-            best_omega[i] = omega
-    return cells
+    problems = [ControlProblem(T=t_tot, delta_value=delta_fixed, segments=segments) for t_tot in T_grid]
+    return _sweep(problems, restarts, seed)
 
 
 def adiabatic_baseline(T: float) -> ControlWaveform:

@@ -303,6 +303,20 @@ class TestOptimize:
         assert code == 2
         assert "restarts must be >= 0" in err
 
+    @pytest.mark.parametrize("argv, artifact", [
+        (("optimize", "--T", "2.5", "--delta", "5"), "optimize_report.json"),
+        (("sweep-detuning", "--T", "2.5", "--deltas=0,5"), "sweep_detuning.csv"),
+    ], ids=["optimize", "sweep-detuning"])
+    def test_detuning_outside_the_box_is_usage_error(self, tmp_path, capsys, monkeypatch, argv, artifact):
+        # a sweep checks every cell before it runs any
+        cells_run = []
+        monkeypatch.setattr("isingbell.optimize._sweep_cell", lambda *args: cells_run.append(args))
+        out = tmp_path / "o"
+        code, _, err = run(capsys, *argv, "--segments", "20", "--restarts", "0", "--out", str(out))
+        assert code == 2
+        assert "delta_value must be finite and within [-1.0, 1.0], got 5.0" in err
+        assert cells_run == [] and not (out / artifact).exists()
+
     def test_impossible_duration_exits_3(self, tmp_path, capsys):
         code, _, err = run(capsys, "optimize", "--T", "0.01", "--segments", "10",
                            "--restarts", "1", "--out", str(tmp_path / "o"))

@@ -65,6 +65,8 @@ class TestControlProblem:
         dict(T=1.0, segments=5),
         dict(T=1.0, delta_value=float("inf")),
         dict(T=1.0, delta_value=float("nan")),
+        dict(T=1.0, delta_value=1.5),
+        dict(T=1.0, delta_value=-5.0),
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
@@ -469,6 +471,24 @@ class TestSweepDetuning:
         assert math.isnan(cells[0].fidelity) and cells[0].error
         assert cells[1].error is None and cells[1].fidelity > 0.5
 
+    def test_cells_march_from_the_last_optimum(self, monkeypatch):
+        calls = []
+        fids = {0.1: 0.7, -0.1: 0.9, 0.0: 0.8}
+
+        def fake_optimize(problem, restarts, seed, extra_starts=None):
+            calls.append((problem.delta_value, restarts, seed, list(extra_starts or ())))
+            wf = ControlWaveform.piecewise_constant(problem.T, np.full(problem.segments, problem.delta_value))
+            return SimpleNamespace(fidelity=fids[problem.delta_value], waveform=wf)
+
+        monkeypatch.setattr(optimize, "optimize_piecewise", fake_optimize)
+        cells = sweep_detuning([2.5], [0.1, -0.1, 0.0], restarts=1, seed=0, segments=10)
+        assert [call[0] for call in calls] == [-0.1, 0.0, 0.1]
+        assert calls[0][1:3] == (1, 1) and calls[0][3] == []
+        for (prev_delta, *_), (_, restarts, _, extra) in zip(calls, calls[1:]):
+            assert restarts == 0 and len(extra) == 1
+            np.testing.assert_array_equal(extra[0], np.full(10, prev_delta))
+        assert [(c.delta, c.fidelity) for c in cells] == [(0.1, 0.7), (-0.1, 0.9), (0.0, 0.8)]
+
 
 class TestSweepDuration:
     def test_monotone_after_repair(self, duration_cells_zero, duration_cells_neg):
@@ -492,20 +512,34 @@ class TestSweepDuration:
             with pytest.raises(ValueError):
                 sweep_duration(0.0, bad)
 
-    @pytest.mark.parametrize("exc", [NoConvergence, NonUnitaryDrift])
-    def test_failed_repair_keeps_first_pass_cell(self, monkeypatch, exc):
-        # the first pass dips at T = 2 so the repair pass reruns it; the rerun fails
+    @pytest.mark.parametrize("sweep, rerun", [
+        pytest.param("duration", NoConvergence, id="NoConvergence"),
+        pytest.param("duration", NonUnitaryDrift, id="NonUnitaryDrift"),
+        pytest.param("duration", 0.6, id="rerun-succeeds"),
+        pytest.param("detuning", NoConvergence, id="detuning-NoConvergence"),
+        pytest.param("detuning", NonUnitaryDrift, id="detuning-NonUnitaryDrift"),
+        pytest.param("detuning", 0.6, id="detuning-rerun-succeeds"),
+    ])
+    def test_failed_repair_keeps_first_pass_cell(self, monkeypatch, sweep, rerun):
+        # the first pass dips at T = 2 so the cell is re-run at once; the
+        # rerun either fails (an exception) or returns the given fidelity
         first_pass = {1.0: 0.5, 2.0: 0.4}
 
         def fake_optimize(problem, restarts, seed, extra_starts=None):
-            if seed >= 1000:
-                raise exc("rerun failed")
+            if seed >= 1000 and isinstance(rerun, type):
+                raise rerun("rerun failed")
             wf = ControlWaveform.piecewise_constant(problem.T, np.zeros(problem.segments))
-            return SimpleNamespace(fidelity=first_pass[problem.T], waveform=wf)
+            return SimpleNamespace(fidelity=rerun if seed >= 1000 else first_pass[problem.T], waveform=wf)
 
         monkeypatch.setattr(optimize, "optimize_piecewise", fake_optimize)
-        cells = sweep_duration(0.0, [1.0, 2.0], restarts=1, seed=0, segments=10)
-        assert [(c.T, c.fidelity, c.error) for c in cells] == [(1.0, 0.5, None), (2.0, 0.4, None)]
+        if sweep == "duration":
+            cells = sweep_duration(0.0, [1.0, 2.0], restarts=1, seed=0, segments=10)
+        else:
+            cells = sweep_detuning([1.0, 2.0], [0.0], restarts=1, seed=0, segments=10)
+        if isinstance(rerun, type):
+            assert [(c.T, c.fidelity, c.error) for c in cells] == [(1.0, 0.5, None), (2.0, 0.4, None)]
+        else:
+            assert [(c.T, c.fidelity, c.error) for c in cells] == [(1.0, 0.5, None), (2.0, 0.6, None)]
 
 
 class TestAdiabaticBaseline:
