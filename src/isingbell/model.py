@@ -12,10 +12,11 @@ The rotating-frame Hamiltonian driving all dynamics is
            [ omega/sqrt(2),  0,          omega/sqrt(2) ],
            [ 0,          omega/sqrt(2),  4 - delta     ]]
 
-and the two-level reduction of the {|dd>, bell} block (up to a phase shift
-proportional to the identity) is
+Its {|dd>, bell} block minus (delta/2) I is the paper's two-level Hamiltonian
 
-    H_0 = (1/2) [[delta, sqrt(2)*omega], [sqrt(2)*omega, -delta]].
+    H_0 = (1/2) [[delta, sqrt(2)*omega], [sqrt(2)*omega, -delta]];
+
+the shift is a global phase, so the code propagates the block itself.
 """
 
 from __future__ import annotations
@@ -93,18 +94,6 @@ def hc_batch(delta, omega) -> np.ndarray:
     h[:, 2, 2] = 4.0 - delta
     h[:, 0, 1] = h[:, 1, 0] = w
     h[:, 1, 2] = h[:, 2, 1] = w
-    return h
-
-
-def h2_batch(delta, omega) -> np.ndarray:
-    """Stack of two-level Hamiltonians of the |dd> <-> bell block, shape
-    (n, 2, 2): (1/2) [[delta, sqrt(2) omega], [sqrt(2) omega, -delta]]."""
-    d = 0.5 * np.asarray(delta, dtype=float)
-    w = np.asarray(omega, dtype=float) / SQRT2
-    h = np.empty((d.shape[0], 2, 2))
-    h[:, 0, 0] = d
-    h[:, 1, 1] = -d
-    h[:, 0, 1] = h[:, 1, 0] = w
     return h
 
 

@@ -415,6 +415,8 @@ def saturation_fraction(waveform: ControlWaveform) -> float:
 
 def trig_basis(p: int, t: np.ndarray, T: float | None = None, convention: str = CONVENTION_XI) -> np.ndarray:
     """Design matrix [1, cos(kt), sin(kt), ...] of shape (len(t), 2p+1)."""
+    if p < 0:
+        raise ValueError(f"harmonic count p must be >= 0, got {p}")
     t = np.asarray(t, dtype=float)
     if convention == CONVENTION_XI:
         karg = t[:, None] * np.arange(1, p + 1)[None, :]

@@ -29,9 +29,10 @@ batched call.
 
 The RK4 step count has one source, ``_auto_steps``: max(4000,
 ceil(1000 max|omega| T)), raised to a multiple of the segment count of a
-piecewise waveform, at most ``MAX_STEPS``; no caller picks it.  Norm drift
-beyond 1e-8, or a NaN norm, raises ``NonUnitaryDrift``: that always means the
-policy under-resolves the waveform, never a physical effect.
+piecewise waveform, at most ``MAX_STEPS``; no caller picks it.  Every state
+history, of either route, passes one drift gate: norm drift beyond 1e-8, or a
+NaN norm, raises ``NonUnitaryDrift``.  That always means the policy
+under-resolves the waveform, never a physical effect.
 """
 
 from __future__ import annotations
@@ -133,12 +134,12 @@ class ControlWaveform:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Propagated states on a time grid plus the controls at the grid nodes."""
+    """Propagated states on a time grid plus the waveform that drove them;
+    the controls at the grid nodes are ``waveform.sample(times)``."""
 
     times: np.ndarray
     states: np.ndarray  # (K+1, 3) complex
-    delta: np.ndarray
-    omega: np.ndarray
+    waveform: ControlWaveform
     #: how ``propagate`` made it: route, step count and the largest
     #: |norm - 1| over the states
     method: str
@@ -260,9 +261,9 @@ def _rk4_table(h: np.ndarray, dt: float) -> np.ndarray:
 def rk4_evolve(h_mid: np.ndarray, c0: np.ndarray, dt: float) -> np.ndarray:
     """March a state through the stack of midpoint-frozen Hamiltonians.
 
-    ``h_mid[k]`` is the Hamiltonian frozen on step k, real symmetric for
-    every builder in ``model``; works for any dimension.  Returns the full
-    (n+1, dim) history.
+    ``h_mid[k]`` is the Hamiltonian frozen on step k, real symmetric (a
+    stack of ``model.hc_batch`` or a leading block of one); works for any
+    dimension.  Returns the full (n+1, dim) history.
     """
     n, dim = h_mid.shape[0], h_mid.shape[1]
     out = np.empty((n + 1, dim), dtype=complex)
@@ -298,14 +299,30 @@ def _auto_steps(waveform: ControlWaveform) -> int:
     return steps
 
 
-def _rk4_states(waveform: ControlWaveform, builder: Callable, c0: np.ndarray) -> np.ndarray:
-    """RK4 history of ``c0`` over the waveform at the ``_auto_steps`` count,
-    each step frozen at the Hamiltonian ``builder(delta, omega)`` of its
-    midpoint controls (``model.hc_batch`` or ``model.h2_batch``)."""
+def _gated_drift(states: np.ndarray) -> float:
+    """Largest |norm - 1| over a state history; beyond ``DRIFT_LIMIT``, or
+    NaN, it raises ``NonUnitaryDrift``."""
+    drift = float(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)))
+    # a NaN drift fails this comparison too
+    if not drift <= DRIFT_LIMIT:
+        raise NonUnitaryDrift(
+            f"norm drift {drift:.3e} exceeds {DRIFT_LIMIT:.0e}; the step policy under-resolves this waveform"
+            " (for example a pulse narrower than its peak sampling)"
+        )
+    return drift
+
+
+def _rk4_states(waveform: ControlWaveform, c0: np.ndarray) -> tuple[np.ndarray, float]:
+    """Gated RK4 history of ``c0`` over the waveform at the ``_auto_steps``
+    count, and its drift.  Each step is frozen at ``hc_batch`` of its
+    midpoint controls, cut to the leading ``c0.size`` block: 3 for the
+    triplet, 2 for the {|dd>, bell} block (see ``model``)."""
     n = _auto_steps(waveform)
     dt = waveform.duration / n
     d_mid, w_mid = waveform.sample((np.arange(n) + 0.5) * dt)
-    return rk4_evolve(builder(d_mid, w_mid), c0, dt)
+    k = c0.size
+    states = rk4_evolve(hc_batch(d_mid, w_mid)[:, :k, :k], c0, dt)
+    return states, _gated_drift(states)
 
 
 def propagate(waveform: ControlWaveform, c0: TripletAmplitudes, method: str = "rk4") -> Trajectory:
@@ -314,37 +331,24 @@ def propagate(waveform: ControlWaveform, c0: TripletAmplitudes, method: str = "r
     method="rk4": fixed-step midpoint-frozen RK4 at the ``_auto_steps``
     count.  method="piecewise-exponential": exact segment exponentials;
     requires a piecewise-constant waveform and returns states on the
-    segment-edge grid.  The trajectory records the route, its step count
-    and the measured drift.
+    segment-edge grid.  Both routes pass the drift gate; the trajectory
+    records the route, its step count and the measured drift.
     """
     c_init = c0.as_array()
     if method == "rk4":
-        states = _rk4_states(waveform, hc_batch, c_init)
-        n = states.shape[0] - 1
-        times = np.linspace(0.0, waveform.duration, n + 1)
+        states, drift = _rk4_states(waveform, c_init)
     elif method == "piecewise-exponential":
         if waveform.piece_omega is None:
             raise MethodMismatch("piecewise-exponential integration needs a piecewise-constant waveform")
         dvals, wvals = waveform.piece_delta, waveform.piece_omega
-        n = wvals.size
-        dt = waveform.duration / n
-        table, index, _, _ = segment_propagators(dvals, wvals, dt)
+        table, index, _, _ = segment_propagators(dvals, wvals, waveform.duration / wvals.size)
         states = chain_indexed(table, index[None], c_init[None])[0]
-        times = np.linspace(0.0, waveform.duration, n + 1)
+        drift = _gated_drift(states)
     else:
         raise ValueError(f"unknown method {method!r}")
-
-    drift = float(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)))
-    # a NaN drift fails this comparison too
-    if not drift <= DRIFT_LIMIT:
-        raise NonUnitaryDrift(
-            f"norm drift {drift:.3e} exceeds {DRIFT_LIMIT:.0e}; the step policy under-resolves this waveform"
-            " (for example a pulse narrower than its peak sampling)"
-        )
-    d_nodes, w_nodes = waveform.sample(times)
-    return Trajectory(
-        times=times, states=states, delta=d_nodes, omega=w_nodes, method=method, steps=n, max_drift=drift
-    )
+    n = states.shape[0] - 1
+    times = np.linspace(0.0, waveform.duration, n + 1)
+    return Trajectory(times=times, states=states, waveform=waveform, method=method, steps=n, max_drift=drift)
 
 
 def fidelity(traj: Trajectory) -> float:
@@ -353,8 +357,10 @@ def fidelity(traj: Trajectory) -> float:
 
 
 def write_trajectory_csv(traj: Trajectory, path, config: Mapping | None = None) -> None:
-    """Dump a trajectory as CSV (15 significant digits).  ``config`` is
-    embedded as a leading comment line for reproducibility audits."""
+    """Dump a trajectory as CSV (15 significant digits), with the controls
+    sampled at the grid nodes.  ``config`` is embedded as a leading comment
+    line for reproducibility audits."""
     c = traj.states
     re_im = np.stack([c.real, c.imag], axis=-1).reshape(c.shape[0], -1)
-    write_csv(path, TRAJECTORY_CSV_COLUMNS, [traj.times, re_im, traj.populations, traj.delta, traj.omega], config)
+    columns = [traj.times, re_im, traj.populations, *traj.waveform.sample(traj.times)]
+    write_csv(path, TRAJECTORY_CSV_COLUMNS, columns, config)

@@ -33,7 +33,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .artifacts import write_csv
-from .model import SQRT2, TripletAmplitudes, h2_batch
+from .model import SQRT2, TripletAmplitudes
 from .propagator import ControlWaveform, NonUnitaryDrift, _rk4_states, fidelity, propagate
 
 SYMMETRIC = "symmetric"
@@ -192,9 +192,11 @@ def two_level_inversion(spec: ShortcutSpec) -> float:
 
     This is the defining exactness property of the construction: the result
     is 1 up to integrator error for any duration; only the three-level
-    embedding degrades the transfer.  RK4 runs at ``propagate``'s step count.
+    embedding degrades the transfer.  RK4 runs on the {|dd>, bell} block of
+    H_c at ``propagate``'s step count and passes its drift gate, so an
+    under-resolved history raises ``NonUnitaryDrift``.
     """
-    psi = _rk4_states(shortcut_waveform(spec), h2_batch, np.array([1.0 + 0.0j, 0.0j]))
+    psi, _ = _rk4_states(shortcut_waveform(spec), np.array([1.0 + 0.0j, 0.0j]))
     return float(np.abs(psi[-1, 1]) ** 2)
 
 

@@ -303,6 +303,12 @@ class TestOptimize:
         assert code == 2
         assert "restarts must be >= 0" in err
 
+    def test_negative_harmonic_count_is_usage_error(self, tmp_path, capsys):
+        code, _, err = run(capsys, "optimize", "--mode", "trig", "--p", "-1", "--T", "2.5", "--segments", "20",
+                           "--restarts", "0", "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "error: harmonic count p must be >= 0, got -1" in err
+
     @pytest.mark.parametrize("argv, artifact", [
         (("optimize", "--T", "2.5", "--delta", "5"), "optimize_report.json"),
         (("sweep-detuning", "--T", "2.5", "--deltas=0,5"), "sweep_detuning.csv"),

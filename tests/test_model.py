@@ -12,7 +12,6 @@ from isingbell.model import (
     RotatingFrame,
     TripletAmplitudes,
     frame_transform,
-    h2_batch,
     hc_batch,
 )
 
@@ -67,12 +66,18 @@ class TestHamiltonianC:
 
 
 class TestHamiltonianTwoLevel:
+    """The paper's H_0 is the {|dd>, bell} block of H_c minus (delta/2) I."""
+
+    @staticmethod
+    def h0(delta, omega):
+        return hc_batch([delta], [omega])[0][:2, :2] - 0.5 * delta * np.eye(2)
+
     def test_zero_controls(self):
-        h = h2_batch([0.0], [0.0])[0]
+        h = self.h0(0.0, 0.0)
         assert np.array_equal(h, np.zeros((2, 2)))
 
     def test_structure(self):
-        h = h2_batch([0.6], [0.8 / SQRT2])[0]
+        h = self.h0(0.6, 0.8 / SQRT2)
         assert np.allclose(h, 0.5 * np.array([[0.6, 0.8], [0.8, -0.6]]))
         assert np.allclose(np.linalg.eigvalsh(h), [-0.5, 0.5])
 
@@ -81,7 +86,7 @@ class TestHamiltonianTwoLevel:
     def test_polar_eigenvalues_are_half_energy(self, e0, theta):
         # polar controls delta = E0 cos(theta), omega = E0 sin(theta)/sqrt(2)
         # give instantaneous levels exactly +/- E0/2
-        h = h2_batch([e0 * math.cos(theta)], [e0 * math.sin(theta) / SQRT2])[0]
+        h = self.h0(e0 * math.cos(theta), e0 * math.sin(theta) / SQRT2)
         evals = np.linalg.eigvalsh(h)
         assert abs(evals[0] + e0 / 2) < 1e-12
         assert abs(evals[1] - e0 / 2) < 1e-12

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import chain_reference
-from isingbell.model import TripletAmplitudes, h2_batch
+from isingbell.model import TripletAmplitudes
 from isingbell.propagator import (
     MAX_STEPS,
     ControlWaveform,
@@ -300,14 +300,14 @@ class TestChain:
         overlap = np.einsum("ki,ki->k", lam.conj(), c)
         assert np.max(np.abs(overlap - overlap[0])) <= 1e-12
 
-    @given(drive=drives, dt=steps, build=st.sampled_from([hc_batch, h2_batch]))
+    @given(drive=drives, dt=steps, dim=st.sampled_from([2, 3]))
     @settings(max_examples=40, deadline=None)
-    def test_rk4_maps_are_taylor_truncations_of_the_exponential(self, drive, dt, build):
+    def test_rk4_maps_are_taylor_truncations_of_the_exponential(self, drive, dt, dim):
         # remainder of the degree-4 Taylor polynomial of exp(x):
         # |sum_{j>=5} A^j/j!| <= x^5/5! e^x with x = |H| dt (spectral norm),
-        # plus round-off slack
+        # plus round-off slack; dim 2 is the {|dd>, bell} block
         delta, omega = np.array(drive).T
-        h = build(delta, omega)
+        h = hc_batch(delta, omega)[:, :dim, :dim]
         maps = _complex_maps(_rk4_table(h, dt)[:-1])
         for hk, mk in zip(h, maps):
             x = np.linalg.norm(hk, 2) * dt
@@ -350,3 +350,17 @@ class TestTrajectoryCsv:
         assert row[0] == 0.0 and row[1] == 1.0
         last = np.array([float(x) for x in lines[-1].split(",")])
         assert abs(last[7] - np.abs(traj.states[-1, 0]) ** 2) < 1e-14
+
+    def test_nodes_are_sampled_once_by_the_writer(self, tmp_path):
+        # propagate samples the peak probe and the step midpoints; the
+        # controls at the trajectory nodes are sampled only for the CSV
+        sizes = []
+
+        def sampler(ts):
+            sizes.append(ts.size)
+            return 0.0 * ts, 0.5 + 0.0 * ts
+
+        traj = propagate(ControlWaveform(2.5, sampler), SPIN_DOWN)
+        assert sizes == [513, 4000]
+        write_trajectory_csv(traj, tmp_path / "traj.csv")
+        assert sizes == [513, 4000, 4001]

@@ -183,6 +183,14 @@ class TestTwoLevelInversion:
         p = two_level_inversion(ShortcutSpec(kind=kind, e=0.1, T=T))
         assert p >= 1.0 - 1e-6
 
+    def test_under_resolved_policy_raises_drift(self, monkeypatch):
+        # the block history passes propagate's drift gate: a violent envelope
+        # at 100 steps must not return a number
+        monkeypatch.setattr(propagator, "DEFAULT_STEPS", 100)
+        monkeypatch.setattr(propagator, "STEPS_PER_UNIT_AREA", 0)
+        with pytest.raises(NonUnitaryDrift):
+            two_level_inversion(ShortcutSpec("symmetric", e=100.0, T=10.0))
+
 
 class TestFidelityCurve:
     def test_benchmark_durations(self, tqd_curves):
