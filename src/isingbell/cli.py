@@ -15,10 +15,13 @@ configuration, experiment id and output directory included, is echoed to
 stdout and embedded in every artifact, so passing it back with ``--config``
 replays the run exactly.  A flag the run does not read (one of another
 ``repro`` dataset, or one ``optimize`` ignores in its mode) is a usage
-error.  No command takes an RK4 step count: ``propagator._auto_steps``
-picks it, and the ``tqd`` and ``simulate`` summaries record it.  Exit
-codes: 0 ok, 2 invalid usage/parameters, 3 numeric failure (norm drift, no
-convergence, infeasible series), 141 when the reader of stdout closed it
+error.  No command takes a step count: ``propagator._auto_steps`` picks
+it, and the ``tqd`` and ``simulate`` summaries record it with the route,
+the drift and the error estimate.  Exit codes: 0 ok, 2 invalid
+usage/parameters (a waveform whose step count exceeds the ceiling
+included), 3 numeric failure (norm drift, a step-halving estimate above
+tolerance, controls that jump, no convergence, infeasible series), 141
+when the reader of stdout closed it
 (128 + SIGPIPE).  A fixed-detuning series optimum carries its detuning as
 the constant term b[0] of its delta series, so its report replays alone.
 """
@@ -162,10 +165,17 @@ def _floats(text: str) -> list[float]:
 
 def _write_summary(path: Path, cfg: dict, traj) -> None:
     """Write a propagation's summary (config, fidelity, and how ``propagate``
-    made it: route, automatic step count, measured norm drift) and print
-    the fidelity."""
+    made it: route, automatic step count, measured norm drift, step-halving
+    error estimate) and print the fidelity."""
     fid = fidelity(traj)
-    summary = {"config": cfg, "fidelity": fid, "method": traj.method, "steps": traj.steps, "max_drift": traj.max_drift}
+    summary = {
+        "config": cfg,
+        "fidelity": fid,
+        "method": traj.method,
+        "steps": traj.steps,
+        "max_drift": traj.max_drift,
+        "error_estimate": traj.error_estimate,
+    }
     write_json(path, summary)
     print(f"fidelity: {fid:.12g}")
 
@@ -186,7 +196,7 @@ def _best_cell(cells):
 def cmd_tqd(cfg: dict, out: Path) -> None:
     """propagate the shortcut drive and record the trajectory"""
     wf = shortcut_waveform(ShortcutSpec(kind=cfg["kind"], e=cfg["e"], T=cfg["T"]))
-    traj = propagate(wf, TripletAmplitudes.spin_down())
+    traj = propagate(wf, TripletAmplitudes.spin_down(), method="piecewise-exponential")
     write_waveform_csv(wf, out / "tqd_waveform.csv", config=cfg)
     write_trajectory_csv(traj, out / "tqd_trajectory.csv", config=cfg)
     _write_summary(out / "tqd_summary.json", cfg, traj)

@@ -445,10 +445,12 @@ def series_waveform(series: TrigSeries, T: float, convention: str = CONVENTION_X
 
 
 def evaluate_series(series: TrigSeries, T: float, convention: str = CONVENTION_XI) -> float:
-    """Propagate the series waveform from the spin-down state (RK4 at
-    ``propagate``'s step count) and return the final Bell population."""
+    """Propagate the series waveform from the spin-down state and return
+    the final Bell population.  It runs ``propagate``'s
+    piecewise-exponential route: CF4 steps at its automatic count, checked
+    by step halving and refused for controls that jump."""
     wf = series_waveform(series, T, convention=convention)
-    traj = propagate(wf, TripletAmplitudes.spin_down())
+    traj = propagate(wf, TripletAmplitudes.spin_down(), method="piecewise-exponential")
     return fidelity(traj)
 
 

@@ -11,28 +11,52 @@ order with O(sqrt(n)) numpy calls instead of one call per step.  It reads
 each step's map from a table by index, so a map shared by many steps is
 built once:
 
-* fixed-step RK4 with the control pair frozen at each step midpoint.  For a
-  frozen H one RK4 step is exactly the degree-4 Taylor polynomial of
-  exp(-i H dt), so that polynomial, built from real powers of H dt, is the
-  step map; on grids aligned with the segment edges the route agrees with
-  the exponential one to Taylor error (~1e-13 at default resolution).
-  Freezing at the midpoint keeps delta-like pulses and discontinuous
-  waveforms well behaved; for smooth controls the midpoint commutator error
-  is O(dt^2) and negligible at the default 4000 steps.
-* exact piecewise exponentials, exp(-i H dt) per distinct (delta, omega)
-  pair of the constant segments via eigendecomposition of the (real
-  symmetric) Hamiltonian (``segment_propagators``).
+* ``rk4``: fixed-step RK4 with the control pair frozen at each step
+  midpoint.  For a frozen H one RK4 step is exactly the degree-4 Taylor
+  polynomial of exp(-i H dt), so that polynomial, built from real powers of
+  H dt, is the step map; on grids aligned with the segment edges the route
+  agrees with the exponential one to Taylor error (~1e-13 at default
+  resolution).  Freezing at the midpoint keeps delta-like pulses and
+  discontinuous waveforms well behaved; for smooth controls the route is
+  second order in time.  It is the default of ``propagate``, the
+  independent cross-check of the other route, and the route of
+  ``shortcut.two_level_inversion``.
+* ``piecewise-exponential``: exact exponentials exp(-i H dt) of real
+  symmetric Hamiltonians via eigendecomposition, built once per distinct
+  (delta, omega) pair (``segment_propagators``).  A piecewise-constant
+  waveform is propagated segment by segment, exactly.  A parametric one
+  takes the commutator-free fourth-order step CF4:2 (Blanes & Moan, Appl.
+  Numer. Math. 56, 1519 (2006); Alvermann & Fehske, J. Comput. Phys. 230,
+  5930 (2011)): a step of length D samples the controls x = (delta, omega)
+  at the Gauss nodes t + (1/2 -+ sqrt(3)/6) D and applies
+  exp(-i D (a1 H1 + a2 H2)) exp(-i D (a2 H1 + a1 H2)) with
+  a1,2 = 1/4 -+ sqrt(3)/6.  H is affine in x with weights summing to one,
+  so each factor is a half-step exponential at the effective controls
+  2 (a2 x1 + a1 x2), then 2 (a1 x1 + a2 x2), and the segment kernel computes
+  it exactly.  The history is kept at the step edges.
 
 The optimizer runs its forward pass and its adjoint pass (the adjoint maps
 in reverse order, stored in the same table) through the same kernel in one
 batched call.
 
-The RK4 step count has one source, ``_auto_steps``: max(4000,
-ceil(1000 max|omega| T)), raised to a multiple of the segment count of a
-piecewise waveform, at most ``MAX_STEPS``; no caller picks it.  Every state
-history, of either route, passes one drift gate: norm drift beyond 1e-8, or a
-NaN norm, raises ``NonUnitaryDrift``.  That always means the policy
-under-resolves the waveform, never a physical effect.
+Step counts have one source, ``_auto_steps``, which bounds the step by the
+Gershgorin bound |H| <= 4 + max|delta| + sqrt(2) max|omega|, detuning
+included, and by the pulse area max|omega| T for RK4; no caller picks a
+count, and one above ``MAX_STEPS`` is a ValueError raised before any
+allocation.  The gates, each raising ``NonUnitaryDrift``:
+
+* every state history, of either route, passes one drift gate: norm drift
+  beyond ``DRIFT_LIMIT`` = 1e-8, or a NaN norm;
+* a CF4 history also reports the step-halving estimate |c_N(T) -
+  c_{N/2}(T)| (about 15 times its error at fourth order); above
+  ``HALVING_TOL`` the count doubles, and past ``MAX_STEPS`` it raises;
+* step halving cannot see a jump that both counts straddle, so the CF4
+  route first probes the controls on 4000 intervals, the spacing of the
+  default RK4 grid, and refuses adjacent samples that differ by more than
+  ``JUMP_LIMIT`` of the channel's peak.
+
+Any of them means the policy under-resolves the waveform, never a physical
+effect.
 """
 
 from __future__ import annotations
@@ -44,20 +68,41 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .artifacts import write_csv
-from .model import TripletAmplitudes, hc_batch
+from .model import SQRT2, TripletAmplitudes, hc_batch
 
 DRIFT_LIMIT = 1e-8
+#: fewest RK4 steps of one propagation
 DEFAULT_STEPS = 4000
-#: extra RK4 steps per unit of max|omega|*T; pulse area, not duration, sets
-#: the resolution a delta-like pulse needs.
+#: RK4 steps per unit of max|omega|*T; pulse area, not duration, sets the
+#: resolution a delta-like pulse needs.  Per ten units of |H| T as well, so
+#: a strong detuning is resolved too.
 STEPS_PER_UNIT_AREA = 1000
-#: most RK4 steps one propagation may take, at a few hundred bytes of arrays
-#: each; the datasets need at most 38,234 (``repro table1``)
+#: fewest CF4 steps of one parametric propagation, and CF4 steps per unit
+#: of |H| T (|H| D <= 1/6); the shortcut datasets take 100-400 steps,
+#: the two table1 series 200 and 910
+CF4_MIN_STEPS = 100
+CF4_STEPS_PER_UNIT_NORM = 6
+#: largest accepted step-halving estimate |c_N(T) - c_{N/2}(T)| of a CF4
+#: history; the error of c_N is about a fifteenth of it
+HALVING_TOL = 1e-7
+#: largest jump between adjacent probe samples of a control channel, as a
+#: share of the channel's peak, that the CF4 route accepts; the shortcut
+#: and table1 datasets reach 0.003, a discontinuous pulse 1
+JUMP_LIMIT = 0.05
+#: control samples (evenly spaced, endpoints included) from which the
+#: policy reads a parametric waveform: RK4's peak probe, and the CF4 probe
+#: at the 4000-step spacing its jump guard needs
+PROBE_SAMPLES = {"rk4": 513, "piecewise-exponential": 4001}
+#: CF4:2 Gauss-node offset and weights
+CF4_NODE = math.sqrt(3.0) / 6.0
+CF4_A1, CF4_A2 = 0.25 - CF4_NODE, 0.25 + CF4_NODE
+#: most steps one propagation may take, at a few hundred bytes of arrays
+#: each
 MAX_STEPS = 1_000_000
-#: RK4 step maps are built and chained this many steps at a time, so the
-#: scan's real-form scratch stays O(MAP_BLOCK).  Peak RSS of `repro table1`
-#: (38,234 steps per propagation; ru_maxrss, one process): 86.6 MiB blocked,
-#: 119 MiB with every map built and scanned at once.
+#: step maps are built and chained this many steps at a time, so the
+#: scan's real-form scratch stays O(MAP_BLOCK).  Peak RSS over 38,234 RK4
+#: steps (ru_maxrss, one process): 86.6 MiB blocked, 119 MiB with every
+#: map built and scanned at once.
 MAP_BLOCK = 2048
 
 TRAJECTORY_CSV_COLUMNS = (
@@ -78,10 +123,6 @@ TRAJECTORY_CSV_COLUMNS = (
 
 class NonUnitaryDrift(RuntimeError):
     """Propagated state norm drifted beyond tolerance (step too coarse)."""
-
-
-class MethodMismatch(ValueError):
-    """Requested integration method cannot handle the given waveform."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,11 +181,13 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray  # (K+1, 3) complex
     waveform: ControlWaveform
-    #: how ``propagate`` made it: route, step count and the largest
-    #: |norm - 1| over the states
+    #: how ``propagate`` made it: route, step count, the largest |norm - 1|
+    #: over the states, and the CF4 step-halving estimate (0.0 for exact
+    #: segments, None for RK4, which makes none)
     method: str
     steps: int
     max_drift: float
+    error_estimate: float | None
 
     @property
     def populations(self) -> np.ndarray:
@@ -258,6 +301,23 @@ def _rk4_table(h: np.ndarray, dt: float) -> np.ndarray:
     return table
 
 
+def _chain_blocks(
+    build: Callable[[int, int], tuple[np.ndarray, np.ndarray]], n: int, c0: np.ndarray, stride: int = 1
+) -> np.ndarray:
+    """History of ``c0`` through n step maps, built and chained
+    ``MAP_BLOCK`` steps at a time, so the tables and the scan's scratch
+    stay O(MAP_BLOCK); ``build(k, stop)`` returns the ``chain_indexed``
+    table and index of steps [k, stop).  Keeps every ``stride``-th state
+    (``stride`` divides n and ``MAP_BLOCK``)."""
+    out = np.empty((n // stride + 1, c0.size), dtype=complex)
+    out[0] = c0
+    for k in range(0, n, MAP_BLOCK):
+        table, index = build(k, min(k + MAP_BLOCK, n))
+        states = chain_indexed(table, index[None], out[k // stride][None])[0]
+        out[k // stride + 1 : (k + index.size) // stride + 1] = states[stride::stride]
+    return out
+
+
 def rk4_evolve(h_mid: np.ndarray, c0: np.ndarray, dt: float) -> np.ndarray:
     """March a state through the stack of midpoint-frozen Hamiltonians.
 
@@ -265,37 +325,88 @@ def rk4_evolve(h_mid: np.ndarray, c0: np.ndarray, dt: float) -> np.ndarray:
     stack of ``model.hc_batch`` or a leading block of one); works for any
     dimension.  Returns the full (n+1, dim) history.
     """
-    n, dim = h_mid.shape[0], h_mid.shape[1]
-    out = np.empty((n + 1, dim), dtype=complex)
-    out[0] = c0
-    for k in range(0, n, MAP_BLOCK):
-        table = _rk4_table(h_mid[k : k + MAP_BLOCK], dt)
-        steps = table.shape[0] - 1
-        out[k : k + steps + 1] = chain_indexed(table, np.arange(steps)[None], out[k][None])[0]
-    return out
+
+    def build(k: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        return _rk4_table(h_mid[k:stop], dt), np.arange(stop - k)
+
+    return _chain_blocks(build, h_mid.shape[0], c0)
 
 
-def _auto_steps(waveform: ControlWaveform) -> int:
-    """RK4 step count scaled to the pulse area max|omega|*T; above
-    ``MAX_STEPS`` it is a ValueError, raised before any allocation."""
+def _cf4_history(waveform: ControlWaveform, c0: np.ndarray, n: int) -> np.ndarray:
+    """History of ``c0`` at the edges of n CF4:2 steps (see the module
+    docstring): per step, two exact half-step exponentials at the effective
+    controls of its Gauss nodes, built by ``segment_propagators`` and
+    chained by ``chain_indexed``."""
+    dt = waveform.duration / n
+    nodes = np.arange(n)[:, None] * dt + np.array([0.5 - CF4_NODE, 0.5 + CF4_NODE]) * dt
+    d, w = waveform.sample(nodes.ravel())
+    # rows (x1, x2) -> (2 (a2 x1 + a1 x2), 2 (a1 x1 + a2 x2)), the first
+    # half-step first; the mixing matrix is symmetric
+    mix = 2.0 * np.array([[CF4_A2, CF4_A1], [CF4_A1, CF4_A2]])
+    d_eff = (d.reshape(n, 2) @ mix).ravel()
+    w_eff = (w.reshape(n, 2) @ mix).ravel()
+
+    def build(k: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        table, index, _, _ = segment_propagators(d_eff[k:stop], w_eff[k:stop], dt / 2.0)
+        return table, index
+
+    return _chain_blocks(build, 2 * n, c0, stride=2)
+
+
+def _auto_steps(waveform: ControlWaveform, method: str = "rk4") -> int:
+    """Step count of a route over the waveform, from one bound on the step.
+
+    The controls are read from the segment values of a piecewise waveform,
+    otherwise from ``PROBE_SAMPLES[method]`` evenly spaced samples, and
+    bound the Hamiltonian by its largest row sum, |H| <= 4 + max|delta| +
+    sqrt(2) max|omega| (Gershgorin).  RK4 takes max(``DEFAULT_STEPS``,
+    ceil(``STEPS_PER_UNIT_AREA`` T max(max|omega|, |H| / 10))) steps, so
+    max|omega| dt <= 1e-3 and |H| dt <= 1e-2, raised to a multiple of the
+    segment count of a piecewise waveform.  The parametric exponential
+    route takes max(``CF4_MIN_STEPS``, 2 ceil(``CF4_STEPS_PER_UNIT_NORM``
+    |H| T / 2)) steps, an even count so that its step-halving estimate can
+    run half as many; adjacent probe samples that differ by more than
+    ``JUMP_LIMIT`` of a channel's peak raise ``NonUnitaryDrift``, since a
+    jump fools that estimate.  A count above ``MAX_STEPS`` is a ValueError,
+    raised before any allocation.
+    """
+    duration = waveform.duration
     if waveform.piece_omega is not None:
-        peak = float(np.max(np.abs(waveform.piece_omega)))
+        d, w = waveform.piece_delta, waveform.piece_omega
     else:
-        # a sampler that overflows gives a non-finite peak, which the area
+        # a sampler that overflows gives a non-finite bound, which the
         # check below reports, rather than numpy warnings
         with np.errstate(all="ignore"):
-            _, w = waveform.sample(np.linspace(0.0, waveform.duration, 513))
-            peak = float(np.max(np.abs(w)))
-    # an infinite or NaN area fails this comparison too
-    if not STEPS_PER_UNIT_AREA * peak * waveform.duration <= MAX_STEPS:
-        raise ValueError(f"pulse area {peak * waveform.duration:.3g} needs over {MAX_STEPS} RK4 steps")
-    steps = max(DEFAULT_STEPS, math.ceil(STEPS_PER_UNIT_AREA * peak * waveform.duration))
+            d, w = waveform.sample(np.linspace(0.0, duration, PROBE_SAMPLES[method]))
+    peak = float(np.max(np.abs(w)))
+    # Python floats: an overflow gives inf, which fails the check below
+    norm = 4.0 + float(np.max(np.abs(d))) + SQRT2 * peak
+    if method == "rk4":
+        floor, rate, even = DEFAULT_STEPS, STEPS_PER_UNIT_AREA * max(peak, norm / 10.0), 1
+    else:
+        floor, rate, even = CF4_MIN_STEPS, CF4_STEPS_PER_UNIT_NORM * norm, 2
+    # an infinite or NaN bound fails this comparison too
+    if not rate * duration <= MAX_STEPS:
+        raise ValueError(
+            f"pulse area {peak * duration:.3g} and |H| T <= {norm * duration:.3g} need over {MAX_STEPS} steps"
+        )
+    if method != "rk4":
+        # step halving cannot see a jump that both counts straddle alike
+        for x in (d, w):
+            scale = float(np.max(np.abs(x)))
+            jump = float(np.max(np.abs(np.diff(x)))) / scale if scale > 0.0 else 0.0
+            if jump > JUMP_LIMIT:
+                raise NonUnitaryDrift(
+                    f"the controls jump by {jump:.3g} of their peak between adjacent probe samples, beyond"
+                    f" {JUMP_LIMIT:g}; the piecewise-exponential route needs smooth or piecewise-constant controls"
+                )
+    steps = max(floor, even * math.ceil(rate * duration / even))
     if waveform.piece_omega is not None:
         # align step edges with segment edges so no step straddles a jump
         nseg = waveform.piece_omega.size
         steps = math.ceil(steps / nseg) * nseg
     if steps > MAX_STEPS:
-        raise ValueError(f"{steps} RK4 steps exceed the ceiling of {MAX_STEPS}")
+        raise ValueError(f"{steps} steps exceed the ceiling of {MAX_STEPS}")
     return steps
 
 
@@ -325,30 +436,55 @@ def _rk4_states(waveform: ControlWaveform, c0: np.ndarray) -> tuple[np.ndarray, 
     return states, _gated_drift(states)
 
 
+def _cf4_states(waveform: ControlWaveform, c0: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Gated CF4 history of ``c0`` over a parametric waveform, its drift and
+    its step-halving estimate |c_N(T) - c_{N/2}(T)|.  N starts at the
+    ``_auto_steps`` count and doubles while the estimate exceeds
+    ``HALVING_TOL``; past ``MAX_STEPS`` that raises ``NonUnitaryDrift``."""
+    n = _auto_steps(waveform, "piecewise-exponential")
+    coarse = _cf4_history(waveform, c0, n // 2)[-1]
+    while True:
+        states = _cf4_history(waveform, c0, n)
+        drift = _gated_drift(states)
+        error = float(np.linalg.norm(states[-1] - coarse))
+        if error <= HALVING_TOL:
+            return states, drift, error
+        if 2 * n > MAX_STEPS:
+            raise NonUnitaryDrift(
+                f"step-halving estimate {error:.3e} exceeds {HALVING_TOL:.0e} at {n} steps, and {2 * n} exceed"
+                f" the ceiling of {MAX_STEPS}; the step policy under-resolves this waveform"
+            )
+        coarse, n = states[-1], 2 * n
+
+
 def propagate(waveform: ControlWaveform, c0: TripletAmplitudes, method: str = "rk4") -> Trajectory:
     """Integrate i dc/dt = H_c(t) c over the waveform from state ``c0``.
 
     method="rk4": fixed-step midpoint-frozen RK4 at the ``_auto_steps``
-    count.  method="piecewise-exponential": exact segment exponentials;
-    requires a piecewise-constant waveform and returns states on the
-    segment-edge grid.  Both routes pass the drift gate; the trajectory
-    records the route, its step count and the measured drift.
+    count.  method="piecewise-exponential": exact segment exponentials on
+    the segment-edge grid of a piecewise-constant waveform, CF4:2 steps at
+    the step edges of a parametric one.  Every history passes the drift
+    gate; the trajectory records the route, its step count, the measured
+    drift and the error estimate.
     """
     c_init = c0.as_array()
+    error = None
     if method == "rk4":
         states, drift = _rk4_states(waveform, c_init)
+    elif method == "piecewise-exponential" and waveform.piece_omega is None:
+        states, drift, error = _cf4_states(waveform, c_init)
     elif method == "piecewise-exponential":
-        if waveform.piece_omega is None:
-            raise MethodMismatch("piecewise-exponential integration needs a piecewise-constant waveform")
         dvals, wvals = waveform.piece_delta, waveform.piece_omega
         table, index, _, _ = segment_propagators(dvals, wvals, waveform.duration / wvals.size)
         states = chain_indexed(table, index[None], c_init[None])[0]
-        drift = _gated_drift(states)
+        drift, error = _gated_drift(states), 0.0
     else:
         raise ValueError(f"unknown method {method!r}")
     n = states.shape[0] - 1
     times = np.linspace(0.0, waveform.duration, n + 1)
-    return Trajectory(times=times, states=states, waveform=waveform, method=method, steps=n, max_drift=drift)
+    return Trajectory(
+        times=times, states=states, waveform=waveform, method=method, steps=n, max_drift=drift, error_estimate=error
+    )
 
 
 def fidelity(traj: Trajectory) -> float:

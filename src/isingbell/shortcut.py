@@ -169,8 +169,10 @@ def short_time_fidelity_limit() -> float:
 
 def tqd_fidelity_curve(kind: str, e: float, T_grid: Sequence[float] | np.ndarray) -> list[tuple[float, float]]:
     """Final Bell fidelity of the three-level system for each duration in
-    ``T_grid`` under the modified controls, starting from |dd> (RK4 at
-    ``propagate``'s step count)."""
+    ``T_grid`` under the modified controls, starting from |dd>.  Each
+    duration runs ``propagate``'s piecewise-exponential route: CF4 steps at
+    its automatic count, checked by step halving; a propagation error names
+    its duration."""
     t_grid = np.asarray(T_grid, dtype=float)
     if t_grid.size == 0 or np.any(t_grid <= 0.0) or np.any(np.diff(t_grid) <= 0.0):
         raise ValueError("T_grid must be positive and strictly ascending")
@@ -179,7 +181,7 @@ def tqd_fidelity_curve(kind: str, e: float, T_grid: Sequence[float] | np.ndarray
     for t_tot in t_grid:
         spec = ShortcutSpec(kind=kind, e=e, T=float(t_tot))
         try:
-            traj = propagate(shortcut_waveform(spec), c0)
+            traj = propagate(shortcut_waveform(spec), c0, method="piecewise-exponential")
         except NonUnitaryDrift as exc:
             raise NonUnitaryDrift(f"T={t_tot:g}: {exc}") from exc
         out.append((float(t_tot), fidelity(traj)))
@@ -192,8 +194,9 @@ def two_level_inversion(spec: ShortcutSpec) -> float:
 
     This is the defining exactness property of the construction: the result
     is 1 up to integrator error for any duration; only the three-level
-    embedding degrades the transfer.  RK4 runs on the {|dd>, bell} block of
-    H_c at ``propagate``'s step count and passes its drift gate, so an
+    embedding degrades the transfer.  RK4, independent of the exponential
+    route the fidelity curves take, runs on the {|dd>, bell} block of H_c
+    at ``propagate``'s RK4 step count and passes its drift gate, so an
     under-resolved history raises ``NonUnitaryDrift``.
     """
     psi, _ = _rk4_states(shortcut_waveform(spec), np.array([1.0 + 0.0j, 0.0j]))

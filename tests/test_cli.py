@@ -59,7 +59,8 @@ class TestTqd:
         assert summary["fidelity"] == pytest.approx(0.9993, abs=5e-4)
         assert summary["config"]["kind"] == "symmetric"
         rows = (out / "tqd_trajectory.csv").read_text().splitlines()[2:]
-        assert (summary["method"], summary["steps"]) == ("rk4", len(rows) - 1)
+        assert (summary["method"], summary["steps"]) == ("piecewise-exponential", len(rows) - 1)
+        assert 0.0 <= summary["error_estimate"] <= 1e-7
         assert any(line.startswith("fidelity: ") for line in stdout.splitlines())
 
     def test_invalid_duration_is_usage_error(self, tmp_path, capsys):
@@ -220,6 +221,23 @@ class TestSimulate:
         assert summary["method"] == method
         assert summary["steps"] == len(rows) - 1
         assert 0.0 <= summary["max_drift"] <= 1e-8
+
+    def test_strong_detuning_is_resolved(self, tmp_path, capsys):
+        # the step bound includes the detuning: 35,415 RK4 steps, not 10,000
+        fids = []
+        for method in ("rk4", "piecewise-exponential"):
+            code, out, _ = run(capsys, "simulate", "--delta", "30", "--T", "10", "--method", method,
+                               "--out", str(tmp_path / method))
+            assert code == 0
+            fids.append(float(out.splitlines()[-1].split()[-1]))
+        assert fids[0] == pytest.approx(fids[1], abs=1e-7)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_idle_pulse_of_huge_duration_is_usage_error(self, tmp_path, capsys):
+        # |H| >= 4 even with no field, so the step policy refuses it up front
+        code, _, err = run(capsys, "simulate", "--T", "1e300", "--omega", "0", "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert err.count("error: ") == 1 and "Traceback" not in err and "Warning" not in err
 
     # overflow and divide-by-zero warnings would reach the user's terminal
     @pytest.mark.filterwarnings("error::RuntimeWarning")

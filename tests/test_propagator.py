@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import chain_reference
+from isingbell import propagator
 from isingbell.model import TripletAmplitudes
+from isingbell.optimize import BENCHMARK_SERIES_T25_A, BENCHMARK_SERIES_T25_B, TrigSeries, series_waveform
 from isingbell.propagator import (
+    HALVING_TOL,
     MAX_STEPS,
     ControlWaveform,
-    MethodMismatch,
     NonUnitaryDrift,
     _auto_steps,
+    _cf4_history,
     _rk4_table,
     chain_indexed,
     fidelity,
@@ -26,6 +29,7 @@ from isingbell.propagator import (
     segment_propagators,
     write_trajectory_csv,
 )
+from isingbell.shortcut import ShortcutSpec, shortcut_waveform
 
 SPIN_DOWN = TripletAmplitudes.spin_down()
 
@@ -103,10 +107,15 @@ class TestPropagate:
         t_rk4 = propagate(wf, SPIN_DOWN, method="rk4")
         assert np.max(np.abs(t_exp.states[-1] - t_rk4.states[-1])) <= 1e-7
 
-    def test_exponential_route_requires_piecewise(self):
+    def test_exponential_route_takes_parametric_waveforms(self):
+        # constant controls given as a sampler: CF4 steps are exact, so the
+        # route agrees with the single exact segment to round-off
         wf = ControlWaveform(1.0, lambda ts: (np.zeros_like(ts), np.ones_like(ts)))
-        with pytest.raises(MethodMismatch):
-            propagate(wf, SPIN_DOWN, method="piecewise-exponential")
+        traj = propagate(wf, SPIN_DOWN, method="piecewise-exponential")
+        exact = propagate(ControlWaveform.piecewise_constant(1.0, [1.0]), SPIN_DOWN, method="piecewise-exponential")
+        assert (traj.method, traj.steps) == ("piecewise-exponential", 100)
+        assert traj.times.size == 101 and traj.error_estimate <= 1e-13
+        assert np.max(np.abs(traj.states[-1] - exact.states[-1])) <= 1e-13
 
     def test_unknown_method_rejected(self):
         wf = ControlWaveform.piecewise_constant(1.0, [1.0])
@@ -118,6 +127,11 @@ class TestPropagate:
         traj = propagate(wf, SPIN_DOWN, method="piecewise-exponential")
         assert (traj.method, traj.steps) == ("piecewise-exponential", 3)
         assert 0.0 <= traj.max_drift <= 1e-14
+        assert traj.error_estimate == 0.0
+
+    def test_rk4_route_makes_no_error_estimate(self):
+        traj = propagate(ControlWaveform.piecewise_constant(1.0, [1.0]), SPIN_DOWN)
+        assert traj.error_estimate is None
 
     def test_coarse_steps_raise_drift(self):
         # the pulse lies between two of the policy's peak samples, so the
@@ -143,6 +157,15 @@ class TestPropagate:
         assert _auto_steps(ControlWaveform.piecewise_constant(1.0, np.full(8, 1000.0))) == MAX_STEPS
         with pytest.raises(ValueError, match="ceiling"):
             _auto_steps(ControlWaveform.piecewise_constant(1.0, np.full(7, 1000.0)))
+
+    def test_strong_detuning_sets_the_rk4_count(self):
+        # |H| <= 4 + 30 + sqrt(2) bounds the step; the pulse area alone
+        # (max|omega| T = 10) gave 10,000 steps and a norm drift of 1e-7
+        wf = ControlWaveform.piecewise_constant(10.0, [1.0], delta=30.0)
+        assert _auto_steps(wf) == math.ceil(1000 * 10.0 * (34.0 + math.sqrt(2.0)) / 10.0)
+        t_rk4 = propagate(wf, SPIN_DOWN)
+        t_exp = propagate(wf, SPIN_DOWN, method="piecewise-exponential")
+        assert np.max(np.abs(t_rk4.states[-1] - t_exp.states[-1])) <= 1e-7
 
     def test_rk4_steps_align_with_segments(self):
         wf = ControlWaveform.piecewise_constant(1.0, np.ones(7))
@@ -180,6 +203,64 @@ class TestPropagate:
         assert np.max(np.abs(np.sum(t_rk4.populations, axis=1) - 1.0)) <= 1e-10
         t_exp = propagate(wf, SPIN_DOWN, method="piecewise-exponential")
         assert np.max(np.abs(t_exp.states[-1] - t_rk4.states[-1])) <= 1e-7
+
+
+class TestFourthOrderRoute:
+    """The piecewise-exponential route on parametric waveforms: CF4:2 steps
+    with a step-halving estimate and a jump guard."""
+
+    @staticmethod
+    def _shortcut(kind="symmetric", T=10.0):
+        return shortcut_waveform(ShortcutSpec(kind=kind, e=0.1, T=T))
+
+    def test_fourth_order(self):
+        wf = self._shortcut()
+        c0 = SPIN_DOWN.as_array()
+        ref = _cf4_history(wf, c0, 2000)[-1]
+        err = [np.linalg.norm(_cf4_history(wf, c0, n)[-1] - ref) for n in (50, 100)]
+        assert err[1] > 1e-10
+        assert err[0] / err[1] >= 12.0
+
+    def test_history_is_kept_at_the_step_edges(self):
+        wf = self._shortcut(T=1.0)
+        traj = propagate(wf, SPIN_DOWN, method="piecewise-exponential")
+        assert traj.states.shape == (traj.steps + 1, 3)
+        np.testing.assert_allclose(traj.times, np.linspace(0.0, 1.0, traj.steps + 1))
+        assert np.array_equal(traj.states, _cf4_history(wf, SPIN_DOWN.as_array(), traj.steps))
+        assert 0.0 <= traj.error_estimate <= HALVING_TOL and traj.max_drift <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["symmetric", "nonsymmetric"])
+    @pytest.mark.parametrize("T", [0.01, 10.0, 15.0])
+    def test_agrees_with_rk4_on_the_shortcut(self, kind, T):
+        # the ends of the fig1b grid and the T = 10 anchor
+        wf = self._shortcut(kind, T)
+        t_exp = propagate(wf, SPIN_DOWN, method="piecewise-exponential")
+        t_rk4 = propagate(wf, SPIN_DOWN)
+        assert np.linalg.norm(t_exp.states[-1] - t_rk4.states[-1]) <= 1e-7
+
+    @pytest.mark.parametrize("convention", ["xi-units", "per-duration"])
+    def test_agrees_with_rk4_on_the_table1_series(self, convention):
+        series = TrigSeries(p=3, a=BENCHMARK_SERIES_T25_A, b=BENCHMARK_SERIES_T25_B)
+        wf = series_waveform(series, 2.5, convention=convention)
+        t_exp = propagate(wf, SPIN_DOWN, method="piecewise-exponential")
+        t_rk4 = propagate(wf, SPIN_DOWN)
+        assert np.linalg.norm(t_exp.states[-1] - t_rk4.states[-1]) <= 1e-7
+
+    def test_coarse_count_doubles_until_the_estimate_passes(self, monkeypatch):
+        monkeypatch.setattr(propagator, "CF4_MIN_STEPS", 10)
+        monkeypatch.setattr(propagator, "CF4_STEPS_PER_UNIT_NORM", 0)
+        wf = self._shortcut()
+        traj = propagate(wf, SPIN_DOWN, method="piecewise-exponential")
+        assert traj.steps > 10 and traj.steps % 10 == 0 and math.log2(traj.steps // 10).is_integer()
+        assert traj.error_estimate <= HALVING_TOL
+        assert np.linalg.norm(traj.states[-1] - propagate(wf, SPIN_DOWN).states[-1]) <= 1e-7
+
+    @pytest.mark.parametrize("omega", [1e4, 30.0])
+    def test_narrow_pulse_raises(self, omega):
+        # step halving alone would pass the 1e4 pulse at a wrong fidelity:
+        # both counts straddle it alike
+        with pytest.raises(NonUnitaryDrift, match="jump"):
+            propagate(_narrow_pulse(omega), SPIN_DOWN, method="piecewise-exponential")
 
 
 def _complex_maps(table: np.ndarray) -> np.ndarray:

@@ -231,9 +231,11 @@ class TestFidelityCurve:
             tqd_fidelity_curve("symmetric", 0.1, [])
 
     def test_propagation_error_carries_duration(self, monkeypatch):
-        # a violent envelope at 100 steps under-resolves and must say which T
-        monkeypatch.setattr(propagator, "DEFAULT_STEPS", 100)
-        monkeypatch.setattr(propagator, "STEPS_PER_UNIT_AREA", 0)
+        # a violent envelope at 100 steps, allowed one doubling, under-resolves
+        # and must say which T
+        monkeypatch.setattr(propagator, "CF4_MIN_STEPS", 100)
+        monkeypatch.setattr(propagator, "CF4_STEPS_PER_UNIT_NORM", 0)
+        monkeypatch.setattr(propagator, "MAX_STEPS", 200)
         with pytest.raises(NonUnitaryDrift, match="T=10"):
             tqd_fidelity_curve("symmetric", 100.0, [10.0])
 
