@@ -15,9 +15,13 @@ configuration, experiment id and output directory included, is echoed to
 stdout and embedded in every artifact, so passing it back with ``--config``
 replays the run exactly.  A flag the run does not read (one of another
 ``repro`` dataset, or one ``optimize`` ignores in its mode) is a usage
-error.  No command takes a step count: ``propagator._auto_steps`` picks
-it, and the ``tqd`` and ``simulate`` summaries record it with the route,
-the drift and the error estimate.  Exit codes: 0 ok, 2 invalid
+error.  Each command builds its inputs through the library, which checks
+their ranges, and only then calls ``begin``, which makes the output
+directory and prints the echo before any work; so invalid inputs leave
+stdout empty and make no directory.  No command takes a step count:
+``propagator._auto_steps`` picks it during the propagation, and the
+``tqd`` and ``simulate`` summaries record it with the route, the drift and
+the error estimate.  Exit codes: 0 ok, 2 invalid
 usage/parameters (a waveform whose step count exceeds the ceiling
 included), 3 numeric failure (norm drift, a step-halving estimate above
 tolerance, controls that jump, no convergence, infeasible series), 141
@@ -68,11 +72,16 @@ from .optimize import (
     InfeasibleResult,
     NoConvergence,
     TrigSeries,
+    check_harmonics,
+    check_restarts,
+    detuning_problems,
+    duration_problems,
     evaluate_series,
     optimize_piecewise,
     optimize_trig,
     read_series_json,
     saturation_fraction,
+    series_waveform,
     sweep_detuning,
     sweep_duration,
     trig_harmonic_scan,
@@ -190,21 +199,24 @@ def _best_cell(cells):
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommand implementations: each builds and checks its inputs, calls
+# ``begin`` (output directory and config echo), then runs
 
 
-def cmd_tqd(cfg: dict, out: Path) -> None:
+def cmd_tqd(cfg: dict, out: Path, begin) -> None:
     """propagate the shortcut drive and record the trajectory"""
     wf = shortcut_waveform(ShortcutSpec(kind=cfg["kind"], e=cfg["e"], T=cfg["T"]))
+    begin()
     traj = propagate(wf, TripletAmplitudes.spin_down(), method="piecewise-exponential")
     write_waveform_csv(wf, out / "tqd_waveform.csv", config=cfg)
     write_trajectory_csv(traj, out / "tqd_trajectory.csv", config=cfg)
     _write_summary(out / "tqd_summary.json", cfg, traj)
 
 
-def cmd_simulate(cfg: dict, out: Path) -> None:
+def cmd_simulate(cfg: dict, out: Path, begin) -> None:
     """propagate constant controls"""
     wf = ControlWaveform.piecewise_constant(cfg["T"], [cfg["omega"]], delta=cfg["delta"])
+    begin()
     traj = propagate(wf, TripletAmplitudes.spin_down(), method=cfg["method"])
     write_trajectory_csv(traj, out / "simulate_trajectory.csv", config=cfg)
     _write_summary(out / "simulate_summary.json", cfg, traj)
@@ -218,24 +230,29 @@ def _optimize_ignores(cfg: dict) -> tuple[str, tuple[str, ...]]:
     return ("--mode trig --joint", ("delta",)) if cfg["joint"] else ("--mode trig", ())
 
 
-def cmd_optimize(cfg: dict, out: Path) -> None:
+def cmd_optimize(cfg: dict, out: Path, begin) -> None:
     """optimize bounded controls for the Bell transfer"""
     if cfg["mode"] == "piecewise":
         problem = ControlProblem(T=cfg["T"], delta_value=cfg["delta"], segments=cfg["segments"])
+        begin()
         report = optimize_piecewise(problem, restarts=cfg["restarts"], seed=cfg["seed"])
         print(f"fidelity: {report.fidelity:.12g}  saturation: {saturation_fraction(report.waveform):.4f}")
     else:
         # joint mode shapes the detuning, so a configured constant one is not used
         mode, delta = ("trig-series", 0.0) if cfg["joint"] else ("fixed", cfg["delta"])
         problem = ControlProblem(T=cfg["T"], delta_mode=mode, delta_value=delta, segments=cfg["segments"])
+        check_harmonics(cfg["p"])
+        begin()
         report = optimize_trig(problem, p=cfg["p"], restarts=cfg["restarts"], seed=cfg["seed"])
         print(f"fidelity: {report.fidelity:.12g}")
     write_report_json(report, out / "optimize_report.json", config=cfg)
     write_waveform_csv(report.waveform, out / "optimize_waveform.csv", config=cfg)
 
 
-def cmd_sweep_detuning(cfg: dict, out: Path) -> None:
+def cmd_sweep_detuning(cfg: dict, out: Path, begin) -> None:
     """best fidelity over a constant-detuning grid"""
+    detuning_problems(cfg["T"], cfg["deltas"], cfg["segments"])
+    begin()
     cells = sweep_detuning(
         cfg["T"], cfg["deltas"], restarts=cfg["restarts"], seed=cfg["seed"], segments=cfg["segments"]
     )
@@ -244,20 +261,24 @@ def cmd_sweep_detuning(cfg: dict, out: Path) -> None:
     print(f"best: T={best.T:g} delta={best.delta:g} fidelity={best.fidelity:.12g}")
 
 
-def cmd_sweep_duration(cfg: dict, out: Path) -> None:
+def cmd_sweep_duration(cfg: dict, out: Path, begin) -> None:
     """best fidelity against duration at fixed detuning"""
+    duration_problems(cfg["delta"], cfg["T"], cfg["segments"])
+    begin()
     cells = sweep_duration(cfg["delta"], cfg["T"], restarts=cfg["restarts"], seed=cfg["seed"], segments=cfg["segments"])
     write_sweep_csv(cells, out / "sweep_duration.csv", config=cfg)
     for c in cells:
         print(f"T={c.T:g} fidelity={c.fidelity:.12g}" + (f"  [{c.error}]" if c.error else ""))
 
 
-def cmd_evaluate_series(cfg: dict, out: Path) -> None:
+def cmd_evaluate_series(cfg: dict, out: Path, begin) -> None:
     """propagate a trigonometric series from a JSON file"""
     if cfg["series"] is None:
         series = TrigSeries(p=3, a=np.array(BENCHMARK_SERIES_T25_A), b=np.array(BENCHMARK_SERIES_T25_B))
     else:
         series = read_series_json(cfg["series"])
+    series_waveform(series, cfg["T"], convention=cfg["convention"])  # checks the duration
+    begin()
     fid = evaluate_series(series, cfg["T"], convention=cfg["convention"])
     write_json(out / "series_eval.json", {"config": cfg, "series": series.to_dict(), "fidelity": fid})
     print(f"fidelity: {fid:.12g}")
@@ -267,7 +288,9 @@ def cmd_evaluate_series(cfg: dict, out: Path) -> None:
 # benchmark reproductions
 
 
-def _repro_fig1b(cfg: dict, out: Path) -> None:
+def _repro_fig1b(cfg: dict, out: Path, begin) -> None:
+    ShortcutSpec(kind=SYMMETRIC, e=cfg["e"])  # checks the amplitude
+    begin()
     t_grid = np.geomspace(0.01, 15.0, 100)
     sym = tqd_fidelity_curve(SYMMETRIC, cfg["e"], t_grid)
     non = tqd_fidelity_curve(NONSYMMETRIC, cfg["e"], t_grid)
@@ -276,27 +299,34 @@ def _repro_fig1b(cfg: dict, out: Path) -> None:
     print(f"fidelity at T={t_grid[-1]:g}: {sym[-1][1]:.6f} (sym) {non[-1][1]:.6f} (non)")
 
 
-def _repro_fig2(cfg: dict, out: Path) -> None:
+def _repro_fig2(cfg: dict, out: Path, begin) -> None:
+    problems = [ControlProblem(T=t_tot, segments=cfg["segments"]) for t_tot in (2.0, 2.5, 3.0, 3.6)]
+    begin()
     rows = []
-    for t_tot in (2.0, 2.5, 3.0, 3.6):
-        problem = ControlProblem(T=t_tot, segments=cfg["segments"])
+    for problem in problems:
         rep = optimize_piecewise(problem, restarts=cfg["restarts"], seed=cfg["seed"])
-        write_report_json(rep, out / f"fig2_T{t_tot:g}.json", config=cfg)
-        rows.append((t_tot, rep.fidelity, saturation_fraction(rep.waveform)))
-        print(f"T={t_tot:g}: fidelity={rep.fidelity:.12g} saturation={rows[-1][2]:.4f}")
+        write_report_json(rep, out / f"fig2_T{problem.T:g}.json", config=cfg)
+        rows.append((problem.T, rep.fidelity, saturation_fraction(rep.waveform)))
+        print(f"T={problem.T:g}: fidelity={rep.fidelity:.12g} saturation={rows[-1][2]:.4f}")
     write_csv(out / "fig2.csv", ("T", "fidelity", "saturation"), np.transpose(rows), cfg)
 
 
-def _repro_fig3a(cfg: dict, out: Path) -> None:
+def _repro_fig3a(cfg: dict, out: Path, begin) -> None:
+    detuning_problems([2.5], _DELTA_GRID, cfg["segments"])
+    begin()
     cells = sweep_detuning([2.5], _DELTA_GRID, restarts=cfg["restarts"], seed=cfg["seed"], segments=cfg["segments"])
     write_sweep_csv(cells, out / "fig3a.csv", config=cfg)
     best = _best_cell(cells)
     print(f"best delta={best.delta:g} fidelity={best.fidelity:.12g}")
 
 
-def _repro_fig3b(cfg: dict, out: Path) -> None:
+def _repro_fig3b(cfg: dict, out: Path, begin) -> None:
+    deltas = (0.0, -0.11)
+    for dval in deltas:
+        duration_problems(dval, _DURATION_GRID, cfg["segments"])
+    begin()
     all_cells = []
-    for dval in (0.0, -0.11):
+    for dval in deltas:
         cells = sweep_duration(
             dval, _DURATION_GRID, restarts=cfg["restarts"], seed=cfg["seed"], segments=cfg["segments"]
         )
@@ -306,8 +336,9 @@ def _repro_fig3b(cfg: dict, out: Path) -> None:
     write_sweep_csv(all_cells, out / "fig3b.csv", config=cfg)
 
 
-def _repro_fig4c(cfg: dict, out: Path) -> None:
+def _repro_fig4c(cfg: dict, out: Path, begin) -> None:
     problem = ControlProblem(T=2.5, delta_mode="trig-series", segments=cfg["segments"])
+    begin()
     reports = trig_harmonic_scan(problem, [1, 2, 3, 5], restarts=cfg["restarts"], seed=cfg["seed"])
     columns = [[rep.series.p for rep in reports], [rep.fidelity for rep in reports]]
     write_csv(out / "fig4c.csv", ("p", "fidelity"), columns, cfg)
@@ -316,8 +347,9 @@ def _repro_fig4c(cfg: dict, out: Path) -> None:
         print(f"p={rep.series.p}: fidelity={rep.fidelity:.12g}")
 
 
-def _repro_table1(cfg: dict, out: Path) -> None:
+def _repro_table1(cfg: dict, out: Path, begin) -> None:
     series = TrigSeries(p=3, a=np.array(BENCHMARK_SERIES_T25_A), b=np.array(BENCHMARK_SERIES_T25_B))
+    begin()
     results = {conv: evaluate_series(series, 2.5, convention=conv) for conv in (CONVENTION_XI, CONVENTION_PERIOD)}
     succeeded = [conv for conv, fid in results.items() if fid >= 0.99]
     extra = {"config": cfg, "T": 2.5, "fidelity": results, "convention_succeeded": succeeded}
@@ -374,8 +406,9 @@ _HELP = {
 
 
 def _run(args: argparse.Namespace) -> None:
-    """Resolve a run's configuration, reject the flags it does not read,
-    echo the configuration and run the command in its output directory."""
+    """Resolve a run's configuration, reject the flags it does not read and
+    run the command, which calls ``begin`` once its inputs are checked:
+    ``begin`` makes the output directory and echoes the configuration."""
     if args.command == "repro":
         if args.id not in REPRO_DATASETS:
             raise ValueError(f"unknown reproduction id {args.id!r}; choose from {', '.join(REPRO_DATASETS)}")
@@ -388,11 +421,16 @@ def _run(args: argparse.Namespace) -> None:
         if args.command == "optimize":
             mode, ignored = _optimize_ignores(cfg)
             _reject_flags(args, ignored, f"optimize {mode}")
+    if "restarts" in cfg:  # every optimizer-backed run
+        check_restarts(cfg["restarts"])
     out = Path(cfg["out"] or DEFAULT_OUT)
-    out.mkdir(parents=True, exist_ok=True)
     cfg["out"] = str(out)
-    print("config: " + json.dumps(cfg, sort_keys=True))
-    func(cfg, out)
+
+    def begin() -> None:
+        out.mkdir(parents=True, exist_ok=True)
+        print("config: " + json.dumps(cfg, sort_keys=True))
+
+    func(cfg, out, begin)
 
 
 def cmd_limit(args: argparse.Namespace) -> None:

@@ -14,6 +14,10 @@ coefficients form stacked channels of 2p + 1 (omega, then delta when shaped),
 each optimized with a quadratic penalty on bound violations at the
 discretization grid, tightened over continuation rounds, and finished with
 an exact rescale onto the box.
+
+scipy is imported on the first L-BFGS-B call, not with this module: the
+shortcut commands and ``evaluate_series`` never solve anything, and
+importing ``scipy.optimize`` costs about 0.5 s and 47 MiB of memory.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import fmin_l_bfgs_b
 
 from .artifacts import write_csv, write_json
 from .model import SQRT2
@@ -77,6 +80,16 @@ _FORWARD_ADJOINT_STARTS = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], dtype=com
 #: near-perfect transfer
 BENCHMARK_SERIES_T25_A = (4.88177, -3.02932, -5.61925, -1.64576, 2.79904, 0.784017, -0.0724018)
 BENCHMARK_SERIES_T25_B = (-8.67328, 0.800026, 14.4413, 8.33812, -1.43694, -1.41904, -3.07217)
+
+
+def fmin_l_bfgs_b(*args, **kwargs):
+    """``scipy.optimize.fmin_l_bfgs_b``, imported on the first call, with
+    every argument forwarded.  It is a module attribute, not an import
+    inside the optimizers, so callers (and tracers) that rebind
+    ``optimize.fmin_l_bfgs_b`` still see every solver call."""
+    from scipy.optimize import fmin_l_bfgs_b as solver
+
+    return solver(*args, **kwargs)
 
 
 class NoConvergence(RuntimeError):
@@ -137,8 +150,7 @@ class TrigSeries:
     b: np.ndarray
 
     def __post_init__(self):
-        if self.p < 0:
-            raise ValueError("harmonic count p must be >= 0")
+        check_harmonics(self.p)
         a = np.asarray(self.a, dtype=float)
         b = np.asarray(self.b, dtype=float)
         if a.shape != (2 * self.p + 1,) or b.shape != (2 * self.p + 1,):
@@ -311,14 +323,19 @@ def _exit_reason(info: dict) -> str:
     return "gradient" if "PROJECTED_GRADIENT" in task.upper().replace(" ", "_") else "ftol"
 
 
+def check_restarts(restarts: int) -> None:
+    """A multi-start search draws ``restarts`` >= 0 random starts."""
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
+
+
 def _starts(
     const: np.ndarray, restarts: int, seed: int, shrink: float, extra_starts: Sequence[np.ndarray] | None
 ) -> list[np.ndarray]:
     """Starts of a multi-start search: ``restarts`` seeded uniform random
     vectors in the box divided by ``shrink``, then the constant start
     ``const``, then ``extra_starts``, each of const's shape."""
-    if restarts < 0:
-        raise ValueError(f"restarts must be >= 0, got {restarts}")
+    check_restarts(restarts)
     rng = np.random.default_rng(seed)
     starts = [rng.uniform(-BOUND, BOUND, size=const.size) / shrink for _ in range(restarts)]
     starts.append(const)
@@ -413,10 +430,15 @@ def saturation_fraction(waveform: ControlWaveform) -> float:
 # trigonometric-series optimization
 
 
-def trig_basis(p: int, t: np.ndarray, T: float | None = None, convention: str = CONVENTION_XI) -> np.ndarray:
-    """Design matrix [1, cos(kt), sin(kt), ...] of shape (len(t), 2p+1)."""
+def check_harmonics(p: int) -> None:
+    """A series has p >= 0 harmonics."""
     if p < 0:
         raise ValueError(f"harmonic count p must be >= 0, got {p}")
+
+
+def trig_basis(p: int, t: np.ndarray, T: float | None = None, convention: str = CONVENTION_XI) -> np.ndarray:
+    """Design matrix [1, cos(kt), sin(kt), ...] of shape (len(t), 2p+1)."""
+    check_harmonics(p)
     t = np.asarray(t, dtype=float)
     if convention == CONVENTION_XI:
         karg = t[:, None] * np.arange(1, p + 1)[None, :]
@@ -647,12 +669,18 @@ def sweep_detuning(
     """Best piecewise fidelity on every (T, constant delta) pair, marched by
     ``_sweep`` once every cell has passed its checks; a failed cell gets
     fidelity NaN and the sweep goes on."""
+    return _sweep(detuning_problems(T_list, delta_grid, segments), restarts, seed)
+
+
+def detuning_problems(
+    T_list: Sequence[float], delta_grid: Sequence[float], segments: int = DEFAULT_SEGMENTS
+) -> list[ControlProblem]:
+    """The cells of ``sweep_detuning``: one checked problem per (T, delta) pair."""
     T_list = list(T_list)
     delta_grid = list(delta_grid)
     if not T_list or not delta_grid:
         raise ValueError("sweep grids must be non-empty")
-    problems = [ControlProblem(T=t, delta_value=d, segments=segments) for t, d in itertools.product(T_list, delta_grid)]
-    return _sweep(problems, restarts, seed)
+    return [ControlProblem(T=t, delta_value=d, segments=segments) for t, d in itertools.product(T_list, delta_grid)]
 
 
 def _pad_resample(omega_prev: np.ndarray, T_prev: float, T_new: float) -> np.ndarray:
@@ -674,11 +702,17 @@ def sweep_duration(
     """Best piecewise fidelity against duration at a fixed detuning, marched
     by ``_sweep``: idling costs nothing, so no cell may end below the one
     before it."""
+    return _sweep(duration_problems(delta_fixed, T_grid, segments), restarts, seed)
+
+
+def duration_problems(
+    delta_fixed: float, T_grid: Sequence[float], segments: int = DEFAULT_SEGMENTS
+) -> list[ControlProblem]:
+    """The cells of ``sweep_duration``: one checked problem per duration."""
     T_grid = list(T_grid)
     if not T_grid or any(t <= 0 for t in T_grid) or any(b <= a for a, b in zip(T_grid, T_grid[1:])):
         raise ValueError("T_grid must be positive and strictly ascending")
-    problems = [ControlProblem(T=t_tot, delta_value=delta_fixed, segments=segments) for t_tot in T_grid]
-    return _sweep(problems, restarts, seed)
+    return [ControlProblem(T=t_tot, delta_value=delta_fixed, segments=segments) for t_tot in T_grid]
 
 
 def adiabatic_baseline(T: float) -> ControlWaveform:

@@ -477,6 +477,29 @@ class TestOutputHygiene:
         assert code == 0
         assert (tmp_path / "isingbell_out" / "simulate_summary.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("tqd", "--T", "0"),
+        ("optimize", "--restarts", "-1", "--T", "2.5", "--segments", "20"),
+        ("optimize", "--mode", "trig", "--p", "-1", "--T", "2.5", "--segments", "20", "--restarts", "0"),
+        ("sweep-detuning", "--deltas=", "--segments", "20"),
+        ("sweep-duration", "--T=2,1", "--segments", "20", "--restarts", "0"),
+        ("repro", "fig1b", "--e", "-1"),
+        ("evaluate-series", "--series", "/nonexistent.json"),
+        ("simulate", "--omega", "nan"),
+        ("evaluate-series", "--T", "0"),
+        ("repro", "fig2", "--restarts", "-1"),
+        ("repro", "fig3b", "--segments", "5"),
+    ], ids=["tqd-T", "optimize-restarts", "trig-p", "sweep-detuning-empty", "sweep-duration-descending",
+            "fig1b-e", "evaluate-series-missing", "simulate-nan", "evaluate-series-T", "fig2-restarts",
+            "fig3b-segments"])
+    def test_usage_error_echoes_nothing(self, tmp_path, capsys, argv):
+        # the library rejects the inputs before the config echo and the output directory
+        out = tmp_path / "o"
+        code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert stdout == "" and not out.exists()
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert main(["optimize", "--help"]) == 0
@@ -498,3 +521,29 @@ class TestOutputHygiene:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+COLD_START = """
+import json, sys
+import isingbell, isingbell.cli
+loaded = ["scipy.optimize" in sys.modules]
+out = sys.argv[1]
+for argv in (["limit"], ["tqd", "--T", "0.5", "--out", out], ["simulate", "--out", out],
+             ["evaluate-series", "--out", out]):
+    code = isingbell.cli.main(argv)
+    loaded.append(("scipy.optimize" in sys.modules, code))
+code = isingbell.cli.main(["optimize", "--T", "2.5", "--segments", "20", "--restarts", "0", "--out", out])
+print(json.dumps({"loaded": loaded, "optimize": [code, "scipy.optimize" in sys.modules]}))
+"""
+
+
+def test_shortcut_commands_never_load_scipy(tmp_path):
+    """scipy.optimize loads on the first L-BFGS-B call, not with the package."""
+    env = {**os.environ, **{v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(isingbell.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path / "o")], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["loaded"] == [False] + [[False, 0]] * 4
+    assert result["optimize"] == [0, True]

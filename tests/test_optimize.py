@@ -285,6 +285,29 @@ def test_extra_start_shape_checked(optimizer, kwargs):
         optimizer(ControlProblem(T=2.0, segments=50), restarts=0, seed=0, extra_starts=[np.zeros(7)], **kwargs)
 
 
+class TestLbfgsSeam:
+    """Every solver call goes through the module attribute
+    ``optimize.fmin_l_bfgs_b``, which tracers rebind."""
+
+    @pytest.mark.parametrize("solve, calls", [
+        (lambda: optimize_piecewise(ControlProblem(T=2.0, segments=40), restarts=1, seed=3), 2),
+        (lambda: optimize_trig(ControlProblem(T=2.5, segments=40), p=1, restarts=0, seed=3),
+         len(optimize.PENALTY_WEIGHTS)),
+    ], ids=["piecewise", "trig"])
+    def test_counting_pass_through_sees_every_call(self, monkeypatch, solve, calls):
+        plain = solve().fidelity
+        seen = []
+        solver = optimize.fmin_l_bfgs_b
+
+        def counting(*args, **kwargs):
+            seen.append(kwargs.get("maxiter"))
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "fmin_l_bfgs_b", counting)
+        assert solve().fidelity == plain
+        assert len(seen) == calls
+
+
 class TestSaturationFraction:
     def test_counts_segments_at_either_bound(self):
         wf = ControlWaveform.piecewise_constant(1.0, [1.0, -1.0, 0.5, 0.99951])
