@@ -19,9 +19,10 @@ error.  Each command builds its inputs through the library, which checks
 their ranges, and only then calls ``begin``, which makes the output
 directory and prints the echo before any work; so invalid inputs leave
 stdout empty and make no directory.  No command takes a step count:
-``propagator._auto_steps`` picks it during the propagation, and the
-``tqd`` and ``simulate`` summaries record it with the route, the drift and
-the error estimate.  Exit codes: 0 ok, 2 invalid
+``propagator.step_count`` picks it, and ``tqd`` and ``simulate`` ask for it
+before ``begin``, so a waveform past the step ceiling is refused before
+the echo too; their summaries record it with the route, the drift and the
+error estimate.  Exit codes: 0 ok, 2 invalid
 usage/parameters (a waveform whose step count exceeds the ceiling
 included), 3 numeric failure (norm drift, a step-halving estimate above
 tolerance, controls that jump, no convergence, infeasible series), 141
@@ -47,6 +48,7 @@ from .propagator import (
     NonUnitaryDrift,
     fidelity,
     propagate,
+    step_count,
     write_trajectory_csv,
 )
 from .shortcut import (
@@ -206,8 +208,9 @@ def _best_cell(cells):
 def cmd_tqd(cfg: dict, out: Path, begin) -> None:
     """propagate the shortcut drive and record the trajectory"""
     wf = shortcut_waveform(ShortcutSpec(kind=cfg["kind"], e=cfg["e"], T=cfg["T"]))
+    steps = step_count(wf, "piecewise-exponential")
     begin()
-    traj = propagate(wf, TripletAmplitudes.spin_down(), method="piecewise-exponential")
+    traj = propagate(wf, TripletAmplitudes.spin_down(), method="piecewise-exponential", steps=steps)
     write_waveform_csv(wf, out / "tqd_waveform.csv", config=cfg)
     write_trajectory_csv(traj, out / "tqd_trajectory.csv", config=cfg)
     _write_summary(out / "tqd_summary.json", cfg, traj)
@@ -216,8 +219,9 @@ def cmd_tqd(cfg: dict, out: Path, begin) -> None:
 def cmd_simulate(cfg: dict, out: Path, begin) -> None:
     """propagate constant controls"""
     wf = ControlWaveform.piecewise_constant(cfg["T"], [cfg["omega"]], delta=cfg["delta"])
+    steps = step_count(wf, cfg["method"])
     begin()
-    traj = propagate(wf, TripletAmplitudes.spin_down(), method=cfg["method"])
+    traj = propagate(wf, TripletAmplitudes.spin_down(), method=cfg["method"], steps=steps)
     write_trajectory_csv(traj, out / "simulate_trajectory.csv", config=cfg)
     _write_summary(out / "simulate_summary.json", cfg, traj)
 

@@ -270,9 +270,11 @@ def adjoint_gradient(problem: ControlProblem, controls: np.ndarray) -> tuple[flo
     dt = problem.T / n
     table, index, evals, evecs = segment_propagators(delta, omega, dt)
     m = evals.shape[0]
+    # rows [m, 2m) hold the transposed real forms, those of the adjoint maps
+    # U^H; the identity stays last
+    table = np.concatenate([table[:m], table[:m].transpose(0, 2, 1), table[m:]])
     # the costate is linear in lam_T = amp * e2: chain e2 backwards through
-    # the adjoint maps (table rows m..2m-1) alongside the forward pass and
-    # scale by amp afterwards
+    # the adjoint maps alongside the forward pass and scale by amp afterwards
     c, lam = chain_indexed(table, np.stack([index, m + index[::-1]]), _FORWARD_ADJOINT_STARTS)
     amp = c[-1, 1]
     fid = float(np.abs(amp) ** 2)

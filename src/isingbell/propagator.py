@@ -9,41 +9,50 @@ Both build their per-step maps in batch and share one kernel,
 ``chain_indexed``, a blocked scan in real arithmetic that applies them in
 order with O(sqrt(n)) numpy calls instead of one call per step.  It reads
 each step's map from a table by index, so a map shared by many steps is
-built once:
+built once.  Maps come from one of two builders: ``_taylor_table``, a
+truncated Taylor series of exp(-i H dt) from real powers of H dt, for
+steps whose maps are all distinct, and ``segment_propagators``, exact
+exponentials via eigendecomposition, once per distinct (delta, omega)
+pair, for piecewise-constant controls:
 
 * ``rk4``: fixed-step RK4 with the control pair frozen at each step
   midpoint.  For a frozen H one RK4 step is exactly the degree-4 Taylor
-  polynomial of exp(-i H dt), so that polynomial, built from real powers of
-  H dt, is the step map; on grids aligned with the segment edges the route
+  polynomial of exp(-i H dt), so ``_taylor_table`` at degree 4, unscaled,
+  is the step map; on grids aligned with the segment edges the route
   agrees with the exponential one to Taylor error (~1e-13 at default
   resolution).  Freezing at the midpoint keeps delta-like pulses and
   discontinuous waveforms well behaved; for smooth controls the route is
   second order in time.  It is the default of ``propagate``, the
   independent cross-check of the other route, and the route of
   ``shortcut.two_level_inversion``.
-* ``piecewise-exponential``: exact exponentials exp(-i H dt) of real
-  symmetric Hamiltonians via eigendecomposition, built once per distinct
-  (delta, omega) pair (``segment_propagators``).  A piecewise-constant
-  waveform is propagated segment by segment, exactly.  A parametric one
-  takes the commutator-free fourth-order step CF4:2 (Blanes & Moan, Appl.
-  Numer. Math. 56, 1519 (2006); Alvermann & Fehske, J. Comput. Phys. 230,
-  5930 (2011)): a step of length D samples the controls x = (delta, omega)
-  at the Gauss nodes t + (1/2 -+ sqrt(3)/6) D and applies
+* ``piecewise-exponential``: exponentials exp(-i H dt) of real symmetric
+  Hamiltonians.  A piecewise-constant waveform is propagated segment by
+  segment, exactly, with the ``segment_propagators`` maps.  A parametric
+  one takes the commutator-free fourth-order step CF4:2 (Blanes & Moan,
+  Appl. Numer. Math. 56, 1519 (2006); Alvermann & Fehske, J. Comput. Phys.
+  230, 5930 (2011)): a step of length D samples the controls x = (delta,
+  omega) at the Gauss nodes t + (1/2 -+ sqrt(3)/6) D and applies
   exp(-i D (a1 H1 + a2 H2)) exp(-i D (a2 H1 + a1 H2)) with
   a1,2 = 1/4 -+ sqrt(3)/6.  H is affine in x with weights summing to one,
   so each factor is a half-step exponential at the effective controls
-  2 (a2 x1 + a1 x2), then 2 (a1 x1 + a2 x2), and the segment kernel computes
-  it exactly.  The history is kept at the step edges.
+  2 (a2 x1 + a1 x2), then 2 (a1 x1 + a2 x2).  ``_taylor_table`` builds
+  those half-step maps at degree 12, scaling and squaring past
+  ``TAYLOR_THETA``; they agree with the eigendecomposition to rounding
+  (~1e-15) and need no sort of the all-distinct pairs and no ``eigh``.
+  The history is kept at the step edges.
 
 The optimizer runs its forward pass and its adjoint pass (the adjoint maps
-in reverse order, stored in the same table) through the same kernel in one
-batched call.
+in reverse order, appended to the ``segment_propagators`` table as their
+transposed real forms) through the same kernel in one batched call, and
+reuses the pairs' spectra for its gradient.
 
-Step counts have one source, ``_auto_steps``, which bounds the step by the
+Step counts have one source, ``step_count``, which bounds the step by the
 Gershgorin bound |H| <= 4 + max|delta| + sqrt(2) max|omega|, detuning
 included, and by the pulse area max|omega| T for RK4; no caller picks a
 count, and one above ``MAX_STEPS`` is a ValueError raised before any
-allocation.  The gates, each raising ``NonUnitaryDrift``:
+allocation.  ``propagate`` asks for the count itself unless its caller
+already did (the CLI does, so that it can refuse a waveform before it
+writes anything).  The gates, each raising ``NonUnitaryDrift``:
 
 * every state history, of either route, passes one drift gate: norm drift
   beyond ``DRIFT_LIMIT`` = 1e-8, or a NaN norm;
@@ -96,6 +105,13 @@ PROBE_SAMPLES = {"rk4": 513, "piecewise-exponential": 4001}
 #: CF4:2 Gauss-node offset and weights
 CF4_NODE = math.sqrt(3.0) / 6.0
 CF4_A1, CF4_A2 = 0.25 - CF4_NODE, 0.25 + CF4_NODE
+#: Taylor degree of the CF4 half-step maps, and the largest |A|_inf =
+#: |H|_inf D / 2 they take unscaled: there the remainder is below
+#: 0.25^13 / 13! e^0.25 ~ 3e-18, under rounding.  The step policy keeps the
+#: shortcut and table1 half-steps below 0.17; only forced coarse grids
+#: scale and square.
+CF4_TAYLOR_DEGREE = 12
+TAYLOR_THETA = 0.25
 #: most steps one propagation may take, at a few hundred bytes of arrays
 #: each
 MAX_STEPS = 1_000_000
@@ -212,16 +228,15 @@ def segment_propagators(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Exact propagators exp(-i H dt) of the distinct (delta, omega) pairs
     among the segments, via eigendecomposition, as a table for
-    ``chain_indexed``.
+    ``chain_indexed``: the maps of piecewise-constant waveforms and of the
+    optimizer, whose gradient reuses the spectra.
 
     Bang-bang controls repeat a few values over many segments, so the
     spectral work runs once per distinct pair.  Returns (table, index,
     evals, evecs): segment k holds pair ``index[k]``; for m pairs, rows
-    [0, m) of the table are the maps U in real form, rows [m, 2m) their
-    transposes, which are the real forms of the adjoint maps U^H, and row
-    2m is the identity that pads the scan.  evals/evecs are the pairs'
-    spectra, reused by the adjoint gradient.  For H = V diag(E) V^T with V
-    real, U = V cos(E dt) V^T - i V sin(E dt) V^T.
+    [0, m) of the table are the maps U in real form and row m is the
+    identity that pads the scan.  evals/evecs are the pairs' spectra.  For
+    H = V diag(E) V^T with V real, U = V cos(E dt) V^T - i V sin(E dt) V^T.
     """
     # complex keys sort and compare as (delta, omega) pairs
     key = np.empty(np.shape(delta), dtype=complex)
@@ -232,11 +247,10 @@ def segment_propagators(
     arg = dt * evals
     vt = np.swapaxes(evecs, 1, 2).copy()
     m = pairs.size
-    table = np.empty((2 * m + 1, 6, 6))
+    table = np.empty((m + 1, 6, 6))
     re = np.matmul(evecs * np.cos(arg)[:, None, :], vt)
     _real_form(re, -np.matmul(evecs * np.sin(arg)[:, None, :], vt), table[:m])
-    table[m : 2 * m] = np.swapaxes(table[:m], 1, 2)
-    table[2 * m] = np.eye(6)
+    table[m] = np.eye(6)
     return table, index, evals, evecs
 
 
@@ -283,20 +297,53 @@ def chain_indexed(table: np.ndarray, index: np.ndarray, c0: np.ndarray) -> np.nd
     return out
 
 
-def _rk4_table(h: np.ndarray, dt: float) -> np.ndarray:
-    """RK4 step maps of a stack of frozen Hamiltonians, sum_{j<=4} A^j / j!
-    with A = -i H dt, as a ``chain_indexed`` table (the n maps in real form,
-    then the identity).  With a = H dt the map is (I - a^2/2 + a^4/24) -
-    i (a - a^3/6), so a real symmetric H costs three real products and no
-    complex arithmetic.  Each map differs from exp(-i H dt) by at most
-    (|H| dt)^5 / 120 * exp(|H| dt) in any submultiplicative norm."""
+def _taylor_table(h: np.ndarray, dt: float, degree: int, theta: float = math.inf) -> np.ndarray:
+    """Step maps sum_{j<=degree} A^j / j! with A = -i H dt of a stack of
+    real symmetric H, as a ``chain_indexed`` table (the n maps in real form,
+    then the identity).
+
+    With a = H dt and B = a^2 the map is p(B) - i a q(B), the even terms
+    p(B) = I - B/2 + B^2/24 - ... and the odd ones q(B) = I - B/6 + B^2/120
+    - ..., so a real symmetric H needs real products only.  p and q are
+    evaluated by Paterson-Stockmeyer (SIAM J. Comput. 2, 60 (1973)) in B:
+    with I, B, ..., B^s stored, s = ceil(sqrt(degree / 2)), each run of s
+    coefficients is a linear combination of them, and the runs are nested
+    Horner-fashion in B^s.  Degree 4, the frozen-midpoint RK4 step, costs
+    three batched products; degree 12 six.  Unscaled, each map differs from
+    exp(-i H dt) by at most x^(d+1) / (d+1)! e^x, x = |H| dt and d the
+    degree, in any submultiplicative norm.  When the largest |A|_inf of the
+    stack exceeds ``theta``, every A is scaled by 2^-k to at most ``theta``
+    and the maps are squared k times (Moler & Van Loan, SIAM Rev. 45, 3
+    (2003); Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005))."""
     n, d = h.shape[0], h.shape[1]
-    a = dt * h
-    a2 = a @ a
-    a3 = a2 @ a
-    a4 = a2 @ a2
+    norm = dt * float(np.max(np.abs(h).reshape(-1, d) @ np.ones(d)))
+    # a non-finite norm skips the scaling; the drift gate reports the NaN
+    squarings = math.ceil(math.log2(norm / theta)) if theta < norm < math.inf else 0
+    a = (dt / 2.0**squarings) * h
+    m = degree // 2
+    s = math.isqrt(max(m - 1, 0)) + 1
+    powers = np.empty((s + 1, n, d, d))
+    powers[0] = np.eye(d)
+    powers[1] = a @ a
+    for j in range(2, s + 1):
+        np.matmul(powers[j - 1], powers[1], out=powers[j])
+    flat = powers.reshape(s + 1, n * d * d)
+
+    def series(coeffs: list[float]) -> np.ndarray:
+        # runs [0, s), [s, 2s), ...; the top run also takes the B^s term
+        starts = list(range(0, max(len(coeffs) - 1, 1), s))
+        top = coeffs[starts[-1] :]
+        out = np.dot(top, flat[: len(top)]).reshape(n, d, d)
+        for k in reversed(starts[:-1]):
+            out = np.dot(coeffs[k : k + s], flat[:s]).reshape(n, d, d) + powers[s] @ out
+        return out
+
+    p = series([(-1.0) ** k / math.factorial(2 * k) for k in range(m + 1)])
+    q = series([(-1.0) ** k / math.factorial(2 * k + 1) for k in range((degree + 1) // 2)])
     table = np.empty((n + 1, 2 * d, 2 * d))
-    _real_form(np.eye(d) - a2 / 2.0 + a4 / 24.0, a3 / 6.0 - a, table[:n])
+    _real_form(p, -(a @ q), table[:n])
+    for _ in range(squarings):
+        table[:n] = table[:n] @ table[:n]
     table[n] = np.eye(2 * d)
     return table
 
@@ -327,38 +374,44 @@ def rk4_evolve(h_mid: np.ndarray, c0: np.ndarray, dt: float) -> np.ndarray:
     """
 
     def build(k: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        return _rk4_table(h_mid[k:stop], dt), np.arange(stop - k)
+        return _taylor_table(h_mid[k:stop], dt, 4), np.arange(stop - k)
 
     return _chain_blocks(build, h_mid.shape[0], c0)
 
 
-def _cf4_history(waveform: ControlWaveform, c0: np.ndarray, n: int) -> np.ndarray:
-    """History of ``c0`` at the edges of n CF4:2 steps (see the module
-    docstring): per step, two exact half-step exponentials at the effective
-    controls of its Gauss nodes, built by ``segment_propagators`` and
-    chained by ``chain_indexed``."""
+def _cf4_controls(waveform: ControlWaveform, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Effective controls (delta, omega) of the 2n half-steps of n CF4:2
+    steps, in order (see the module docstring)."""
     dt = waveform.duration / n
     nodes = np.arange(n)[:, None] * dt + np.array([0.5 - CF4_NODE, 0.5 + CF4_NODE]) * dt
     d, w = waveform.sample(nodes.ravel())
     # rows (x1, x2) -> (2 (a2 x1 + a1 x2), 2 (a1 x1 + a2 x2)), the first
     # half-step first; the mixing matrix is symmetric
     mix = 2.0 * np.array([[CF4_A2, CF4_A1], [CF4_A1, CF4_A2]])
-    d_eff = (d.reshape(n, 2) @ mix).ravel()
-    w_eff = (w.reshape(n, 2) @ mix).ravel()
+    return (d.reshape(n, 2) @ mix).ravel(), (w.reshape(n, 2) @ mix).ravel()
+
+
+def _cf4_history(waveform: ControlWaveform, c0: np.ndarray, n: int) -> np.ndarray:
+    """History of ``c0`` at the edges of n CF4:2 steps: per step, two
+    half-step maps at the effective controls of its Gauss nodes, degree-12
+    Taylor maps from ``_taylor_table``, chained by ``chain_indexed``."""
+    d_eff, w_eff = _cf4_controls(waveform, n)
+    half = waveform.duration / (2 * n)
 
     def build(k: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        table, index, _, _ = segment_propagators(d_eff[k:stop], w_eff[k:stop], dt / 2.0)
-        return table, index
+        h = hc_batch(d_eff[k:stop], w_eff[k:stop])
+        return _taylor_table(h, half, CF4_TAYLOR_DEGREE, TAYLOR_THETA), np.arange(stop - k)
 
     return _chain_blocks(build, 2 * n, c0, stride=2)
 
 
-def _auto_steps(waveform: ControlWaveform, method: str = "rk4") -> int:
+def step_count(waveform: ControlWaveform, method: str = "rk4") -> int:
     """Step count of a route over the waveform, from one bound on the step.
 
-    The controls are read from the segment values of a piecewise waveform,
-    otherwise from ``PROBE_SAMPLES[method]`` evenly spaced samples, and
-    bound the Hamiltonian by its largest row sum, |H| <= 4 + max|delta| +
+    The exact route of a piecewise-constant waveform takes one step per
+    segment.  Otherwise the controls are read from the segment values of a
+    piecewise waveform, or from ``PROBE_SAMPLES[method]`` evenly spaced
+    samples of a parametric one, and bound the Hamiltonian by its largest row sum, |H| <= 4 + max|delta| +
     sqrt(2) max|omega| (Gershgorin).  RK4 takes max(``DEFAULT_STEPS``,
     ceil(``STEPS_PER_UNIT_AREA`` T max(max|omega|, |H| / 10))) steps, so
     max|omega| dt <= 1e-3 and |H| dt <= 1e-2, raised to a multiple of the
@@ -368,9 +421,15 @@ def _auto_steps(waveform: ControlWaveform, method: str = "rk4") -> int:
     run half as many; adjacent probe samples that differ by more than
     ``JUMP_LIMIT`` of a channel's peak raise ``NonUnitaryDrift``, since a
     jump fools that estimate.  A count above ``MAX_STEPS`` is a ValueError,
-    raised before any allocation.
+    raised before any allocation.  ``propagate`` asks for the count unless
+    its caller already did, so a caller can refuse a waveform before it
+    starts writing its output without the waveform being probed twice.
     """
+    if method not in PROBE_SAMPLES:
+        raise ValueError(f"unknown method {method!r}")
     duration = waveform.duration
+    if waveform.piece_omega is not None and method != "rk4":
+        return waveform.piece_omega.size
     if waveform.piece_omega is not None:
         d, w = waveform.piece_delta, waveform.piece_omega
     else:
@@ -423,12 +482,11 @@ def _gated_drift(states: np.ndarray) -> float:
     return drift
 
 
-def _rk4_states(waveform: ControlWaveform, c0: np.ndarray) -> tuple[np.ndarray, float]:
-    """Gated RK4 history of ``c0`` over the waveform at the ``_auto_steps``
-    count, and its drift.  Each step is frozen at ``hc_batch`` of its
-    midpoint controls, cut to the leading ``c0.size`` block: 3 for the
+def _rk4_states(waveform: ControlWaveform, c0: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+    """Gated RK4 history of ``c0`` over the waveform in n steps (the
+    ``step_count``), and its drift.  Each step is frozen at ``hc_batch`` of
+    its midpoint controls, cut to the leading ``c0.size`` block: 3 for the
     triplet, 2 for the {|dd>, bell} block (see ``model``)."""
-    n = _auto_steps(waveform)
     dt = waveform.duration / n
     d_mid, w_mid = waveform.sample((np.arange(n) + 0.5) * dt)
     k = c0.size
@@ -436,12 +494,11 @@ def _rk4_states(waveform: ControlWaveform, c0: np.ndarray) -> tuple[np.ndarray, 
     return states, _gated_drift(states)
 
 
-def _cf4_states(waveform: ControlWaveform, c0: np.ndarray) -> tuple[np.ndarray, float, float]:
+def _cf4_states(waveform: ControlWaveform, c0: np.ndarray, n: int) -> tuple[np.ndarray, float, float]:
     """Gated CF4 history of ``c0`` over a parametric waveform, its drift and
-    its step-halving estimate |c_N(T) - c_{N/2}(T)|.  N starts at the
-    ``_auto_steps`` count and doubles while the estimate exceeds
-    ``HALVING_TOL``; past ``MAX_STEPS`` that raises ``NonUnitaryDrift``."""
-    n = _auto_steps(waveform, "piecewise-exponential")
+    its step-halving estimate |c_N(T) - c_{N/2}(T)|.  N starts at n, the
+    ``step_count``, and doubles while the estimate exceeds ``HALVING_TOL``;
+    past ``MAX_STEPS`` that raises ``NonUnitaryDrift``."""
     coarse = _cf4_history(waveform, c0, n // 2)[-1]
     while True:
         states = _cf4_history(waveform, c0, n)
@@ -457,25 +514,28 @@ def _cf4_states(waveform: ControlWaveform, c0: np.ndarray) -> tuple[np.ndarray, 
         coarse, n = states[-1], 2 * n
 
 
-def propagate(waveform: ControlWaveform, c0: TripletAmplitudes, method: str = "rk4") -> Trajectory:
+def propagate(
+    waveform: ControlWaveform, c0: TripletAmplitudes, method: str = "rk4", steps: int | None = None
+) -> Trajectory:
     """Integrate i dc/dt = H_c(t) c over the waveform from state ``c0``.
 
-    method="rk4": fixed-step midpoint-frozen RK4 at the ``_auto_steps``
-    count.  method="piecewise-exponential": exact segment exponentials on
-    the segment-edge grid of a piecewise-constant waveform, CF4:2 steps at
-    the step edges of a parametric one.  Every history passes the drift
-    gate; the trajectory records the route, its step count, the measured
-    drift and the error estimate.
+    method="rk4": fixed-step midpoint-frozen RK4.
+    method="piecewise-exponential": exact segment exponentials on the
+    segment-edge grid of a piecewise-constant waveform, CF4:2 steps at the
+    step edges of a parametric one.  ``steps`` is ``step_count(waveform,
+    method)`` when the caller has it already; None asks for it here.  Every
+    history passes the drift gate; the trajectory records the route, its
+    step count, the measured drift and the error estimate.
     """
     c_init = c0.as_array()
+    n = step_count(waveform, method) if steps is None else steps
     error = None
     if method == "rk4":
-        states, drift = _rk4_states(waveform, c_init)
+        states, drift = _rk4_states(waveform, c_init, n)
     elif method == "piecewise-exponential" and waveform.piece_omega is None:
-        states, drift, error = _cf4_states(waveform, c_init)
+        states, drift, error = _cf4_states(waveform, c_init, n)
     elif method == "piecewise-exponential":
-        dvals, wvals = waveform.piece_delta, waveform.piece_omega
-        table, index, _, _ = segment_propagators(dvals, wvals, waveform.duration / wvals.size)
+        table, index, _, _ = segment_propagators(waveform.piece_delta, waveform.piece_omega, waveform.duration / n)
         states = chain_indexed(table, index[None], c_init[None])[0]
         drift, error = _gated_drift(states), 0.0
     else:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .artifacts import write_csv
 from .model import SQRT2, TripletAmplitudes
-from .propagator import ControlWaveform, NonUnitaryDrift, _rk4_states, fidelity, propagate
+from .propagator import ControlWaveform, NonUnitaryDrift, _rk4_states, fidelity, propagate, step_count
 
 SYMMETRIC = "symmetric"
 NONSYMMETRIC = "nonsymmetric"
@@ -199,7 +199,8 @@ def two_level_inversion(spec: ShortcutSpec) -> float:
     at ``propagate``'s RK4 step count and passes its drift gate, so an
     under-resolved history raises ``NonUnitaryDrift``.
     """
-    psi, _ = _rk4_states(shortcut_waveform(spec), np.array([1.0 + 0.0j, 0.0j]))
+    wf = shortcut_waveform(spec)
+    psi, _ = _rk4_states(wf, np.array([1.0 + 0.0j, 0.0j]), step_count(wf))
     return float(np.abs(psi[-1, 1]) ** 2)
 
 

@@ -489,9 +489,11 @@ class TestOutputHygiene:
         ("evaluate-series", "--T", "0"),
         ("repro", "fig2", "--restarts", "-1"),
         ("repro", "fig3b", "--segments", "5"),
+        ("tqd", "--T", "1e200"),
+        ("simulate", "--T", "1e300", "--omega", "0"),
     ], ids=["tqd-T", "optimize-restarts", "trig-p", "sweep-detuning-empty", "sweep-duration-descending",
             "fig1b-e", "evaluate-series-missing", "simulate-nan", "evaluate-series-T", "fig2-restarts",
-            "fig3b-segments"])
+            "fig3b-segments", "tqd-step-ceiling", "simulate-step-ceiling"])
     def test_usage_error_echoes_nothing(self, tmp_path, capsys, argv):
         # the library rejects the inputs before the config echo and the output directory
         out = tmp_path / "o"

@@ -18,15 +18,16 @@ from isingbell.propagator import (
     MAX_STEPS,
     ControlWaveform,
     NonUnitaryDrift,
-    _auto_steps,
+    _cf4_controls,
     _cf4_history,
-    _rk4_table,
+    _taylor_table,
     chain_indexed,
     fidelity,
     hc_batch,
     propagate,
     rk4_evolve,
     segment_propagators,
+    step_count,
     write_trajectory_csv,
 )
 from isingbell.shortcut import ShortcutSpec, shortcut_waveform
@@ -44,7 +45,7 @@ states3 = st.lists(st.complex_numbers(max_magnitude=1.0), min_size=3, max_size=3
 
 def _narrow_pulse(omega: float) -> ControlWaveform:
     """omega on (0.5006, 0.5014) of T = 1, zero elsewhere: narrower than
-    the 1/512 spacing of ``_auto_steps``' peak samples, and between two."""
+    the 1/512 spacing of ``step_count``'s peak samples, and between two."""
 
     def sampler(ts):
         return 0.0 * ts, np.where((ts > 0.5006) & (ts < 0.5014), omega, 0.0)
@@ -154,15 +155,15 @@ class TestPropagate:
     def test_step_count_above_the_ceiling_is_rejected(self):
         # max|omega|*T = 1000 asks for exactly MAX_STEPS; aligning that to 7
         # segments gives 1,000,006
-        assert _auto_steps(ControlWaveform.piecewise_constant(1.0, np.full(8, 1000.0))) == MAX_STEPS
+        assert step_count(ControlWaveform.piecewise_constant(1.0, np.full(8, 1000.0))) == MAX_STEPS
         with pytest.raises(ValueError, match="ceiling"):
-            _auto_steps(ControlWaveform.piecewise_constant(1.0, np.full(7, 1000.0)))
+            step_count(ControlWaveform.piecewise_constant(1.0, np.full(7, 1000.0)))
 
     def test_strong_detuning_sets_the_rk4_count(self):
         # |H| <= 4 + 30 + sqrt(2) bounds the step; the pulse area alone
         # (max|omega| T = 10) gave 10,000 steps and a norm drift of 1e-7
         wf = ControlWaveform.piecewise_constant(10.0, [1.0], delta=30.0)
-        assert _auto_steps(wf) == math.ceil(1000 * 10.0 * (34.0 + math.sqrt(2.0)) / 10.0)
+        assert step_count(wf) == math.ceil(1000 * 10.0 * (34.0 + math.sqrt(2.0)) / 10.0)
         t_rk4 = propagate(wf, SPIN_DOWN)
         t_exp = propagate(wf, SPIN_DOWN, method="piecewise-exponential")
         assert np.max(np.abs(t_rk4.states[-1] - t_exp.states[-1])) <= 1e-7
@@ -274,16 +275,15 @@ class TestSegmentPropagators:
         rng = np.random.default_rng(5)
         delta, omega = rng.uniform(-1, 1, 8), rng.uniform(-1, 1, 8)
         table, index, _, _ = segment_propagators(delta, omega, 0.1)
-        assert table.shape == (17, 6, 6) and np.array_equal(np.sort(index), np.arange(8))
+        assert table.shape == (9, 6, 6) and np.array_equal(np.sort(index), np.arange(8))
         u = _complex_maps(table[:8])
         eye = np.broadcast_to(np.eye(3), (8, 3, 3))
         assert np.allclose(np.matmul(u.conj().transpose(0, 2, 1), u), eye, atol=1e-13)
         h = hc_batch(delta, omega)
         for k in range(8):
             assert np.max(np.abs(u[index[k]] - expm(-0.1j * h[k]))) <= 1e-13
-        # the adjoint rows are the transposed real forms, the last row pads
-        assert np.array_equal(table[8:16], table[:8].transpose(0, 2, 1))
-        assert np.array_equal(table[16], np.eye(6))
+        # the last row pads the scan
+        assert np.array_equal(table[8], np.eye(6))
 
     def test_table_holds_each_distinct_pair_once(self):
         # equal omega with different delta and equal delta with different
@@ -291,7 +291,7 @@ class TestSegmentPropagators:
         delta = np.array([0.0, -0.0, 0.3, 0.0, 0.3, 0.0])
         omega = np.array([1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
         table, index, evals, _ = segment_propagators(delta, omega, 0.2)
-        assert table.shape == (9, 6, 6) and evals.shape == (4, 3)
+        assert table.shape == (5, 6, 6) and evals.shape == (4, 3)
         assert index[0] == index[1] == index[5]
         assert len({index[0], index[2], index[3], index[4]}) == 4
         h = hc_batch(delta, omega)
@@ -374,7 +374,9 @@ class TestChain:
         delta, omega = np.array(drive).T
         table, index, evals, _ = segment_propagators(delta, omega, dt)
         m = evals.shape[0]
-        # forward and adjoint passes in one call, as the optimizer runs them
+        # forward and adjoint passes in one call, as the optimizer runs them:
+        # the adjoint maps are the transposed real forms, in rows [m, 2m)
+        table = np.concatenate([table[:m], table[:m].transpose(0, 2, 1), table[m:]])
         c, lam = chain_indexed(table, np.stack([index, m + index[::-1]]), np.stack([_unit(c0), _unit(lam_final)]))
         lam = lam[::-1]
         assert np.array_equal(lam[-1], _unit(lam_final))
@@ -389,11 +391,45 @@ class TestChain:
         # plus round-off slack; dim 2 is the {|dd>, bell} block
         delta, omega = np.array(drive).T
         h = hc_batch(delta, omega)[:, :dim, :dim]
-        maps = _complex_maps(_rk4_table(h, dt)[:-1])
+        maps = _complex_maps(_taylor_table(h, dt, 4)[:-1])
         for hk, mk in zip(h, maps):
             x = np.linalg.norm(hk, 2) * dt
             bound = x**5 / 120.0 * math.exp(x) + 1e-14
             assert np.linalg.norm(mk - expm(-1j * dt * hk), 2) <= bound
+
+
+class TestTaylorTable:
+    """The one Taylor step-map builder: degree 12 with scaling and squaring,
+    the CF4 half-step (degree 4, the RK4 step, is checked with the chain)."""
+
+    # |H dt|_inf, the norm the builder scales by, up to 8: up to five
+    # squarings past TAYLOR_THETA = 0.25
+    @given(
+        drive=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), min_size=1, max_size=20),
+        x=st.floats(min_value=0.0, max_value=8.0),
+    )
+    @example(drive=[(0.0, 1.0), (3.0, -3.0)], x=8.0)
+    @settings(max_examples=60, deadline=None)
+    def test_degree_12_matches_expm_at_any_norm(self, drive, x):
+        delta, omega = np.array(drive).T
+        h = hc_batch(delta, omega)
+        dt = x / max(np.linalg.norm(hk, np.inf) for hk in h)
+        table = _taylor_table(h, dt, 12, propagator.TAYLOR_THETA)
+        assert np.array_equal(table[-1], np.eye(6))
+        for hk, mk in zip(h, _complex_maps(table[:-1])):
+            assert np.max(np.abs(mk - expm(-1j * dt * hk))) <= 1e-14
+
+    @pytest.mark.parametrize("kind", ["symmetric", "nonsymmetric"])
+    @pytest.mark.parametrize("T", [0.01, 15.0])
+    def test_cf4_matches_eigh_maps_on_the_same_nodes(self, kind, T):
+        # the CF4 history against one built from the exact eigh maps
+        # (``segment_propagators``) at the same effective controls
+        wf = shortcut_waveform(ShortcutSpec(kind=kind, e=0.1, T=T))
+        n = step_count(wf, "piecewise-exponential")
+        c0 = SPIN_DOWN.as_array()
+        table, index, _, _ = segment_propagators(*_cf4_controls(wf, n), T / (2 * n))
+        ref = chain_indexed(table, index[None], c0[None])[0, ::2]
+        assert np.max(np.abs(_cf4_history(wf, c0, n) - ref)) <= 1e-13
 
 
 class TestFidelityAndPopulations:
