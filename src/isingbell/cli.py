@@ -15,14 +15,17 @@ configuration, experiment id and output directory included, is echoed to
 stdout and embedded in every artifact, so passing it back with ``--config``
 replays the run exactly.  A flag the run does not read (one of another
 ``repro`` dataset, or one ``optimize`` ignores in its mode) is a usage
-error.  Each command builds its inputs through the library, which checks
-their ranges, and only then calls ``begin``, which makes the output
-directory and prints the echo before any work; so invalid inputs leave
-stdout empty and make no directory.  No command takes a step count:
-``propagator.step_count`` picks it, and ``tqd`` and ``simulate`` ask for it
-before ``begin``, so a waveform past the step ceiling is refused before
-the echo too; their summaries record it with the route, the drift and the
-error estimate.  Exit codes: 0 ok, 2 invalid
+error.  Each command builds its inputs once through the library, which
+checks their ranges, then calls ``begin``, which makes the output
+directory and prints the echo before any work, and runs what it built; so
+invalid inputs leave stdout empty and make no directory.  No command takes
+a step count: ``propagator.step_count`` picks it, and ``tqd``,
+``simulate`` and ``evaluate-series`` ask for it before ``begin``, so a
+waveform past the step ceiling is refused before the echo too (only
+``repro fig1b`` finds it after the echo, as sizing its 200 waveforms first
+would probe each twice; ``repro table1``'s fixed series cannot reach it).
+The ``tqd`` and ``simulate`` summaries record the count with the route,
+the drift and the error estimate.  Exit codes: 0 ok, 2 invalid
 usage/parameters (a waveform whose step count exceeds the ceiling
 included), 3 numeric failure (norm drift, a step-halving estimate above
 tolerance, controls that jump, no convergence, infeasible series), 141
@@ -84,8 +87,7 @@ from .optimize import (
     read_series_json,
     saturation_fraction,
     series_waveform,
-    sweep_detuning,
-    sweep_duration,
+    sweep,
     trig_harmonic_scan,
     write_report_json,
     write_series_json,
@@ -255,11 +257,9 @@ def cmd_optimize(cfg: dict, out: Path, begin) -> None:
 
 def cmd_sweep_detuning(cfg: dict, out: Path, begin) -> None:
     """best fidelity over a constant-detuning grid"""
-    detuning_problems(cfg["T"], cfg["deltas"], cfg["segments"])
+    problems = detuning_problems(cfg["T"], cfg["deltas"], cfg["segments"])
     begin()
-    cells = sweep_detuning(
-        cfg["T"], cfg["deltas"], restarts=cfg["restarts"], seed=cfg["seed"], segments=cfg["segments"]
-    )
+    cells = sweep(problems, restarts=cfg["restarts"], seed=cfg["seed"])
     write_sweep_csv(cells, out / "sweep_detuning.csv", config=cfg)
     best = _best_cell(cells)
     print(f"best: T={best.T:g} delta={best.delta:g} fidelity={best.fidelity:.12g}")
@@ -267,9 +267,9 @@ def cmd_sweep_detuning(cfg: dict, out: Path, begin) -> None:
 
 def cmd_sweep_duration(cfg: dict, out: Path, begin) -> None:
     """best fidelity against duration at fixed detuning"""
-    duration_problems(cfg["delta"], cfg["T"], cfg["segments"])
+    problems = duration_problems(cfg["delta"], cfg["T"], cfg["segments"])
     begin()
-    cells = sweep_duration(cfg["delta"], cfg["T"], restarts=cfg["restarts"], seed=cfg["seed"], segments=cfg["segments"])
+    cells = sweep(problems, restarts=cfg["restarts"], seed=cfg["seed"])
     write_sweep_csv(cells, out / "sweep_duration.csv", config=cfg)
     for c in cells:
         print(f"T={c.T:g} fidelity={c.fidelity:.12g}" + (f"  [{c.error}]" if c.error else ""))
@@ -281,9 +281,10 @@ def cmd_evaluate_series(cfg: dict, out: Path, begin) -> None:
         series = TrigSeries(p=3, a=np.array(BENCHMARK_SERIES_T25_A), b=np.array(BENCHMARK_SERIES_T25_B))
     else:
         series = read_series_json(cfg["series"])
-    series_waveform(series, cfg["T"], convention=cfg["convention"])  # checks the duration
+    wf = series_waveform(series, cfg["T"], convention=cfg["convention"])
+    steps = step_count(wf, "piecewise-exponential")
     begin()
-    fid = evaluate_series(series, cfg["T"], convention=cfg["convention"])
+    fid = fidelity(propagate(wf, TripletAmplitudes.spin_down(), method="piecewise-exponential", steps=steps))
     write_json(out / "series_eval.json", {"config": cfg, "series": series.to_dict(), "fidelity": fid})
     print(f"fidelity: {fid:.12g}")
 
@@ -316,24 +317,21 @@ def _repro_fig2(cfg: dict, out: Path, begin) -> None:
 
 
 def _repro_fig3a(cfg: dict, out: Path, begin) -> None:
-    detuning_problems([2.5], _DELTA_GRID, cfg["segments"])
+    problems = detuning_problems([2.5], _DELTA_GRID, cfg["segments"])
     begin()
-    cells = sweep_detuning([2.5], _DELTA_GRID, restarts=cfg["restarts"], seed=cfg["seed"], segments=cfg["segments"])
+    cells = sweep(problems, restarts=cfg["restarts"], seed=cfg["seed"])
     write_sweep_csv(cells, out / "fig3a.csv", config=cfg)
     best = _best_cell(cells)
     print(f"best delta={best.delta:g} fidelity={best.fidelity:.12g}")
 
 
 def _repro_fig3b(cfg: dict, out: Path, begin) -> None:
-    deltas = (0.0, -0.11)
-    for dval in deltas:
-        duration_problems(dval, _DURATION_GRID, cfg["segments"])
+    # one sweep per detuning: one merged sweep would warm-start each detuning's cells from the other's optima
+    sweeps = {dval: duration_problems(dval, _DURATION_GRID, cfg["segments"]) for dval in (0.0, -0.11)}
     begin()
     all_cells = []
-    for dval in deltas:
-        cells = sweep_duration(
-            dval, _DURATION_GRID, restarts=cfg["restarts"], seed=cfg["seed"], segments=cfg["segments"]
-        )
+    for dval, problems in sweeps.items():
+        cells = sweep(problems, restarts=cfg["restarts"], seed=cfg["seed"])
         all_cells.extend(cells)
         reach = next((c.T for c in cells if c.error is None and c.fidelity >= 0.999), None)
         print(f"delta={dval:g}: first T with fidelity>=0.999: {reach}")

@@ -632,15 +632,21 @@ def _sweep_cell(
     return SweepCell(T=problem.T, delta=problem.delta_value, fidelity=rep.fidelity), rep.waveform.piece_omega
 
 
-def _sweep(problems: Sequence[ControlProblem], restarts: int, seed: int) -> list[SweepCell]:
-    """Solve the cells in (T, delta) order, so durations never shrink; return
+def sweep(problems: Sequence[ControlProblem], restarts: int = 2, seed: int = DEFAULT_SEED) -> list[SweepCell]:
+    """Best piecewise fidelity on every problem, such as the cells of
+    ``detuning_problems`` (a (T, constant delta) grid) or
+    ``duration_problems`` (ascending durations at one detuning).
+
+    Solve the cells in (T, delta) order, so durations never shrink; return
     them in the caller's order.  Only a cell with no solved predecessor draws
     ``restarts`` random starts (seed + its index); the others start from the
     constant start and the last solved optimum, padded onto their duration.
     Idling costs nothing, so a cell ending over 1e-9 below the last solved
     cell of its detuning is re-run at once with 2 * restarts random starts
-    (seed + 1000 + index) and keeps the better result.  A failed cell passes
-    nothing on.
+    (seed + 1000 + index) and keeps the better result; a duration sweep
+    therefore never falls from one cell to the next.  A cell that cannot be
+    solved gets fidelity NaN and its error, passes nothing on, and the sweep
+    goes on.
     """
     cells: list[SweepCell | None] = [None] * len(problems)
     floor: dict[float, float] = {}  # fidelity of the last solved cell per detuning
@@ -661,23 +667,10 @@ def _sweep(problems: Sequence[ControlProblem], restarts: int, seed: int) -> list
     return cells
 
 
-def sweep_detuning(
-    T_list: Sequence[float],
-    delta_grid: Sequence[float],
-    restarts: int = 2,
-    seed: int = DEFAULT_SEED,
-    segments: int = DEFAULT_SEGMENTS,
-) -> list[SweepCell]:
-    """Best piecewise fidelity on every (T, constant delta) pair, marched by
-    ``_sweep`` once every cell has passed its checks; a failed cell gets
-    fidelity NaN and the sweep goes on."""
-    return _sweep(detuning_problems(T_list, delta_grid, segments), restarts, seed)
-
-
 def detuning_problems(
     T_list: Sequence[float], delta_grid: Sequence[float], segments: int = DEFAULT_SEGMENTS
 ) -> list[ControlProblem]:
-    """The cells of ``sweep_detuning``: one checked problem per (T, delta) pair."""
+    """A detuning sweep's cells: one checked problem per (T, delta) pair."""
     T_list = list(T_list)
     delta_grid = list(delta_grid)
     if not T_list or not delta_grid:
@@ -694,23 +687,10 @@ def _pad_resample(omega_prev: np.ndarray, T_prev: float, T_new: float) -> np.nda
     return np.where(t_mid < T_prev, omega_prev[idx], 0.0)
 
 
-def sweep_duration(
-    delta_fixed: float,
-    T_grid: Sequence[float],
-    restarts: int = 2,
-    seed: int = DEFAULT_SEED,
-    segments: int = DEFAULT_SEGMENTS,
-) -> list[SweepCell]:
-    """Best piecewise fidelity against duration at a fixed detuning, marched
-    by ``_sweep``: idling costs nothing, so no cell may end below the one
-    before it."""
-    return _sweep(duration_problems(delta_fixed, T_grid, segments), restarts, seed)
-
-
 def duration_problems(
     delta_fixed: float, T_grid: Sequence[float], segments: int = DEFAULT_SEGMENTS
 ) -> list[ControlProblem]:
-    """The cells of ``sweep_duration``: one checked problem per duration."""
+    """A duration sweep's cells: one checked problem per duration."""
     T_grid = list(T_grid)
     if not T_grid or any(t <= 0 for t in T_grid) or any(b <= a for a, b in zip(T_grid, T_grid[1:])):
         raise ValueError("T_grid must be positive and strictly ascending")

@@ -420,8 +420,8 @@ def step_count(waveform: ControlWaveform, method: str = "rk4") -> int:
     |H| T / 2)) steps, an even count so that its step-halving estimate can
     run half as many; adjacent probe samples that differ by more than
     ``JUMP_LIMIT`` of a channel's peak raise ``NonUnitaryDrift``, since a
-    jump fools that estimate.  A count above ``MAX_STEPS`` is a ValueError,
-    raised before any allocation.  ``propagate`` asks for the count unless
+    jump fools that estimate.  A count above ``MAX_STEPS``, or controls whose
+    bound is not finite, is a ValueError, raised before any allocation.  ``propagate`` asks for the count unless
     its caller already did, so a caller can refuse a waveform before it
     starts writing its output without the waveform being probed twice.
     """
@@ -446,6 +446,8 @@ def step_count(waveform: ControlWaveform, method: str = "rk4") -> int:
         floor, rate, even = CF4_MIN_STEPS, CF4_STEPS_PER_UNIT_NORM * norm, 2
     # an infinite or NaN bound fails this comparison too
     if not rate * duration <= MAX_STEPS:
+        if not math.isfinite(norm):
+            raise ValueError("the controls are not finite, so their pulse area and |H| T bound no step count")
         raise ValueError(
             f"pulse area {peak * duration:.3g} and |H| T <= {norm * duration:.3g} need over {MAX_STEPS} steps"
         )

@@ -13,9 +13,10 @@ import pytest
 from isingbell.optimize import (
     ControlProblem,
     adjoint_gradient,
+    detuning_problems,
+    duration_problems,
     optimize_piecewise,
-    sweep_detuning,
-    sweep_duration,
+    sweep,
     trig_harmonic_scan,
 )
 from isingbell.shortcut import tqd_fidelity_curve
@@ -104,17 +105,17 @@ def neg_detuning_report():
 @pytest.fixture(scope="session")
 def detuning_cells():
     """Fidelity against constant detuning at T = 2.5."""
-    return sweep_detuning([2.5], list(DETUNING_GRID), restarts=2, seed=42)
+    return sweep(detuning_problems([2.5], list(DETUNING_GRID)), restarts=2, seed=42)
 
 
 @pytest.fixture(scope="session")
 def duration_cells_zero():
-    return sweep_duration(0.0, list(BENCH_DURATIONS), restarts=2, seed=42)
+    return sweep(duration_problems(0.0, list(BENCH_DURATIONS)), restarts=2, seed=42)
 
 
 @pytest.fixture(scope="session")
 def duration_cells_neg():
-    return sweep_duration(-0.11, list(BENCH_DURATIONS), restarts=2, seed=42)
+    return sweep(duration_problems(-0.11, list(BENCH_DURATIONS)), restarts=2, seed=42)
 
 
 @pytest.fixture(scope="session")

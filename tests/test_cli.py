@@ -256,6 +256,16 @@ class TestSimulate:
         assert code == 2
         assert err.count("error: ") == 1 and "pulse area" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("tqd", "--e", "1e300", "--T", "1"),
+        ("repro", "fig1b", "--e", "1e300"),
+    ], ids=["tqd", "fig1b"])
+    def test_controls_that_overflow_report_no_nan_bound(self, tmp_path, capsys, argv):
+        # the overflowing shortcut controls give an infinite pulse area and a NaN |H| bound
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "pulse area" in err and "nan" not in err.lower()
+
 
 class TestOptimize:
     def test_small_piecewise_run(self, tmp_path, capsys):
@@ -491,11 +501,15 @@ class TestOutputHygiene:
         ("repro", "fig3b", "--segments", "5"),
         ("tqd", "--T", "1e200"),
         ("simulate", "--T", "1e300", "--omega", "0"),
+        ("evaluate-series", "--series", "{series}"),
     ], ids=["tqd-T", "optimize-restarts", "trig-p", "sweep-detuning-empty", "sweep-duration-descending",
             "fig1b-e", "evaluate-series-missing", "simulate-nan", "evaluate-series-T", "fig2-restarts",
-            "fig3b-segments", "tqd-step-ceiling", "simulate-step-ceiling"])
+            "fig3b-segments", "tqd-step-ceiling", "simulate-step-ceiling", "evaluate-series-step-ceiling"])
     def test_usage_error_echoes_nothing(self, tmp_path, capsys, argv):
         # the library rejects the inputs before the config echo and the output directory
+        series_path = tmp_path / "series.json"
+        series_path.write_text('{"p": 0, "a": [1e308], "b": [0]}')
+        argv = [a.format(series=series_path) for a in argv]
         out = tmp_path / "o"
         code, stdout, err = run(capsys, *argv, "--out", str(out))
         assert code == 2

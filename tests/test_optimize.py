@@ -25,14 +25,15 @@ from isingbell.optimize import (
     TrigSeries,
     adiabatic_baseline,
     adjoint_gradient,
+    detuning_problems,
+    duration_problems,
     evaluate_series,
     optimize_piecewise,
     optimize_trig,
     read_series_json,
     saturation_fraction,
     series_waveform,
-    sweep_detuning,
-    sweep_duration,
+    sweep,
     trig_basis,
     trig_harmonic_scan,
     write_report_json,
@@ -485,12 +486,12 @@ class TestSweepDetuning:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            sweep_detuning([], [0.0])
+            detuning_problems([], [0.0])
         with pytest.raises(ValueError):
-            sweep_detuning([2.5], [])
+            detuning_problems([2.5], [])
 
     def test_failed_cell_recorded_and_sweep_continues(self):
-        cells = sweep_detuning([0.01, 2.0], [0.0], restarts=1, seed=0, segments=10)
+        cells = sweep(detuning_problems([0.01, 2.0], [0.0], segments=10), restarts=1, seed=0)
         assert math.isnan(cells[0].fidelity) and cells[0].error
         assert cells[1].error is None and cells[1].fidelity > 0.5
 
@@ -504,7 +505,7 @@ class TestSweepDetuning:
             return SimpleNamespace(fidelity=fids[problem.delta_value], waveform=wf)
 
         monkeypatch.setattr(optimize, "optimize_piecewise", fake_optimize)
-        cells = sweep_detuning([2.5], [0.1, -0.1, 0.0], restarts=1, seed=0, segments=10)
+        cells = sweep(detuning_problems([2.5], [0.1, -0.1, 0.0], segments=10), restarts=1, seed=0)
         assert [call[0] for call in calls] == [-0.1, 0.0, 0.1]
         assert calls[0][1:3] == (1, 1) and calls[0][3] == []
         for (prev_delta, *_), (_, restarts, _, extra) in zip(calls, calls[1:]):
@@ -533,9 +534,9 @@ class TestSweepDuration:
     def test_grid_validation(self):
         for bad in ([], [2.0, 1.0], [-1.0, 2.0]):
             with pytest.raises(ValueError):
-                sweep_duration(0.0, bad)
+                duration_problems(0.0, bad)
 
-    @pytest.mark.parametrize("sweep, rerun", [
+    @pytest.mark.parametrize("grid, rerun", [
         pytest.param("duration", NoConvergence, id="NoConvergence"),
         pytest.param("duration", NonUnitaryDrift, id="NonUnitaryDrift"),
         pytest.param("duration", 0.6, id="rerun-succeeds"),
@@ -543,7 +544,7 @@ class TestSweepDuration:
         pytest.param("detuning", NonUnitaryDrift, id="detuning-NonUnitaryDrift"),
         pytest.param("detuning", 0.6, id="detuning-rerun-succeeds"),
     ])
-    def test_failed_repair_keeps_first_pass_cell(self, monkeypatch, sweep, rerun):
+    def test_failed_repair_keeps_first_pass_cell(self, monkeypatch, grid, rerun):
         # the first pass dips at T = 2 so the cell is re-run at once; the
         # rerun either fails (an exception) or returns the given fidelity
         first_pass = {1.0: 0.5, 2.0: 0.4}
@@ -555,10 +556,10 @@ class TestSweepDuration:
             return SimpleNamespace(fidelity=rerun if seed >= 1000 else first_pass[problem.T], waveform=wf)
 
         monkeypatch.setattr(optimize, "optimize_piecewise", fake_optimize)
-        if sweep == "duration":
-            cells = sweep_duration(0.0, [1.0, 2.0], restarts=1, seed=0, segments=10)
+        if grid == "duration":
+            cells = sweep(duration_problems(0.0, [1.0, 2.0], segments=10), restarts=1, seed=0)
         else:
-            cells = sweep_detuning([1.0, 2.0], [0.0], restarts=1, seed=0, segments=10)
+            cells = sweep(detuning_problems([1.0, 2.0], [0.0], segments=10), restarts=1, seed=0)
         if isinstance(rerun, type):
             assert [(c.T, c.fidelity, c.error) for c in cells] == [(1.0, 0.5, None), (2.0, 0.4, None)]
         else:
