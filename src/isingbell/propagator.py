@@ -421,9 +421,10 @@ def step_count(waveform: ControlWaveform, method: str = "rk4") -> int:
     run half as many; adjacent probe samples that differ by more than
     ``JUMP_LIMIT`` of a channel's peak raise ``NonUnitaryDrift``, since a
     jump fools that estimate.  A count above ``MAX_STEPS``, or controls whose
-    bound is not finite, is a ValueError, raised before any allocation.  ``propagate`` asks for the count unless
-    its caller already did, so a caller can refuse a waveform before it
-    starts writing its output without the waveform being probed twice.
+    bound is not finite, is a ValueError, raised before any allocation.
+    ``propagate`` asks for the count unless its caller already did, so a
+    caller can refuse a waveform before it starts writing its output without
+    the waveform being probed twice.
     """
     if method not in PROBE_SAMPLES:
         raise ValueError(f"unknown method {method!r}")
