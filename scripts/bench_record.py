@@ -8,10 +8,12 @@ runs per seed, alternating which side runs first:
 
 For every listed workload and each of the ten seeds it stores both sides'
 end-to-end metrics (``--trace 0``), then per metric each side's median and
-quartiles over the seeds, the parent's inter-quartile spread and how many
-pairs the change won.  One per-layer run (``--trace 1``) per side on the
-first seed covers every workload, the unlisted ``series-joint`` too, and
-the tier-1 test suite is timed in each clone.  Each side records its git
+quartiles over the seeds, the parent's inter-quartile spread, how many
+pairs the change won, and a verdict on each end-to-end metric of
+``BENCHMARK.json`` against its bound, printed one line per workload.  One
+per-layer run (``--trace 1``) per side on the first seed covers every
+workload, the unlisted ``series-joint`` too, and the tier-1 test suite is
+timed in each clone.  Each side records its git
 sha, ``src/`` line count, and the python, numpy and scipy versions.  Runs
 are sequential: two at once would share the cores they are timing.
 """
@@ -35,7 +37,6 @@ RUN_TIMEOUT_S = 900
 #: wins at least nine pairs in ten and the medians differ by more than the
 #: parent's inter-quartile spread
 SEEDS = tuple(range(1, 11))
-WORKLOADS = ("shortcut-cli", "bangbang-sweep")
 TRACED = ("bangbang-sweep", "series-joint", "shortcut-cli")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 
@@ -101,6 +102,23 @@ def compare(by_seed: dict) -> dict:
     return out
 
 
+def verdict(parent: list, change: list, better: str, bound: float) -> str:
+    """Verdict on one end-to-end metric from each side's runs: "worse beyond
+    bound" when the change's median is worse than the parent's by more than
+    ``bound`` times the parent's median; "unresolved" when the parent's
+    inter-quartile spread exceeds that, unless every change run beats every
+    parent run; "within bound" otherwise.  ``better`` is "lower" or
+    "higher"."""
+    sign = {"lower": 1.0, "higher": -1.0}[better]
+    q = statistics.quantiles(parent, n=4)
+    limit = bound * abs(q[1])
+    if sign * (statistics.median(change) - q[1]) > limit:
+        return "worse beyond bound"
+    if q[2] - q[0] > limit and not max(sign * c for c in change) < min(sign * p for p in parent):
+        return "unresolved"
+    return "within bound"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
@@ -109,6 +127,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workdir", help="where the clones go (default: a temporary directory)")
     parser.add_argument("--what", default="", help="one-line description of the change")
     args = parser.parse_args(argv)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
 
     workdir = Path(args.workdir or tempfile.mkdtemp(prefix="bench_record_"))
     workdir.mkdir(parents=True, exist_ok=True)
@@ -125,7 +144,7 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     turn = 0
-    for workload in WORKLOADS:
+    for workload in (w["name"] for w in benchmark["workloads"]):
         by_seed = {}
         for seed in SEEDS:
             order = SIDES if turn % 2 == 0 else SIDES[::-1]
@@ -133,7 +152,14 @@ def main(argv=None) -> int:
             by_seed[seed] = {s: bench(roots[s], workload, seed, trace=False) for s in order}
             print(f"{workload} seed {seed}: " + ", ".join(f"{s} {by_seed[seed][s]['wall_s']:.3f} s" for s in SIDES),
                   flush=True)
-        record["workloads"][workload] = {"trace0_by_seed": by_seed, "trace0_over_seeds": compare(by_seed)}
+        verdicts = {
+            m["name"]: verdict(*([by_seed[k][s][m["name"]] for k in SEEDS] for s in SIDES), m["better"], m["bound"])
+            for m in benchmark["end_to_end"]
+        }
+        record["workloads"][workload] = {
+            "trace0_by_seed": by_seed, "trace0_over_seeds": compare(by_seed), "verdicts": verdicts
+        }
+        print(f"{workload}: " + ", ".join(f"{name} {v}" for name, v in verdicts.items()), flush=True)
     for workload in TRACED:
         order = SIDES if turn % 2 == 0 else SIDES[::-1]
         turn += 1

@@ -78,7 +78,7 @@ from .optimize import (
     NoConvergence,
     TrigSeries,
     check_harmonics,
-    check_restarts,
+    check_starts,
     detuning_problems,
     duration_problems,
     evaluate_series,
@@ -424,7 +424,7 @@ def _run(args: argparse.Namespace) -> None:
             mode, ignored = _optimize_ignores(cfg)
             _reject_flags(args, ignored, f"optimize {mode}")
     if "restarts" in cfg:  # every optimizer-backed run
-        check_restarts(cfg["restarts"])
+        check_starts(cfg["restarts"], cfg["seed"])
     out = Path(cfg["out"] or DEFAULT_OUT)
     cfg["out"] = str(out)
 

@@ -33,6 +33,7 @@ import numpy as np
 from .artifacts import write_csv, write_json
 from .model import SQRT2
 from .propagator import (
+    MAX_STEPS,
     ControlWaveform,
     NonUnitaryDrift,
     TripletAmplitudes,
@@ -120,8 +121,8 @@ class ControlProblem:
             raise ValueError(f"delta_mode must be {DELTA_FIXED!r} or {DELTA_TRIG!r}")
         if not abs(self.delta_value) <= BOUND:
             raise ValueError(f"delta_value must be finite and within [-{BOUND}, {BOUND}], got {self.delta_value}")
-        if self.segments < MIN_SEGMENTS:
-            raise ValueError(f"need at least {MIN_SEGMENTS} segments, got {self.segments}")
+        if not MIN_SEGMENTS <= self.segments <= MAX_STEPS:
+            raise ValueError(f"segments must be within [{MIN_SEGMENTS}, {MAX_STEPS}], got {self.segments}")
 
     def to_dict(self) -> dict:
         return {
@@ -268,18 +269,16 @@ def adjoint_gradient(problem: ControlProblem, controls: np.ndarray) -> tuple[flo
     delta, omega, with_delta = _segment_controls(problem, controls)
     n = problem.segments
     dt = problem.T / n
-    table, index, evals, evecs = segment_propagators(delta, omega, dt)
+    table, index, evals, vt = segment_propagators(delta, omega, dt)
     m = evals.shape[0]
-    # rows [m, 2m) hold the transposed real forms, those of the adjoint maps
-    # U^H; the identity stays last
-    table = np.concatenate([table[:m], table[:m].transpose(0, 2, 1), table[m:]])
+    # rows [m, 2m) hold the transposed real forms, those of the adjoint maps U^H
+    table = np.concatenate([table, table.transpose(0, 2, 1)])
     # the costate is linear in lam_T = amp * e2: chain e2 backwards through
     # the adjoint maps alongside the forward pass and scale by amp afterwards
     c, lam = chain_indexed(table, np.stack([index, m + index[::-1]]), _FORWARD_ADJOINT_STARTS)
     amp = c[-1, 1]
     fid = float(np.abs(amp) ** 2)
 
-    vt = np.swapaxes(evecs, 1, 2).copy()
     half = np.exp(-0.5j * dt * evals)
     sinc = np.sinc((evals[:, :, None] - evals[:, None, :]) * (dt / (2.0 * math.pi)))
     phi = ((-1j * dt) * half)[:, :, None] * half[:, None, :] * sinc
@@ -325,10 +324,13 @@ def _exit_reason(info: dict) -> str:
     return "gradient" if "PROJECTED_GRADIENT" in task.upper().replace(" ", "_") else "ftol"
 
 
-def check_restarts(restarts: int) -> None:
-    """A multi-start search draws ``restarts`` >= 0 random starts."""
+def check_starts(restarts: int, seed: int) -> None:
+    """A multi-start search draws ``restarts`` >= 0 random starts from the
+    generator seeded with ``seed`` >= 0."""
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def _starts(
@@ -337,7 +339,7 @@ def _starts(
     """Starts of a multi-start search: ``restarts`` seeded uniform random
     vectors in the box divided by ``shrink``, then the constant start
     ``const``, then ``extra_starts``, each of const's shape."""
-    check_restarts(restarts)
+    check_starts(restarts, seed)
     rng = np.random.default_rng(seed)
     starts = [rng.uniform(-BOUND, BOUND, size=const.size) / shrink for _ in range(restarts)]
     starts.append(const)
@@ -648,6 +650,7 @@ def sweep(problems: Sequence[ControlProblem], restarts: int = 2, seed: int = DEF
     solved gets fidelity NaN and its error, passes nothing on, and the sweep
     goes on.
     """
+    check_starts(restarts, seed)
     cells: list[SweepCell | None] = [None] * len(problems)
     floor: dict[float, float] = {}  # fidelity of the last solved cell per detuning
     prev: tuple[np.ndarray, float] | None = None  # (omega, T) of the last solved cell

@@ -233,10 +233,10 @@ def segment_propagators(
 
     Bang-bang controls repeat a few values over many segments, so the
     spectral work runs once per distinct pair.  Returns (table, index,
-    evals, evecs): segment k holds pair ``index[k]``; for m pairs, rows
-    [0, m) of the table are the maps U in real form and row m is the
-    identity that pads the scan.  evals/evecs are the pairs' spectra.  For
-    H = V diag(E) V^T with V real, U = V cos(E dt) V^T - i V sin(E dt) V^T.
+    evals, vt): segment k holds pair ``index[k]``; for m pairs, the m rows
+    of the table are the maps U in real form, and evals and vt = V^T the
+    pairs' spectra.  For H = V diag(E) V^T with V real,
+    U = V cos(E dt) V^T - i V sin(E dt) V^T.
     """
     # complex keys sort and compare as (delta, omega) pairs
     key = np.empty(np.shape(delta), dtype=complex)
@@ -246,12 +246,10 @@ def segment_propagators(
     evals, evecs = np.linalg.eigh(hc_batch(pairs.real, pairs.imag))
     arg = dt * evals
     vt = np.swapaxes(evecs, 1, 2).copy()
-    m = pairs.size
-    table = np.empty((m + 1, 6, 6))
+    table = np.empty((pairs.size, 6, 6))
     re = np.matmul(evecs * np.cos(arg)[:, None, :], vt)
-    _real_form(re, -np.matmul(evecs * np.sin(arg)[:, None, :], vt), table[:m])
-    table[m] = np.eye(6)
-    return table, index, evals, evecs
+    _real_form(re, -np.matmul(evecs * np.sin(arg)[:, None, :], vt), table)
+    return table, index, evals, vt
 
 
 def chain_indexed(table: np.ndarray, index: np.ndarray, c0: np.ndarray) -> np.ndarray:
@@ -260,14 +258,14 @@ def chain_indexed(table: np.ndarray, index: np.ndarray, c0: np.ndarray) -> np.nd
 
     ``table`` has shape (m, 2 dim, 2 dim) and holds the real forms
     [[Re M, -Im M], [Im M, Re M]], which act on (Re c, Im c) and whose
-    products are several times cheaper than complex ones in numpy; its last
-    row must be the identity.  ``index`` has shape (b, n), ``c0`` (b, dim);
-    the result is the complex (b, n+1, dim) history with ``out[:, 0]`` equal
-    to ``c0`` exactly.  A map shared by many steps is stored once.
+    products are several times cheaper than complex ones in numpy.
+    ``index`` has shape (b, n), ``c0`` (b, dim); the result is the complex
+    (b, n+1, dim) history with ``out[:, 0]`` equal to ``c0`` exactly.  A
+    map shared by many steps is stored once.
 
     Two-level blocked scan (Blelloch, "Prefix sums and their applications",
     1990): the steps are cut into blocks of L = ceil(sqrt(n)), the last
-    padded with the identity row, and gathered from the table block
+    padded with identity maps, and gathered from the table block
     position first, so that every product runs on contiguous memory.  L
     batched products build the prefix products inside all blocks, a
     sequential pass over the ~sqrt(n) block-end products gives each block's
@@ -277,11 +275,12 @@ def chain_indexed(table: np.ndarray, index: np.ndarray, c0: np.ndarray) -> np.nd
     d = table.shape[-1] // 2
     size = math.isqrt(max(n - 1, 0)) + 1
     nblk = max(-(-n // size), 1)
-    layout = np.full((b, nblk * size), table.shape[0] - 1)
+    layout = np.zeros((b, nblk * size), dtype=int)
     layout[:, :n] = index
     # prefix[j, i, k] is step k * size + j of batch i, then, after the
     # loop, the product of steps k * size .. k * size + j
     prefix = table[layout.reshape(b, nblk, size).transpose(2, 0, 1)]
+    prefix[n - (nblk - 1) * size :, :, -1] = np.eye(2 * d)
     for j in range(1, size):
         np.matmul(prefix[j], prefix[j - 1], out=prefix[j])
     entry = np.empty((b, nblk, 2 * d, 1))
@@ -299,8 +298,8 @@ def chain_indexed(table: np.ndarray, index: np.ndarray, c0: np.ndarray) -> np.nd
 
 def _taylor_table(h: np.ndarray, dt: float, degree: int, theta: float = math.inf) -> np.ndarray:
     """Step maps sum_{j<=degree} A^j / j! with A = -i H dt of a stack of
-    real symmetric H, as a ``chain_indexed`` table (the n maps in real form,
-    then the identity).
+    real symmetric H, as a ``chain_indexed`` table of the n maps in real
+    form.
 
     With a = H dt and B = a^2 the map is p(B) - i a q(B), the even terms
     p(B) = I - B/2 + B^2/24 - ... and the odd ones q(B) = I - B/6 + B^2/120
@@ -340,28 +339,28 @@ def _taylor_table(h: np.ndarray, dt: float, degree: int, theta: float = math.inf
 
     p = series([(-1.0) ** k / math.factorial(2 * k) for k in range(m + 1)])
     q = series([(-1.0) ** k / math.factorial(2 * k + 1) for k in range((degree + 1) // 2)])
-    table = np.empty((n + 1, 2 * d, 2 * d))
-    _real_form(p, -(a @ q), table[:n])
+    table = np.empty((n, 2 * d, 2 * d))
+    _real_form(p, -(a @ q), table)
     for _ in range(squarings):
-        table[:n] = table[:n] @ table[:n]
-    table[n] = np.eye(2 * d)
+        table = table @ table
     return table
 
 
-def _chain_blocks(
-    build: Callable[[int, int], tuple[np.ndarray, np.ndarray]], n: int, c0: np.ndarray, stride: int = 1
+def _taylor_chain(
+    h: np.ndarray, dt: float, degree: int, theta: float, c0: np.ndarray, stride: int = 1
 ) -> np.ndarray:
-    """History of ``c0`` through n step maps, built and chained
-    ``MAP_BLOCK`` steps at a time, so the tables and the scan's scratch
-    stay O(MAP_BLOCK); ``build(k, stop)`` returns the ``chain_indexed``
-    table and index of steps [k, stop).  Keeps every ``stride``-th state
-    (``stride`` divides n and ``MAP_BLOCK``)."""
+    """History of ``c0`` through the ``_taylor_table`` maps of the stack
+    ``h``, one step each, tabled and chained ``MAP_BLOCK`` steps at a time,
+    so the tables and the scan's scratch stay O(MAP_BLOCK).  Keeps every
+    ``stride``-th state (``stride`` divides the step count and
+    ``MAP_BLOCK``)."""
+    n = h.shape[0]
     out = np.empty((n // stride + 1, c0.size), dtype=complex)
     out[0] = c0
     for k in range(0, n, MAP_BLOCK):
-        table, index = build(k, min(k + MAP_BLOCK, n))
-        states = chain_indexed(table, index[None], out[k // stride][None])[0]
-        out[k // stride + 1 : (k + index.size) // stride + 1] = states[stride::stride]
+        table = _taylor_table(h[k : k + MAP_BLOCK], dt, degree, theta)
+        states = chain_indexed(table, np.arange(len(table))[None], out[k // stride][None])[0]
+        out[k // stride + 1 : (k + len(table)) // stride + 1] = states[stride::stride]
     return out
 
 
@@ -372,11 +371,7 @@ def rk4_evolve(h_mid: np.ndarray, c0: np.ndarray, dt: float) -> np.ndarray:
     stack of ``model.hc_batch`` or a leading block of one); works for any
     dimension.  Returns the full (n+1, dim) history.
     """
-
-    def build(k: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        return _taylor_table(h_mid[k:stop], dt, 4), np.arange(stop - k)
-
-    return _chain_blocks(build, h_mid.shape[0], c0)
+    return _taylor_chain(h_mid, dt, 4, math.inf, c0)
 
 
 def _cf4_controls(waveform: ControlWaveform, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -394,15 +389,9 @@ def _cf4_controls(waveform: ControlWaveform, n: int) -> tuple[np.ndarray, np.nda
 def _cf4_history(waveform: ControlWaveform, c0: np.ndarray, n: int) -> np.ndarray:
     """History of ``c0`` at the edges of n CF4:2 steps: per step, two
     half-step maps at the effective controls of its Gauss nodes, degree-12
-    Taylor maps from ``_taylor_table``, chained by ``chain_indexed``."""
-    d_eff, w_eff = _cf4_controls(waveform, n)
-    half = waveform.duration / (2 * n)
-
-    def build(k: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        h = hc_batch(d_eff[k:stop], w_eff[k:stop])
-        return _taylor_table(h, half, CF4_TAYLOR_DEGREE, TAYLOR_THETA), np.arange(stop - k)
-
-    return _chain_blocks(build, 2 * n, c0, stride=2)
+    Taylor maps chained by ``_taylor_chain``."""
+    h = hc_batch(*_cf4_controls(waveform, n))
+    return _taylor_chain(h, waveform.duration / (2 * n), CF4_TAYLOR_DEGREE, TAYLOR_THETA, c0, stride=2)
 
 
 def step_count(waveform: ControlWaveform, method: str = "rk4") -> int:
@@ -420,17 +409,17 @@ def step_count(waveform: ControlWaveform, method: str = "rk4") -> int:
     |H| T / 2)) steps, an even count so that its step-halving estimate can
     run half as many; adjacent probe samples that differ by more than
     ``JUMP_LIMIT`` of a channel's peak raise ``NonUnitaryDrift``, since a
-    jump fools that estimate.  A count above ``MAX_STEPS``, or controls whose
-    bound is not finite, is a ValueError, raised before any allocation.
-    ``propagate`` asks for the count unless its caller already did, so a
-    caller can refuse a waveform before it starts writing its output without
-    the waveform being probed twice.
+    jump fools that estimate.  A count above ``MAX_STEPS`` on any route, or
+    controls whose bound is not finite, is a ValueError, raised before any
+    allocation.  ``propagate`` asks for the count unless its caller already
+    did, so a caller can refuse a waveform before it starts writing its
+    output without the waveform being probed twice.
     """
     if method not in PROBE_SAMPLES:
         raise ValueError(f"unknown method {method!r}")
     duration = waveform.duration
     if waveform.piece_omega is not None and method != "rk4":
-        return waveform.piece_omega.size
+        return _under_ceiling(waveform.piece_omega.size)
     if waveform.piece_omega is not None:
         d, w = waveform.piece_delta, waveform.piece_omega
     else:
@@ -467,6 +456,11 @@ def step_count(waveform: ControlWaveform, method: str = "rk4") -> int:
         # align step edges with segment edges so no step straddles a jump
         nseg = waveform.piece_omega.size
         steps = math.ceil(steps / nseg) * nseg
+    return _under_ceiling(steps)
+
+
+def _under_ceiling(steps: int) -> int:
+    """``steps``, or a ValueError when it exceeds ``MAX_STEPS``."""
     if steps > MAX_STEPS:
         raise ValueError(f"{steps} steps exceed the ceiling of {MAX_STEPS}")
     return steps

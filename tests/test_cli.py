@@ -502,9 +502,13 @@ class TestOutputHygiene:
         ("tqd", "--T", "1e200"),
         ("simulate", "--T", "1e300", "--omega", "0"),
         ("evaluate-series", "--series", "{series}"),
+        ("optimize", "--seed", "-1", "--T", "2.5", "--segments", "20", "--restarts", "1"),
+        ("sweep-detuning", "--seed", "-1", "--deltas=0", "--T", "2.5", "--segments", "20", "--restarts", "1"),
+        ("optimize", "--segments", "1000001", "--restarts", "0"),
     ], ids=["tqd-T", "optimize-restarts", "trig-p", "sweep-detuning-empty", "sweep-duration-descending",
             "fig1b-e", "evaluate-series-missing", "simulate-nan", "evaluate-series-T", "fig2-restarts",
-            "fig3b-segments", "tqd-step-ceiling", "simulate-step-ceiling", "evaluate-series-step-ceiling"])
+            "fig3b-segments", "tqd-step-ceiling", "simulate-step-ceiling", "evaluate-series-step-ceiling",
+            "optimize-seed", "sweep-detuning-seed", "optimize-segment-ceiling"])
     def test_usage_error_echoes_nothing(self, tmp_path, capsys, argv):
         # the library rejects the inputs before the config echo and the output directory
         series_path = tmp_path / "series.json"

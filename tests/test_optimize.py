@@ -40,7 +40,7 @@ from isingbell.optimize import (
     write_series_json,
     write_sweep_csv,
 )
-from isingbell.propagator import ControlWaveform, NonUnitaryDrift, fidelity, propagate
+from isingbell.propagator import MAX_STEPS, ControlWaveform, NonUnitaryDrift, fidelity, propagate
 
 SPIN_DOWN = TripletAmplitudes.spin_down()
 
@@ -68,6 +68,7 @@ class TestControlProblem:
         dict(T=1.0, delta_value=float("nan")),
         dict(T=1.0, delta_value=1.5),
         dict(T=1.0, delta_value=-5.0),
+        dict(T=1.0, segments=MAX_STEPS + 1),
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
@@ -277,6 +278,14 @@ def test_negative_restarts_rejected(optimizer, kwargs):
     # zero restarts is valid (the constant start alone); below zero is a usage error
     with pytest.raises(ValueError, match="restarts must be >= 0, got -1"):
         optimizer(ControlProblem(T=2.0, segments=20), restarts=-1, seed=0, **kwargs)
+
+
+def test_sweep_checks_the_seed_before_any_cell():
+    # the cell at index 1 (T = 2) is solved first, from seed + 1 = 0; only
+    # the cell at index 0, solved after it, would draw from seed + 0 = -1
+    problems = [ControlProblem(T=3.0, segments=10), ControlProblem(T=2.0, segments=10)]
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        sweep(problems, restarts=0, seed=-1)
 
 
 @pytest.mark.parametrize("optimizer, kwargs", [(optimize_piecewise, {}), (optimize_trig, {"p": 1})],

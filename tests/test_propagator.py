@@ -159,6 +159,12 @@ class TestPropagate:
         with pytest.raises(ValueError, match="ceiling"):
             step_count(ControlWaveform.piecewise_constant(1.0, np.full(7, 1000.0)))
 
+    def test_exact_route_count_above_the_ceiling_is_rejected(self):
+        # one step per segment, and no more segments than MAX_STEPS
+        assert step_count(ControlWaveform.piecewise_constant(1.0, np.zeros(7)), "piecewise-exponential") == 7
+        with pytest.raises(ValueError, match="ceiling"):
+            step_count(ControlWaveform.piecewise_constant(1.0, np.zeros(MAX_STEPS + 1)), "piecewise-exponential")
+
     def test_strong_detuning_sets_the_rk4_count(self):
         # |H| <= 4 + 30 + sqrt(2) bounds the step; the pulse area alone
         # (max|omega| T = 10) gave 10,000 steps and a norm drift of 1e-7
@@ -275,15 +281,13 @@ class TestSegmentPropagators:
         rng = np.random.default_rng(5)
         delta, omega = rng.uniform(-1, 1, 8), rng.uniform(-1, 1, 8)
         table, index, _, _ = segment_propagators(delta, omega, 0.1)
-        assert table.shape == (9, 6, 6) and np.array_equal(np.sort(index), np.arange(8))
-        u = _complex_maps(table[:8])
+        assert table.shape == (8, 6, 6) and np.array_equal(np.sort(index), np.arange(8))
+        u = _complex_maps(table)
         eye = np.broadcast_to(np.eye(3), (8, 3, 3))
         assert np.allclose(np.matmul(u.conj().transpose(0, 2, 1), u), eye, atol=1e-13)
         h = hc_batch(delta, omega)
         for k in range(8):
             assert np.max(np.abs(u[index[k]] - expm(-0.1j * h[k]))) <= 1e-13
-        # the last row pads the scan
-        assert np.array_equal(table[8], np.eye(6))
 
     def test_table_holds_each_distinct_pair_once(self):
         # equal omega with different delta and equal delta with different
@@ -291,11 +295,11 @@ class TestSegmentPropagators:
         delta = np.array([0.0, -0.0, 0.3, 0.0, 0.3, 0.0])
         omega = np.array([1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
         table, index, evals, _ = segment_propagators(delta, omega, 0.2)
-        assert table.shape == (5, 6, 6) and evals.shape == (4, 3)
+        assert table.shape == (4, 6, 6) and evals.shape == (4, 3)
         assert index[0] == index[1] == index[5]
         assert len({index[0], index[2], index[3], index[4]}) == 4
         h = hc_batch(delta, omega)
-        u = _complex_maps(table[:4])
+        u = _complex_maps(table)
         for k in range(6):
             assert np.max(np.abs(u[index[k]] - expm(-0.2j * h[k]))) <= 1e-13
 
@@ -310,11 +314,10 @@ class TestChain:
         m = batch * n if rows is None else rows
         z = rng.normal(size=(m, dim, dim)) + 1j * rng.normal(size=(m, dim, dim))
         maps, _ = np.linalg.qr(z)  # random unitary step maps
-        table = np.empty((m + 1, 2 * dim, 2 * dim))
-        table[:m, :dim, :dim] = table[:m, dim:, dim:] = maps.real
-        table[:m, dim:, :dim] = maps.imag
-        table[:m, :dim, dim:] = -maps.imag
-        table[m] = np.eye(2 * dim)
+        table = np.empty((m, 2 * dim, 2 * dim))
+        table[:, :dim, :dim] = table[:, dim:, dim:] = maps.real
+        table[:, dim:, :dim] = maps.imag
+        table[:, :dim, dim:] = -maps.imag
         index = np.arange(m).reshape(batch, n) if rows is None else rng.integers(0, rows, size=(batch, n))
         c0 = rng.normal(size=(batch, dim)) + 1j * rng.normal(size=(batch, dim))
         c0 /= np.linalg.norm(c0, axis=-1, keepdims=True)
@@ -376,7 +379,7 @@ class TestChain:
         m = evals.shape[0]
         # forward and adjoint passes in one call, as the optimizer runs them:
         # the adjoint maps are the transposed real forms, in rows [m, 2m)
-        table = np.concatenate([table[:m], table[:m].transpose(0, 2, 1), table[m:]])
+        table = np.concatenate([table, table.transpose(0, 2, 1)])
         c, lam = chain_indexed(table, np.stack([index, m + index[::-1]]), np.stack([_unit(c0), _unit(lam_final)]))
         lam = lam[::-1]
         assert np.array_equal(lam[-1], _unit(lam_final))
@@ -391,7 +394,7 @@ class TestChain:
         # plus round-off slack; dim 2 is the {|dd>, bell} block
         delta, omega = np.array(drive).T
         h = hc_batch(delta, omega)[:, :dim, :dim]
-        maps = _complex_maps(_taylor_table(h, dt, 4)[:-1])
+        maps = _complex_maps(_taylor_table(h, dt, 4))
         for hk, mk in zip(h, maps):
             x = np.linalg.norm(hk, 2) * dt
             bound = x**5 / 120.0 * math.exp(x) + 1e-14
@@ -415,8 +418,7 @@ class TestTaylorTable:
         h = hc_batch(delta, omega)
         dt = x / max(np.linalg.norm(hk, np.inf) for hk in h)
         table = _taylor_table(h, dt, 12, propagator.TAYLOR_THETA)
-        assert np.array_equal(table[-1], np.eye(6))
-        for hk, mk in zip(h, _complex_maps(table[:-1])):
+        for hk, mk in zip(h, _complex_maps(table)):
             assert np.max(np.abs(mk - expm(-1j * dt * hk))) <= 1e-14
 
     @pytest.mark.parametrize("kind", ["symmetric", "nonsymmetric"])
