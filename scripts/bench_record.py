@@ -14,11 +14,15 @@ pairs the change won, and a verdict on each end-to-end metric of
 per-layer run (``--trace 1``) per side on the first seed covers every
 workload, the unlisted ``series-joint`` too, and the tier-1 test suite is
 timed in each clone.  Each side records its git
-sha, ``src/`` line count, and the python, numpy and scipy versions.  Runs
-are sequential: two at once would share the cores they are timing.
+sha, ``src/`` line count, and the python, numpy and scipy versions, and
+the module count and a sha256 of the sorted module names that ``python -X
+importtime -c "import isingbell.cli"`` reports, the import graph behind
+``setup_s``; whether the two graphs match is printed.  Runs are
+sequential: two at once would share the cores they are timing.
 """
 
 import argparse
+import hashlib
 import importlib.metadata
 import json
 import os
@@ -52,6 +56,27 @@ def checkout(rev: str, dest: Path) -> dict:
     _git("checkout", "--quiet", "--detach", sha, cwd=dest)
     src_lines = sum(len(p.read_text().splitlines()) for p in (dest / "src").rglob("*.py"))
     return {"rev": rev, "git_sha": sha, "src_lines": src_lines}
+
+
+def import_graph(stderr: str) -> list[str]:
+    """Sorted names of the modules listed in ``python -X importtime``'s
+    stderr, whose lines read "import time: self | cumulative | name"."""
+    names = {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines()
+             if line.startswith("import time:") and line.count("|") == 2}
+    return sorted(names - {"imported package"})
+
+
+def import_modules(root: Path) -> list[str]:
+    """The modules a fresh interpreter loads for ``import isingbell.cli``
+    from ``root``'s sources."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    argv = [sys.executable, "-X", "importtime", "-c", "import isingbell.cli"]
+    return import_graph(subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True, check=True).stderr)
+
+
+def import_change(parent: list[str], change: list[str]) -> str:
+    added, removed = len(set(change) - set(parent)), len(set(parent) - set(change))
+    return "identical" if not (added or removed) else f"changed (+{added}/-{removed} modules)"
 
 
 def bench(root: Path, workload: str, seed: int, trace: bool) -> dict:
@@ -143,6 +168,11 @@ def main(argv=None) -> int:
         **{s: checkout(getattr(args, s), roots[s]) for s in SIDES},
         "workloads": {},
     }
+    modules = {s: import_modules(roots[s]) for s in SIDES}
+    for s in SIDES:
+        digest = hashlib.sha256("\n".join(modules[s]).encode()).hexdigest()
+        record[s].update(import_modules=len(modules[s]), import_sha256=digest)
+    print("import graph: " + import_change(modules["parent"], modules["change"]), flush=True)
     turn = 0
     for workload in (w["name"] for w in benchmark["workloads"]):
         by_seed = {}

@@ -20,10 +20,10 @@ checks their ranges, then calls ``begin``, which makes the output
 directory and prints the echo before any work, and runs what it built; so
 invalid inputs leave stdout empty and make no directory.  No command takes
 a step count: ``propagator.step_count`` picks it, and ``tqd``,
-``simulate`` and ``evaluate-series`` ask for it before ``begin``, so a
-waveform past the step ceiling is refused before the echo too (only
-``repro fig1b`` finds it after the echo, as sizing its 200 waveforms first
-would probe each twice; ``repro table1``'s fixed series cannot reach it).
+``simulate``, ``evaluate-series`` and ``repro fig1b`` (all 200 waveforms,
+one probe each) ask for it before ``begin``, so a waveform past the step
+ceiling is refused before the echo too (``repro table1``'s fixed series
+cannot reach it).
 The ``tqd`` and ``simulate`` summaries record the count with the route,
 the drift and the error estimate.  Exit codes: 0 ok, 2 invalid
 usage/parameters (a waveform whose step count exceeds the ceiling
@@ -62,6 +62,7 @@ from .shortcut import (
     short_time_fidelity_limit,
     shortcut_waveform,
     tqd_fidelity_curve,
+    tqd_step_counts,
     write_fidelity_curve_csv,
     write_waveform_csv,
 )
@@ -294,11 +295,11 @@ def cmd_evaluate_series(cfg: dict, out: Path, begin) -> None:
 
 
 def _repro_fig1b(cfg: dict, out: Path, begin) -> None:
-    ShortcutSpec(kind=SYMMETRIC, e=cfg["e"])  # checks the amplitude
-    begin()
     t_grid = np.geomspace(0.01, 15.0, 100)
-    sym = tqd_fidelity_curve(SYMMETRIC, cfg["e"], t_grid)
-    non = tqd_fidelity_curve(NONSYMMETRIC, cfg["e"], t_grid)
+    steps = {kind: tqd_step_counts(kind, cfg["e"], t_grid) for kind in (SYMMETRIC, NONSYMMETRIC)}
+    begin()
+    sym = tqd_fidelity_curve(SYMMETRIC, cfg["e"], t_grid, steps[SYMMETRIC])
+    non = tqd_fidelity_curve(NONSYMMETRIC, cfg["e"], t_grid, steps[NONSYMMETRIC])
     write_fidelity_curve_csv(out / "fig1b.csv", t_grid, [f for _, f in sym], [f for _, f in non], config=cfg)
     print(f"fidelity at T={t_grid[0]:g}: {sym[0][1]:.6f} (sym) {non[0][1]:.6f} (non); limit {short_time_fidelity_limit():.6f}")
     print(f"fidelity at T={t_grid[-1]:g}: {sym[-1][1]:.6f} (sym) {non[-1][1]:.6f} (non)")

@@ -5,15 +5,22 @@ two parameterizations: piecewise-constant Rabi frequency with a fixed
 detuning (the optima come out bang-bang), and trigonometric series for
 omega and, optionally, delta (smooth controls).
 
-The search is multi-start L-BFGS-B over a piecewise-constant discretization
-of ``ControlProblem.segments`` segments (1000 by default).  Each segment's
-propagator is an exact matrix exponential, built once per distinct
-(delta, omega) pair, so the adjoint gradient below is exact for the discrete
-objective (checked against central finite differences to 1e-6).  Series
-coefficients form stacked channels of 2p + 1 (omega, then delta when shaped),
-each optimized with a quadratic penalty on bound violations at the
-discretization grid, tightened over continuation rounds, and finished with
-an exact rescale onto the box.
+A piecewise optimum is found in two stages.  Multi-start L-BFGS-B searches
+the omega values of a grid the dynamics resolve (``search_segments``: at
+most ``ControlProblem.segments``, 1000 by default, and about 85 segments at
+T = 2.5); each start's result is then polished as arcs (Xu & Antsaklis, IEEE
+TAC 49, 2 (2004); Egerstedt, Wardi & Axelsson, IEEE TAC 51, 110 (2006)):
+bang arcs at +-BOUND whose switch times move freely, and singular regions
+whose values stay free at resolution T / segments.  The best polished
+waveform ships with its piece edges, and its reported fidelity is the exact
+route's over those pieces.  Each piece's propagator is an exact matrix
+exponential, built once per distinct (delta, omega) pair on an even grid and
+once per piece otherwise, so the adjoint gradient below is exact for the
+discrete objective, piece durations included (checked against central finite
+differences to 1e-6).  Series coefficients form stacked channels of 2p + 1
+(omega, then delta when shaped), each optimized with a quadratic penalty on
+bound violations at the discretization grid, tightened over continuation
+rounds, and finished with an exact rescale onto the box.
 
 scipy is imported on the first L-BFGS-B call, not with this module: the
 shortcut commands and ``evaluate_series`` never solve anything, and
@@ -25,7 +32,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -33,6 +40,7 @@ import numpy as np
 from .artifacts import write_csv, write_json
 from .model import SQRT2
 from .propagator import (
+    CF4_STEPS_PER_UNIT_NORM,
     MAX_STEPS,
     ControlWaveform,
     NonUnitaryDrift,
@@ -64,6 +72,13 @@ GRAD_TOL = 1e-8
 MAX_ITER = 2000
 #: a run whose best fidelity stays below this is treated as failed
 MIN_USEFUL_FIDELITY = 1e-3
+#: a polished arc no longer than this share of T is dropped, its neighbours
+#: merged and polished again
+ARC_DROP_TOL = 1e-12
+#: Newton steps that finish the switch times of bang arcs, and their
+#: forward-difference step as a share of T
+NEWTON_ITERATIONS = 2
+NEWTON_STEP = 1e-7
 #: allowed bound overshoot of a polished trig series at the grid nodes
 TRIG_FEASIBILITY_TOL = 1e-9
 PENALTY_WEIGHTS = (10.0, 1e3, 1e5)
@@ -212,7 +227,8 @@ class OptimizationReport:
                 "kind": "piecewise-constant",
                 "T": self.problem.T,
                 "delta": self.problem.delta_value,
-                "segments": self.waveform.piece_omega.tolist(),
+                "edges": self.waveform.piece_edges.tolist(),
+                "omega": self.waveform.piece_omega.tolist(),
             }
         return {
             "problem": self.problem.to_dict(),
@@ -235,8 +251,7 @@ def _channels(problem: ControlProblem) -> int:
     return 1 if problem.delta_mode == DELTA_FIXED else 2
 
 
-def _segment_controls(problem: ControlProblem, controls: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    n = problem.segments
+def _segment_controls(problem: ControlProblem, controls: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, bool]:
     k = _channels(problem)
     controls = np.asarray(controls, dtype=float)
     if controls.shape != (k * n,):
@@ -246,29 +261,38 @@ def _segment_controls(problem: ControlProblem, controls: np.ndarray) -> tuple[np
     return controls[n:], controls[:n], True
 
 
-def adjoint_gradient(problem: ControlProblem, controls: np.ndarray) -> tuple[float, np.ndarray]:
-    """Fidelity and its exact gradient w.r.t. the segment control values.
+def adjoint_gradient(
+    problem: ControlProblem, controls: np.ndarray, durations: np.ndarray | None = None
+) -> tuple[float, np.ndarray]:
+    """Fidelity and its exact gradient w.r.t. the piece control values.
 
-    ``controls`` is the omega segment vector (fixed-delta mode) or the
-    stacked (omega, delta) segment vectors (trig-series mode; the caller maps
-    series coefficients to segments and chain-rules the result back).
+    ``controls`` is the omega piece vector (fixed-delta mode) or the stacked
+    (omega, delta) piece vectors (trig-series mode; the caller maps series
+    coefficients to segments and chain-rules the result back).  The pieces
+    are the ``problem.segments`` segments of T / segments, or, given
+    ``durations``, one piece per duration; the gradient then stacks one more
+    channel, the derivative with respect to each piece's duration d_k,
 
-    The spectral work runs once per distinct (delta, omega) pair
-    (``segment_propagators``); bang-bang iterates hold few.  One
-    ``chain_indexed`` call over that pair table runs the forward pass for
-    the states c_k and the backward pass for the costates lam_k; the
-    derivative of each pair's exponential follows from its
-    eigendecomposition: dU = V (W o Phi) V^T with W = V^T (dH/dtheta) V and
+        dF/dd_k = 2 Re(conj(amp) lam_{k+1}^H (-i H_k) c_{k+1}).
+
+    The spectral work runs once per distinct piece (``segment_propagators``);
+    bang-bang iterates hold few.  One ``chain_indexed`` call over that table
+    runs the forward pass for the states c_k and the backward pass for the
+    costates lam_k; the derivative of each piece's exponential follows from
+    its eigendecomposition: dU = V (W o Phi) V^T with W = V^T (dH/dtheta) V
+    and
 
         Phi_mn = -i dt exp(-i (E_m + E_n) dt / 2) sinc((E_m - E_n) dt / 2),
 
     which is exact and stays stable for clustered eigenvalues (no divided
-    difference of nearly equal exponentials).  Each segment's derivative
-    lam_{k+1}^H dU c_k is contracted in its pair's eigenbasis.
+    difference of nearly equal exponentials).  Each piece's derivative
+    lam_{k+1}^H dU c_k is contracted in its eigenbasis.
     """
-    delta, omega, with_delta = _segment_controls(problem, controls)
-    n = problem.segments
-    dt = problem.T / n
+    n = problem.segments if durations is None else len(durations)
+    delta, omega, with_delta = _segment_controls(problem, controls, n)
+    # one duration, or each table row's: with durations, row k is piece k
+    dt = problem.T / n if durations is None else np.asarray(durations, dtype=float)
+    col = dt if durations is None else dt[:, None]
     table, index, evals, vt = segment_propagators(delta, omega, dt)
     m = evals.shape[0]
     # rows [m, 2m) hold the transposed real forms, those of the adjoint maps U^H
@@ -279,9 +303,9 @@ def adjoint_gradient(problem: ControlProblem, controls: np.ndarray) -> tuple[flo
     amp = c[-1, 1]
     fid = float(np.abs(amp) ** 2)
 
-    half = np.exp(-0.5j * dt * evals)
-    sinc = np.sinc((evals[:, :, None] - evals[:, None, :]) * (dt / (2.0 * math.pi)))
-    phi = ((-1j * dt) * half)[:, :, None] * half[:, None, :] * sinc
+    half = np.exp(-0.5j * col * evals)
+    sinc = np.sinc((evals[:, :, None] - evals[:, None, :]) * np.divide(col, 2.0 * math.pi)[..., None])
+    phi = ((-1j * col) * half)[:, :, None] * half[:, None, :] * sinc
     # W = V^T (dH/dtheta) V in outer products of the rows v0, v1, v2 of V:
     # dH/domega = (e0 e1^T + e1 e0^T + e1 e2^T + e2 e1^T) / sqrt2 gives
     # (u v1^T + v1 u^T) / sqrt2 with u = v0 + v2, and dH/ddelta =
@@ -301,8 +325,13 @@ def adjoint_gradient(problem: ControlProblem, controls: np.ndarray) -> tuple[flo
     proj = np.matmul(vt[index], pair).view(complex)  # (n, 3, 2)
     outer = np.conj(amp * proj[:, :, None, 0]) * proj[:, None, :, 1]  # (n, 3, 3)
     y = np.conj(w_phi).reshape(m, len(w), 9).view(float)  # (m, controls, 18)
-    g = 2.0 * np.matmul(y[index], outer.reshape(n, 9).view(float)[:, :, None])
-    return fid, g[..., 0].T.ravel()
+    g = 2.0 * np.matmul(y[index], outer.reshape(n, 9).view(float)[:, :, None])[..., 0].T
+    if durations is not None:
+        # lam_{k+1}^H (-i H_k) U_k c_k in the eigenbasis: the diagonal of outer
+        # against -i E exp(-i E dt)
+        rate = (-1j * evals * half**2)[index]
+        g = np.vstack([g, 2.0 * np.real(np.einsum("kmm,km->k", outer, rate))])
+    return fid, g.ravel()
 
 
 def _projected_grad_inf(x: np.ndarray, g: np.ndarray) -> float:
@@ -364,32 +393,194 @@ def _check_useful(fid: float, problem: ControlProblem) -> None:
 # piecewise-constant optimization
 
 
+def search_segments(problem: ControlProblem) -> int:
+    """Segments of the grid a piecewise search runs on: ``problem.segments``,
+    capped by the even count at ``CF4_STEPS_PER_UNIT_NORM`` steps per unit
+    of the box bound |H| T <= (4 + |delta| + sqrt2) T, the rate at which the
+    CF4 route resolves the dynamics, and at least ``MIN_SEGMENTS``: 82-86
+    segments at T = 2.5, 118-120 at T = 3.6."""
+    norm = 4.0 + abs(problem.delta_value) + SQRT2 * BOUND
+    resolved = 2 * math.ceil(CF4_STEPS_PER_UNIT_NORM * norm * problem.T / 2)
+    return min(problem.segments, max(MIN_SEGMENTS, resolved))
+
+
+@dataclass(frozen=True, eq=False)
+class _Arcs:
+    """A piecewise omega as arcs: bang arcs, one piece at +-BOUND each, and
+    singular regions of equal sub-pieces whose values are free.  The polish
+    variables z are the inner arc edges (switch times, each within [0, T];
+    the arcs span them sorted), then the free values."""
+
+    T: float
+    omega: np.ndarray  # value of each piece; the free ones are read from z
+    pieces: np.ndarray  # sub-pieces per arc
+    free: np.ndarray  # indices of the free pieces
+
+    @classmethod
+    def from_spans(cls, T: float, spans: list[tuple[float, np.ndarray, bool]]) -> tuple["_Arcs", np.ndarray]:
+        """Arcs from (end time, piece values, free) spans in time order,
+        neighbouring bang arcs of one value merged, and their variables."""
+        merged: list[tuple[float, np.ndarray, bool]] = []
+        for end, values, free in spans:
+            if merged and not free and not merged[-1][2] and merged[-1][1][0] == values[0]:
+                merged[-1] = (end, values, free)
+            else:
+                merged.append((end, values, free))
+        omega = np.concatenate([values for _, values, _ in merged])
+        pieces = np.array([values.size for _, values, _ in merged])
+        free = np.flatnonzero(np.repeat([free for _, _, free in merged], pieces))
+        return cls(T, omega, pieces, free), np.concatenate([[end for end, _, _ in merged[:-1]], omega[free]])
+
+    @classmethod
+    def from_search(cls, problem: ControlProblem, x: np.ndarray) -> tuple["_Arcs", np.ndarray]:
+        """Arcs of a search optimum x on an even grid.  Saturated runs (within
+        ``SATURATION_TOL``) become bang arcs; a lone interior segment between
+        opposite bangs becomes a switch inside it at its time-average
+        position; an interior run inside one bang that keeps its sign (a
+        dent the grid cannot resolve) becomes a short opposite arc with the
+        same time-average, centred on the dent; any other interior run is a
+        singular region at resolution T / ``problem.segments``."""
+        n = x.size
+        dt = problem.T / n
+        label = np.where(np.abs(np.abs(x) - BOUND) <= SATURATION_TOL, np.sign(x), 0.0)
+        cuts = [0, *(np.flatnonzero(np.diff(label)) + 1).tolist(), n]
+        spans = []
+        for a, b in zip(cuts, cuts[1:]):
+            if label[a] != 0.0:
+                spans.append((b * dt, np.array([label[a] * BOUND]), False))
+            elif b - a == 1 and 0 < a and b < n and label[a - 1] == -label[b] != 0.0:
+                # the bang before it runs on for the share that averages to x[a]
+                share = (x[a] - label[b]) / (label[a - 1] - label[b])
+                spans[-1] = ((a + share) * dt, spans[-1][1], False)
+            elif 0 < a and b < n and label[a - 1] == label[b] != 0.0 and np.all(x[a:b] * label[b] > 0.0):
+                # a dent in a bang: an opposite arc of the same deficit, at its centroid
+                deficit = label[b] * (label[b] - x[a:b])
+                width = float(np.sum(deficit)) / 2.0
+                centre = float(np.dot(deficit, np.arange(a, b) + 0.5) / np.sum(deficit))
+                spans[-1] = ((centre - width / 2.0) * dt, spans[-1][1], False)
+                spans.append(((centre + width / 2.0) * dt, np.array([-label[b] * BOUND]), False))
+            else:
+                q = max(1, round((b - a) * problem.segments / n))
+                spans.append((b * dt, x[a + ((np.arange(q) + 0.5) * ((b - a) / q)).astype(int)], True))
+        spans[-1] = (problem.T, *spans[-1][1:])
+        return cls.from_spans(problem.T, spans)
+
+    def bounds(self) -> list[tuple[float, float]]:
+        return [(0.0, self.T)] * (self.pieces.size - 1) + [(-BOUND, BOUND)] * self.free.size
+
+    def _edges_omega(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Arc edges from 0 to T and piece values at z."""
+        omega = self.omega.copy()
+        omega[self.free] = z[self.pieces.size - 1 :]
+        return np.concatenate([[0.0], np.sort(z[: self.pieces.size - 1]), [self.T]]), omega
+
+    def objective(self, z: np.ndarray, problem: ControlProblem) -> tuple[float, np.ndarray]:
+        """-F at z and its gradient: dF/dtau at the edge between arcs j and
+        j + 1 is the derivative by arc j's duration minus arc j + 1's, each the
+        mean of its sub-pieces'; a free value's is its piece's."""
+        edges, omega = self._edges_omega(z)
+        f, g = adjoint_gradient(problem, omega, np.repeat(np.diff(edges) / self.pieces, self.pieces))
+        by_arc = np.add.reduceat(g[omega.size :], np.cumsum(self.pieces) - self.pieces) / self.pieces
+        g_tau = np.empty(self.pieces.size - 1)
+        g_tau[np.argsort(z[: self.pieces.size - 1])] = by_arc[:-1] - by_arc[1:]
+        return -f, -np.concatenate([g_tau, g[self.free]])
+
+    def drop_short(self, z: np.ndarray, tol: float) -> tuple["_Arcs", np.ndarray] | None:
+        """The arcs at z without those of duration <= tol, neighbours merged,
+        or None when every arc is longer."""
+        edges, omega = self._edges_omega(z)
+        keep = np.diff(edges) > tol
+        if keep.all():
+            return None
+        starts = np.cumsum(self.pieces) - self.pieces
+        free = np.zeros(omega.size, dtype=bool)
+        free[self.free] = True
+        spans = [(end, part, bool(free[start])) for end, part, start, k in
+                 zip(edges[1:], np.split(omega, starts[1:]), starts, keep) if k]
+        spans[-1] = (self.T, *spans[-1][1:])
+        return _Arcs.from_spans(self.T, spans)
+
+    def waveform(self, z: np.ndarray, delta: float) -> ControlWaveform:
+        """The piecewise waveform at z, every arc cut into its equal sub-pieces."""
+        edges, omega = self._edges_omega(z)
+        fractions = np.concatenate([np.arange(q) / q for q in self.pieces])
+        starts = np.repeat(edges[:-1], self.pieces) + fractions * np.repeat(np.diff(edges), self.pieces)
+        return ControlWaveform.piecewise_constant(self.T, omega, delta=delta, edges=np.append(starts, self.T))
+
+
+def _polish(problem: ControlProblem, x: np.ndarray) -> tuple[ControlWaveform, int, dict | None]:
+    """The search optimum x as arcs (``_Arcs.from_search``) with their switch
+    times and free values polished by L-BFGS-B; an arc that shrinks to zero
+    length is dropped and the merged arcs are polished again.  Returns the
+    waveform, the iterations and the last solver info (None when there was
+    nothing to polish, as for a single arc)."""
+    arcs, z = _Arcs.from_search(problem, x)
+    nit, info = 0, None
+    while True:
+        if z.size:
+            z, _, info = fmin_l_bfgs_b(
+                arcs.objective, z, args=(problem,), bounds=arcs.bounds(), m=10, factr=10.0,
+                pgtol=GRAD_TOL, maxiter=MAX_ITER, maxfun=20 * MAX_ITER,
+            )
+            nit += int(info["nit"])
+        shorter = arcs.drop_short(z, ARC_DROP_TOL * problem.T)
+        if shorter is None:
+            break
+        arcs, z = shorter
+    if arcs.free.size == 0 and z.size:
+        z = _newton_switches(arcs, z, problem)
+    return arcs.waveform(z, problem.delta_value), nit, info
+
+
+def _newton_switches(arcs: _Arcs, z: np.ndarray, problem: ControlProblem) -> np.ndarray:
+    """Switch times of bang arcs refined by Newton steps on dF/dtau = 0,
+    with a forward-difference Jacobian of the exact gradient.  L-BFGS-B
+    stops once F no longer falls beyond its rounding, at |dF/dtau| of about
+    the square root of that; the switch conditions need no function
+    values.  A step is kept while it shrinks the gradient."""
+    h = NEWTON_STEP * problem.T
+    _, g = arcs.objective(z, problem)
+    for _ in range(NEWTON_ITERATIONS):
+        jac = np.column_stack([arcs.objective(z + h * e, problem)[1] - g for e in np.eye(z.size)]) / h
+        trial = np.clip(z - np.linalg.solve(jac, g), 0.0, problem.T)
+        _, g_trial = arcs.objective(trial, problem)
+        if not np.max(np.abs(g_trial)) < np.max(np.abs(g)):
+            break
+        z, g = trial, g_trial
+    return z
+
+
 def optimize_piecewise(
     problem: ControlProblem,
     restarts: int = DEFAULT_RESTARTS,
     seed: int = DEFAULT_SEED,
     extra_starts: Sequence[np.ndarray] | None = None,
 ) -> OptimizationReport:
-    """Multi-start bound-constrained ascent over the omega segment values.
+    """Multi-start bound-constrained ascent over the omega segment values of
+    the ``search_segments`` grid, each start's optimum then polished as arcs
+    (``_polish``); the best polished waveform ships.
 
     Starts: ``restarts`` uniform random feasible waveforms, one constant
-    omega at the upper bound, plus any ``extra_starts`` (clipped).  The
-    fidelity landscape has distinct local optima with different bang counts,
-    hence the multi-start.  Raises NoConvergence when nothing lifts the
-    fidelity above 1e-3 (bounded controls at tiny T genuinely cannot).
+    omega at the upper bound, plus any ``extra_starts`` (clipped, of the
+    search grid's size).  The fidelity landscape has distinct local optima
+    with different bang counts, hence the multi-start.  The reported
+    fidelity is the exact route's over the shipped arcs.  Raises
+    NoConvergence when nothing lifts the fidelity above 1e-3 (bounded
+    controls at tiny T genuinely cannot).
     """
     if problem.delta_mode != DELTA_FIXED:
         raise ValueError("optimize_piecewise requires delta_mode='fixed'")
-    n = problem.segments
+    search = replace(problem, segments=search_segments(problem))
+    n = search.segments
     starts = _starts(np.full(n, BOUND), restarts, seed, 1.0, extra_starts)
 
     def objective(x):
-        f, g = adjoint_gradient(problem, x)
+        f, g = adjoint_gradient(search, x)
         return -f, -g
 
     best = None
     for x0 in starts:
-        x, negf, info = fmin_l_bfgs_b(
+        x, _, info = fmin_l_bfgs_b(
             objective,
             np.clip(x0, -BOUND, BOUND),
             bounds=[(-BOUND, BOUND)] * n,
@@ -399,20 +590,21 @@ def optimize_piecewise(
             maxiter=MAX_ITER,
             maxfun=20 * MAX_ITER,
         )
-        if best is None or -negf > best[1]:
-            best = (x, -negf, info)
+        waveform, nit, polish_info = _polish(problem, np.clip(x, -BOUND, BOUND))
+        omega = waveform.piece_omega
+        fid, g = adjoint_gradient(problem, omega, waveform.piece_durations())
+        if best is None or fid > best[0]:
+            best = (fid, g, waveform, int(info["nit"]) + nit, polish_info or info)
 
-    x, fid, info = best
-    x = np.clip(x, -BOUND, BOUND)  # exact box feasibility for the reported waveform
-    fid, g = adjoint_gradient(problem, x)
+    fid, g, waveform, nit, info = best
     _check_useful(fid, problem)
-    waveform = ControlWaveform.piecewise_constant(problem.T, x, delta=problem.delta_value)
+    omega = waveform.piece_omega
     return OptimizationReport(
         problem=problem,
         waveform=waveform,
         fidelity=float(fid),
-        iterations=int(info["nit"]),
-        grad_norm=_projected_grad_inf(x, -g),
+        iterations=nit,
+        grad_norm=_projected_grad_inf(omega, -g[: omega.size]),
         restarts=restarts,
         seed=seed,
         exit_reason=_exit_reason(info),
@@ -420,14 +612,16 @@ def optimize_piecewise(
 
 
 def saturation_fraction(waveform: ControlWaveform) -> float:
-    """Fraction of piecewise segments within ``SATURATION_TOL`` of either bound.
+    """Share of a piecewise waveform's time within ``SATURATION_TOL`` of
+    either bound; on an even grid, the share of its segments.
 
     Bang-bang structure diagnostic: optimal unconstrained-in-sign transfers
     ride the box boundary except at switches."""
     if waveform.piece_omega is None:
         raise ValueError("saturation_fraction needs a piecewise-constant waveform")
     at_bound = np.abs(np.abs(waveform.piece_omega) - BOUND) <= SATURATION_TOL
-    return float(np.mean(at_bound))
+    weights = None if waveform.piece_edges is None else np.diff(waveform.piece_edges)
+    return float(np.average(at_bound, weights=weights))
 
 
 # ---------------------------------------------------------------------------
@@ -623,15 +817,23 @@ class SweepCell:
 
 def _sweep_cell(
     problem: ControlProblem, restarts: int, seed: int, extra_starts: Sequence[np.ndarray] | None = None
-) -> tuple[SweepCell, np.ndarray | None]:
-    """optimize_piecewise on one sweep cell, with the optimum's omega
-    segments; a cell it cannot solve gets fidelity NaN, its error and no
-    segments."""
+) -> tuple[SweepCell, ControlWaveform | None]:
+    """optimize_piecewise on one sweep cell, with the shipped waveform; a
+    cell it cannot solve gets fidelity NaN, its error and no waveform."""
     try:
         rep = optimize_piecewise(problem, restarts=restarts, seed=seed, extra_starts=extra_starts)
     except (NoConvergence, NonUnitaryDrift) as exc:
         return SweepCell(T=problem.T, delta=problem.delta_value, fidelity=float("nan"), error=str(exc)), None
-    return SweepCell(T=problem.T, delta=problem.delta_value, fidelity=rep.fidelity), rep.waveform.piece_omega
+    return SweepCell(T=problem.T, delta=problem.delta_value, fidelity=rep.fidelity), rep.waveform
+
+
+def _warm_start(waveform: ControlWaveform, problem: ControlProblem) -> np.ndarray:
+    """A solved cell's waveform as a start on ``problem``'s search grid: its
+    omega at the segment midpoints, idle (omega = 0) after its duration, so
+    the start is feasible and at least as good on a longer duration."""
+    n = search_segments(problem)
+    t_mid = (np.arange(n) + 0.5) * (problem.T / n)
+    return np.where(t_mid < waveform.duration, waveform.sample(t_mid)[1], 0.0)
 
 
 def sweep(problems: Sequence[ControlProblem], restarts: int = 2, seed: int = DEFAULT_SEED) -> list[SweepCell]:
@@ -642,7 +844,8 @@ def sweep(problems: Sequence[ControlProblem], restarts: int = 2, seed: int = DEF
     Solve the cells in (T, delta) order, so durations never shrink; return
     them in the caller's order.  Only a cell with no solved predecessor draws
     ``restarts`` random starts (seed + its index); the others start from the
-    constant start and the last solved optimum, padded onto their duration.
+    constant start and the last solved cell's waveform, idle after its
+    duration (``_warm_start``).
     Idling costs nothing, so a cell ending over 1e-9 below the last solved
     cell of its detuning is re-run at once with 2 * restarts random starts
     (seed + 1000 + index) and keeps the better result; a duration sweep
@@ -653,20 +856,20 @@ def sweep(problems: Sequence[ControlProblem], restarts: int = 2, seed: int = DEF
     check_starts(restarts, seed)
     cells: list[SweepCell | None] = [None] * len(problems)
     floor: dict[float, float] = {}  # fidelity of the last solved cell per detuning
-    prev: tuple[np.ndarray, float] | None = None  # (omega, T) of the last solved cell
+    prev: ControlWaveform | None = None  # the last solved cell's waveform
     for i in sorted(range(len(problems)), key=lambda j: (problems[j].T, problems[j].delta_value)):
         problem = problems[i]
-        extra = [_pad_resample(*prev, problem.T)] if prev else []
-        cell, omega = _sweep_cell(problem, 0 if prev else restarts, seed + i, extra)
+        extra = [_warm_start(prev, problem)] if prev else []
+        cell, waveform = _sweep_cell(problem, 0 if prev else restarts, seed + i, extra)
         if cell.fidelity + 1e-9 < floor.get(problem.delta_value, -math.inf):
-            rerun, rerun_omega = _sweep_cell(problem, 2 * restarts, seed + 1000 + i, extra)
+            rerun, rerun_waveform = _sweep_cell(problem, 2 * restarts, seed + 1000 + i, extra)
             # a failed rerun has fidelity NaN, so the first-pass cell stays
             if rerun.fidelity > cell.fidelity:
-                cell, omega = rerun, rerun_omega
+                cell, waveform = rerun, rerun_waveform
         cells[i] = cell
-        if omega is not None:
+        if waveform is not None:
             floor[problem.delta_value] = cell.fidelity
-            prev = (omega, problem.T)
+            prev = waveform
     return cells
 
 
@@ -679,15 +882,6 @@ def detuning_problems(
     if not T_list or not delta_grid:
         raise ValueError("sweep grids must be non-empty")
     return [ControlProblem(T=t, delta_value=d, segments=segments) for t, d in itertools.product(T_list, delta_grid)]
-
-
-def _pad_resample(omega_prev: np.ndarray, T_prev: float, T_new: float) -> np.ndarray:
-    """Previous optimum replayed on the first T_prev of a longer duration,
-    idling (omega = 0) afterwards: a feasible start at least as good."""
-    n = omega_prev.size
-    t_mid = (np.arange(n) + 0.5) * (T_new / n)
-    idx = np.minimum((t_mid / (T_prev / n)).astype(int), n - 1)
-    return np.where(t_mid < T_prev, omega_prev[idx], 0.0)
 
 
 def duration_problems(

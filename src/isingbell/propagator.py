@@ -2,7 +2,8 @@
 
 Times are in units of 1/xi with the coupling xi = 1 fixed (see ``model``).
 A waveform is either piecewise constant, when it carries its segment values
-(``piece_omega is not None``), or parametric, a vectorized sampler.
+(``piece_omega is not None``) on an even grid or between its own piece edges
+(``piece_edges``), or parametric, a vectorized sampler.
 
 Two integration routes are provided and cross-checked against each other.
 Both build their per-step maps in batch and share one kernel,
@@ -22,7 +23,8 @@ pair, for piecewise-constant controls:
   agrees with the exponential one to Taylor error (~1e-13 at default
   resolution).  Freezing at the midpoint keeps delta-like pulses and
   discontinuous waveforms well behaved; for smooth controls the route is
-  second order in time.  It is the default of ``propagate``, the
+  second order in time.  Steps never straddle the edges of a piecewise
+  waveform.  It is the default of ``propagate``, the
   independent cross-check of the other route, and the route of
   ``shortcut.two_level_inversion``.
 * ``piecewise-exponential``: exponentials exp(-i H dt) of real symmetric
@@ -147,14 +149,16 @@ class ControlWaveform:
 
     ``sampler`` is a vectorized evaluator mapping an array of times to the
     (delta, omega) arrays.  Piecewise-constant waveforms additionally expose
-    their segment values so the exponential route and the optimizer can use
-    them directly.
+    their segment values, and their piece edges unless the grid is even, so
+    the exponential route and the optimizer can use them directly.
     """
 
     duration: float
     sampler: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     piece_delta: np.ndarray | None = None
     piece_omega: np.ndarray | None = None
+    #: piece edges from 0 to ``duration``, or None for an even grid
+    piece_edges: np.ndarray | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.duration) and self.duration > 0.0):
@@ -166,8 +170,11 @@ class ControlWaveform:
         duration: float,
         omega: Sequence[float] | np.ndarray,
         delta: float | Sequence[float] | np.ndarray = 0.0,
+        edges: Sequence[float] | np.ndarray | None = None,
     ) -> "ControlWaveform":
-        """Uniform-grid piecewise-constant waveform; scalar delta broadcasts."""
+        """Piecewise-constant waveform; scalar delta broadcasts.  The pieces
+        span the strictly increasing ``edges`` from 0 to ``duration``, or
+        an even grid when ``edges`` is None."""
         omega = np.atleast_1d(np.asarray(omega, dtype=float))
         delta = np.broadcast_to(np.asarray(delta, dtype=float), omega.shape).copy()
         if omega.ndim != 1 or omega.size == 0:
@@ -175,6 +182,16 @@ class ControlWaveform:
         if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(delta))):
             raise ValueError("segment values must be finite")
         n = omega.size
+        if edges is not None:
+            edges = np.asarray(edges, dtype=float)
+            if edges.shape != (n + 1,) or edges[0] != 0.0 or edges[-1] != duration or not np.all(np.diff(edges) > 0):
+                raise ValueError(f"edges must rise strictly from 0 to the duration {duration}, one more than the pieces")
+
+            def sampler(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                idx = np.clip(np.searchsorted(edges, np.asarray(ts, dtype=float), side="right") - 1, 0, n - 1)
+                return delta[idx], omega[idx]
+
+            return cls(duration, sampler, piece_delta=delta, piece_omega=omega, piece_edges=edges)
         dt = duration / n
 
         def sampler(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,6 +199,13 @@ class ControlWaveform:
             return delta[idx], omega[idx]
 
         return cls(duration, sampler, piece_delta=delta, piece_omega=omega)
+
+    def piece_durations(self) -> float | np.ndarray:
+        """Durations of a piecewise waveform's pieces, as ``segment_propagators``
+        takes them: one number on an even grid, one per piece otherwise."""
+        if self.piece_edges is None:
+            return self.duration / self.piece_omega.size
+        return np.diff(self.piece_edges)
 
     def sample(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ts = np.asarray(ts, dtype=float)
@@ -224,29 +248,35 @@ def _real_form(re: np.ndarray, im: np.ndarray, out: np.ndarray) -> None:
 
 
 def segment_propagators(
-    delta: np.ndarray, omega: np.ndarray, dt: float
+    delta: np.ndarray, omega: np.ndarray, dt: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Exact propagators exp(-i H dt) of the distinct (delta, omega) pairs
-    among the segments, via eigendecomposition, as a table for
-    ``chain_indexed``: the maps of piecewise-constant waveforms and of the
-    optimizer, whose gradient reuses the spectra.
+    """Exact propagators exp(-i H dt) of the pieces, via
+    eigendecomposition, as a table for ``chain_indexed``: the maps of
+    piecewise-constant waveforms and of the optimizer, whose gradient reuses
+    the spectra.  ``dt`` is one duration for every piece, or one per piece.
 
-    Bang-bang controls repeat a few values over many segments, so the
-    spectral work runs once per distinct pair.  Returns (table, index,
-    evals, vt): segment k holds pair ``index[k]``; for m pairs, the m rows
-    of the table are the maps U in real form, and evals and vt = V^T the
-    pairs' spectra.  For H = V diag(E) V^T with V real,
+    Bang-bang controls repeat a few values over many segments, so with one
+    duration the spectral work runs once per distinct (delta, omega) pair;
+    with one duration per piece (a handful of arcs) it runs once per piece.
+    Returns (table, index, evals, vt): piece k holds row ``index[k]``; for
+    m rows, the m rows of the table are the maps U in real form, and evals
+    and vt = V^T their spectra.  For H = V diag(E) V^T with V real,
     U = V cos(E dt) V^T - i V sin(E dt) V^T.
     """
-    # complex keys sort and compare as (delta, omega) pairs
-    key = np.empty(np.shape(delta), dtype=complex)
-    key.real = delta
-    key.imag = omega
-    pairs, index = np.unique(key, return_inverse=True)
-    evals, evecs = np.linalg.eigh(hc_batch(pairs.real, pairs.imag))
+    if np.ndim(dt) == 0:
+        # complex keys sort and compare as (delta, omega) pairs
+        key = np.empty(np.shape(delta), dtype=complex)
+        key.real = delta
+        key.imag = omega
+        pairs, index = np.unique(key, return_inverse=True)
+        delta, omega = pairs.real, pairs.imag
+    else:
+        index = np.arange(np.size(dt))
+        dt = np.asarray(dt)[:, None]
+    evals, evecs = np.linalg.eigh(hc_batch(delta, omega))
     arg = dt * evals
     vt = np.swapaxes(evecs, 1, 2).copy()
-    table = np.empty((pairs.size, 6, 6))
+    table = np.empty((evals.shape[0], 6, 6))
     re = np.matmul(evecs * np.cos(arg)[:, None, :], vt)
     _real_form(re, -np.matmul(evecs * np.sin(arg)[:, None, :], vt), table)
     return table, index, evals, vt
@@ -404,7 +434,9 @@ def step_count(waveform: ControlWaveform, method: str = "rk4") -> int:
     sqrt(2) max|omega| (Gershgorin).  RK4 takes max(``DEFAULT_STEPS``,
     ceil(``STEPS_PER_UNIT_AREA`` T max(max|omega|, |H| / 10))) steps, so
     max|omega| dt <= 1e-3 and |H| dt <= 1e-2, raised to a multiple of the
-    segment count of a piecewise waveform.  The parametric exponential
+    segment count of an even piecewise grid; on pieces with their own
+    edges that count sets the step bound, and the route takes fewer than
+    count + pieces steps (``_rk4_grid``).  The parametric exponential
     route takes max(``CF4_MIN_STEPS``, 2 ceil(``CF4_STEPS_PER_UNIT_NORM``
     |H| T / 2)) steps, an even count so that its step-halving estimate can
     run half as many; adjacent probe samples that differ by more than
@@ -452,7 +484,10 @@ def step_count(waveform: ControlWaveform, method: str = "rk4") -> int:
                     f" {JUMP_LIMIT:g}; the piecewise-exponential route needs smooth or piecewise-constant controls"
                 )
     steps = max(floor, even * math.ceil(rate * duration / even))
-    if waveform.piece_omega is not None:
+    if waveform.piece_edges is not None:
+        # whole steps inside each piece (see ``_rk4_grid``), fewer than steps + pieces
+        _under_ceiling(steps + waveform.piece_omega.size)
+    elif waveform.piece_omega is not None:
         # align step edges with segment edges so no step straddles a jump
         nseg = waveform.piece_omega.size
         steps = math.ceil(steps / nseg) * nseg
@@ -479,16 +514,37 @@ def _gated_drift(states: np.ndarray) -> float:
     return drift
 
 
-def _rk4_states(waveform: ControlWaveform, c0: np.ndarray, n: int) -> tuple[np.ndarray, float]:
-    """Gated RK4 history of ``c0`` over the waveform in n steps (the
-    ``step_count``), and its drift.  Each step is frozen at ``hc_batch`` of
-    its midpoint controls, cut to the leading ``c0.size`` block: 3 for the
-    triplet, 2 for the {|dd>, bell} block (see ``model``)."""
-    dt = waveform.duration / n
-    d_mid, w_mid = waveform.sample((np.arange(n) + 0.5) * dt)
+def _rk4_grid(waveform: ControlWaveform, n: int) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
+    """Step edges, frozen Hamiltonians and step lengths of the RK4 route at
+    step count n.  An even grid takes n steps of T / n, frozen at the
+    midpoint controls.  A piecewise waveform with its own edges puts whole
+    steps inside each piece, ceil(n d / T) of them in a piece of duration d,
+    frozen at the piece's values: a step that straddled a jump of omega by 2
+    would cost about 1e-4 in amplitude.  With those lengths varying, each
+    Hamiltonian comes scaled by its step length and the length is 1."""
+    edges = waveform.piece_edges
+    if edges is None:
+        dt = waveform.duration / n
+        return np.linspace(0.0, waveform.duration, n + 1), hc_batch(*waveform.sample((np.arange(n) + 0.5) * dt)), dt
+    durations = np.diff(edges)
+    per_piece = np.ceil(n * durations / waveform.duration).astype(int)
+    length = np.repeat(durations / per_piece, per_piece)
+    first = np.repeat(np.cumsum(per_piece) - per_piece, per_piece)
+    times = np.append(np.repeat(edges[:-1], per_piece) + (np.arange(length.size) - first) * length, edges[-1])
+    h = hc_batch(np.repeat(waveform.piece_delta, per_piece), np.repeat(waveform.piece_omega, per_piece))
+    return times, h * length[:, None, None], 1.0
+
+
+def _rk4_states(waveform: ControlWaveform, c0: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Step edges and gated RK4 history of ``c0`` over the waveform at step
+    count n (the ``step_count``), and its drift.  Each step is frozen at
+    ``hc_batch`` of its controls (``_rk4_grid``), cut to the leading
+    ``c0.size`` block: 3 for the triplet, 2 for the {|dd>, bell} block (see
+    ``model``)."""
+    times, h, dt = _rk4_grid(waveform, n)
     k = c0.size
-    states = rk4_evolve(hc_batch(d_mid, w_mid)[:, :k, :k], c0, dt)
-    return states, _gated_drift(states)
+    states = rk4_evolve(h[:, :k, :k], c0, dt)
+    return times, states, _gated_drift(states)
 
 
 def _cf4_states(waveform: ControlWaveform, c0: np.ndarray, n: int) -> tuple[np.ndarray, float, float]:
@@ -516,29 +572,32 @@ def propagate(
 ) -> Trajectory:
     """Integrate i dc/dt = H_c(t) c over the waveform from state ``c0``.
 
-    method="rk4": fixed-step midpoint-frozen RK4.
-    method="piecewise-exponential": exact segment exponentials on the
-    segment-edge grid of a piecewise-constant waveform, CF4:2 steps at the
-    step edges of a parametric one.  ``steps`` is ``step_count(waveform,
+    method="rk4": fixed-step midpoint-frozen RK4, whole steps inside each
+    piece of a piecewise waveform (``_rk4_grid``).
+    method="piecewise-exponential": exact piece exponentials on the piece
+    edges of a piecewise-constant waveform, CF4:2 steps at the step edges of
+    a parametric one.  ``steps`` is ``step_count(waveform,
     method)`` when the caller has it already; None asks for it here.  Every
     history passes the drift gate; the trajectory records the route, its
     step count, the measured drift and the error estimate.
     """
     c_init = c0.as_array()
     n = step_count(waveform, method) if steps is None else steps
-    error = None
+    error = times = None
     if method == "rk4":
-        states, drift = _rk4_states(waveform, c_init, n)
+        times, states, drift = _rk4_states(waveform, c_init, n)
     elif method == "piecewise-exponential" and waveform.piece_omega is None:
         states, drift, error = _cf4_states(waveform, c_init, n)
     elif method == "piecewise-exponential":
-        table, index, _, _ = segment_propagators(waveform.piece_delta, waveform.piece_omega, waveform.duration / n)
+        table, index, _, _ = segment_propagators(waveform.piece_delta, waveform.piece_omega, waveform.piece_durations())
         states = chain_indexed(table, index[None], c_init[None])[0]
         drift, error = _gated_drift(states), 0.0
+        times = waveform.piece_edges
     else:
         raise ValueError(f"unknown method {method!r}")
     n = states.shape[0] - 1
-    times = np.linspace(0.0, waveform.duration, n + 1)
+    if times is None:
+        times = np.linspace(0.0, waveform.duration, n + 1)
     return Trajectory(
         times=times, states=states, waveform=waveform, method=method, steps=n, max_drift=drift, error_estimate=error
     )

@@ -167,24 +167,45 @@ def short_time_fidelity_limit() -> float:
     return 0.5 * math.sin(math.pi / SQRT2) ** 2
 
 
-def tqd_fidelity_curve(kind: str, e: float, T_grid: Sequence[float] | np.ndarray) -> list[tuple[float, float]]:
+def _curve_waveforms(kind: str, e: float, T_grid: Sequence[float] | np.ndarray) -> list[ControlWaveform]:
+    t_grid = np.asarray(T_grid, dtype=float)
+    if t_grid.size == 0 or np.any(t_grid <= 0.0) or np.any(np.diff(t_grid) <= 0.0):
+        raise ValueError("T_grid must be positive and strictly ascending")
+    return [shortcut_waveform(ShortcutSpec(kind=kind, e=e, T=float(t_tot))) for t_tot in t_grid]
+
+
+def _naming_duration(wf: ControlWaveform, run):
+    """``run()``, with the duration of ``wf`` named in a propagation error."""
+    try:
+        return run()
+    except NonUnitaryDrift as exc:
+        raise NonUnitaryDrift(f"T={wf.duration:g}: {exc}") from exc
+
+
+def tqd_step_counts(kind: str, e: float, T_grid: Sequence[float] | np.ndarray) -> list[int]:
+    """``propagate``'s piecewise-exponential step count for each duration of
+    a ``tqd_fidelity_curve``, one probe of each waveform, so that a caller
+    can refuse a curve before it writes anything; controls that jump raise
+    ``NonUnitaryDrift`` naming their duration."""
+    return [_naming_duration(wf, lambda: step_count(wf, "piecewise-exponential"))
+            for wf in _curve_waveforms(kind, e, T_grid)]
+
+
+def tqd_fidelity_curve(
+    kind: str, e: float, T_grid: Sequence[float] | np.ndarray, steps: Sequence[int] | None = None
+) -> list[tuple[float, float]]:
     """Final Bell fidelity of the three-level system for each duration in
     ``T_grid`` under the modified controls, starting from |dd>.  Each
     duration runs ``propagate``'s piecewise-exponential route: CF4 steps at
     its automatic count, checked by step halving; a propagation error names
-    its duration."""
-    t_grid = np.asarray(T_grid, dtype=float)
-    if t_grid.size == 0 or np.any(t_grid <= 0.0) or np.any(np.diff(t_grid) <= 0.0):
-        raise ValueError("T_grid must be positive and strictly ascending")
+    its duration.  ``steps`` is ``tqd_step_counts(kind, e, T_grid)`` when
+    the caller has it already; None asks for each count here."""
     c0 = TripletAmplitudes.spin_down()
     out = []
-    for t_tot in t_grid:
-        spec = ShortcutSpec(kind=kind, e=e, T=float(t_tot))
-        try:
-            traj = propagate(shortcut_waveform(spec), c0, method="piecewise-exponential")
-        except NonUnitaryDrift as exc:
-            raise NonUnitaryDrift(f"T={t_tot:g}: {exc}") from exc
-        out.append((float(t_tot), fidelity(traj)))
+    for i, wf in enumerate(_curve_waveforms(kind, e, T_grid)):
+        n = None if steps is None else steps[i]
+        traj = _naming_duration(wf, lambda: propagate(wf, c0, method="piecewise-exponential", steps=n))
+        out.append((wf.duration, fidelity(traj)))
     return out
 
 
@@ -200,7 +221,7 @@ def two_level_inversion(spec: ShortcutSpec) -> float:
     under-resolved history raises ``NonUnitaryDrift``.
     """
     wf = shortcut_waveform(spec)
-    psi, _ = _rk4_states(wf, np.array([1.0 + 0.0j, 0.0j]), step_count(wf))
+    _, psi, _ = _rk4_states(wf, np.array([1.0 + 0.0j, 0.0j]), step_count(wf))
     return float(np.abs(psi[-1, 1]) ** 2)
 
 

@@ -35,6 +35,15 @@ def chain_reference(maps: np.ndarray, c0: np.ndarray) -> np.ndarray:
     return out
 
 
+def assert_arc_format(edges, omega, T: float) -> None:
+    """A shipped piecewise waveform: edges rising from 0 to T, one omega
+    value per piece, every value within the box |omega| <= 1."""
+    edges, omega = np.asarray(edges, dtype=float), np.asarray(omega, dtype=float)
+    assert edges[0] == 0.0 and edges[-1] == T and np.all(np.diff(edges) > 0.0)
+    assert omega.shape == (edges.size - 1,)
+    assert np.max(np.abs(omega)) <= 1.0
+
+
 def gradient_fd_worst_rel(
     instances: int = 20,
     seed: int = 7,

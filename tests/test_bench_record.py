@@ -31,3 +31,29 @@ NOISY = [1.0, 1.6, 0.7, 1.3, 0.8, 1.5, 0.9, 1.2, 0.6, 1.4]
 ])
 def test_verdict(parent, change, better, expected):
     assert bench_record.verdict(parent, change, better, 0.25) == expected
+
+
+#: ``python -X importtime`` stderr: a header, nested imports indented
+IMPORTTIME_STDERR = """\
+import time: self [us] | cumulative | imported package
+import time:       144 |        144 |   _io
+import time:       306 |        803 | _frozen_importlib_external
+import time:        95 |         95 |       numpy._utils
+import time:      1203 |      40211 | isingbell.cli
+a warning line
+"""
+
+
+def test_import_graph_reads_module_names():
+    assert bench_record.import_graph(IMPORTTIME_STDERR) == [
+        "_frozen_importlib_external", "_io", "isingbell.cli", "numpy._utils"
+    ]
+
+
+@pytest.mark.parametrize("change, expected", [
+    (["a", "b", "c"], "identical"),
+    (["a", "b", "c", "d", "e"], "changed (+2/-0 modules)"),
+    (["a", "d"], "changed (+1/-2 modules)"),
+])
+def test_import_change(change, expected):
+    assert bench_record.import_change(["a", "b", "c"], change) == expected

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import BENCH_DURATIONS, DETUNING_GRID, chain_reference, gradient_fd_worst_rel
+from conftest import BENCH_DURATIONS, DETUNING_GRID, assert_arc_format, chain_reference, gradient_fd_worst_rel
 from isingbell import optimize
 from isingbell.cli import main
 from isingbell.model import TripletAmplitudes, hc_batch
@@ -222,6 +222,103 @@ class TestAdjointGradient:
         assert f == pytest.approx(fidelity(traj), rel=1e-10)
 
 
+def _fd_worst_rel(fun, z: np.ndarray, h: float) -> float:
+    """Worst mismatch between the gradient of ``fun(z) -> (f, g)`` and
+    central differences over every coordinate, relative to max|g|."""
+    _, g = fun(z)
+    worst = 0.0
+    for i in range(z.size):
+        zp, zm = z.copy(), z.copy()
+        zp[i] += h
+        zm[i] -= h
+        worst = max(worst, abs((fun(zp)[0] - fun(zm)[0]) / (2 * h) - g[i]))
+    return worst / max(float(np.max(np.abs(g))), 1e-10)
+
+
+class TestArcGradient:
+    """The derivatives of the arc polish: piece durations, switch times and
+    singular-region values, against central differences."""
+
+    @pytest.mark.parametrize("mode", ["fixed", "trig-series"])
+    def test_piece_durations_and_values_match_finite_differences(self, mode):
+        # uneven pieces, one of them 1e-5 long, and one idle delta = omega = 0
+        # piece, where the spectrum is degenerate
+        rng = np.random.default_rng(5)
+        worst = 0.0
+        for _ in range(4):
+            n = int(rng.integers(5, 12))
+            durations = rng.uniform(0.05, 0.6, n)
+            durations[rng.integers(n)] = 1e-5
+            problem = ControlProblem(T=float(durations.sum()), delta_mode=mode)
+            k = 1 if mode == "fixed" else 2
+            x = np.where(rng.random(k * n) < 0.6, rng.choice([-1.0, 1.0], k * n), rng.uniform(-1, 1, k * n))
+            x[int(rng.integers(n))::n] = 0.0
+            worst = max(worst, _fd_worst_rel(lambda z: adjoint_gradient(problem, z[: k * n], z[k * n :]),
+                                             np.concatenate([x, durations]), 1e-7))
+        assert worst <= 1e-6
+
+    def test_switch_times_and_region_values_match_finite_differences(self):
+        # a switch inside the lone interior segment 8, a singular region from
+        # the interior run 14-17 (one idle omega = 0 value), and the -1 arc
+        # then squeezed to 1e-5
+        problem = ControlProblem(T=2.5, segments=60)
+        x = np.array([1.0] * 8 + [0.3] + [-1.0] * 5 + [0.2, 0.0, -0.5, 0.4] + [1.0] * 2)
+        arcs, z = optimize._Arcs.from_search(problem, x)
+        np.testing.assert_array_equal(arcs.pieces, [1, 1, 12, 1])
+        assert z.size == 3 + 12 and 0.0 in z[3:]
+        z[1] = z[0] + 1e-5
+        assert _fd_worst_rel(lambda v: arcs.objective(v, problem), z, 1e-7) <= 1e-6
+
+
+def _switching_function(problem: ControlProblem, waveform: ControlWaveform) -> tuple[np.ndarray, float]:
+    """The switching function Phi at every switch between bang arcs, as the
+    switch-time derivative dF/dtau (the first arc's duration derivative
+    minus the second's) over the jump of omega, and max|Phi| over [0, T],
+    from the omega derivatives of the waveform cut at 4000 more edges."""
+    omega, durations = waveform.piece_omega, np.diff(waveform.piece_edges)
+    _, g = adjoint_gradient(problem, omega, durations)
+    g_dur = g[omega.size :]
+    bang = np.abs(np.abs(omega) - 1.0) <= optimize.SATURATION_TOL
+    j = np.flatnonzero(bang[:-1] & bang[1:] & (omega[:-1] != omega[1:]))
+    phi = (g_dur[j] - g_dur[j + 1]) / (omega[j] - omega[j + 1])
+    fine = np.union1d(waveform.piece_edges, np.linspace(0.0, problem.T, 4001))
+    _, w = waveform.sample(0.5 * (fine[1:] + fine[:-1]))
+    _, g_fine = adjoint_gradient(problem, w, np.diff(fine))
+    return phi, float(np.max(np.abs(g_fine[: w.size] / np.diff(fine))))
+
+
+class TestSwitchingFunction:
+    def test_every_shipped_switch_is_stationary(self, fig2_reports):
+        switches = 0
+        for t, rep in fig2_reports.items():
+            phi, peak = _switching_function(rep.problem, rep.waveform)
+            assert np.all(np.abs(phi) <= 1e-6 * peak), (t, phi / peak)
+            switches += phi.size
+        assert switches >= 8
+
+    def test_a_switch_moved_by_a_thousandth_of_T_fails(self, fig2_reports):
+        rep = fig2_reports[3.0]
+        wf = rep.waveform
+        for k in range(1, wf.piece_edges.size - 1):
+            edges = wf.piece_edges.copy()
+            edges[k] += 3.0 / 1000
+            moved = ControlWaveform.piecewise_constant(3.0, wf.piece_omega, delta=0.0, edges=edges)
+            phi, peak = _switching_function(rep.problem, moved)
+            assert np.max(np.abs(phi)) > 1e-6 * peak, k
+
+
+class TestSearchGrid:
+    @pytest.mark.parametrize("T, deltas, lo, hi", [(2.5, (0.0, -0.11, -0.3, 0.3), 82, 86),
+                                                   (3.6, (0.0, -0.11), 118, 120)])
+    def test_grid_the_dynamics_resolve(self, T, deltas, lo, hi):
+        for d in deltas:
+            assert lo <= optimize.search_segments(ControlProblem(T=T, delta_value=d, segments=250)) <= hi
+
+    def test_small_grids_are_searched_as_given(self):
+        assert optimize.search_segments(ControlProblem(T=2.5, segments=60)) == 60
+        assert optimize.search_segments(ControlProblem(T=0.01, segments=10)) == 10
+
+
 class TestOptimizePiecewise:
     def test_benchmark_fidelities(self, fig2_reports):
         for t, floor in FIG2_FLOORS.items():
@@ -253,7 +350,7 @@ class TestOptimizePiecewise:
         assert rep.exit_reason in ("gradient", "ftol", "maxiter")
         assert rep.iterations > 0
         assert rep.series is None
-        assert rep.waveform.piece_omega.size == rep.problem.segments
+        assert_arc_format(rep.waveform.piece_edges, rep.waveform.piece_omega, rep.problem.T)
 
     def test_no_convergence_when_duration_too_short(self):
         with pytest.raises(NoConvergence, match="cannot transfer"):
@@ -322,6 +419,10 @@ class TestSaturationFraction:
     def test_counts_segments_at_either_bound(self):
         wf = ControlWaveform.piecewise_constant(1.0, [1.0, -1.0, 0.5, 0.99951])
         assert saturation_fraction(wf) == pytest.approx(0.75)
+
+    def test_weighs_pieces_by_duration(self):
+        wf = ControlWaveform.piecewise_constant(2.0, [1.0, 0.5, -1.0], edges=[0.0, 0.2, 0.5, 2.0])
+        assert saturation_fraction(wf) == pytest.approx(0.85)
 
     def test_requires_piecewise(self):
         wf = ControlWaveform(1.0, lambda ts: (0 * ts, 0 * ts))
@@ -463,10 +564,10 @@ class TestOptimizeTrig:
 
     def test_dense_series_reproduces_bang_solution(self, neg_detuning_report):
         # fit 200 harmonics to the bang-bang optimum, then polish in place
-        bang = neg_detuning_report.waveform.piece_omega
         problem = neg_detuning_report.problem
         n = problem.segments
         t_mid = (np.arange(n) + 0.5) * (problem.T / n)
+        bang = neg_detuning_report.waveform.sample(t_mid)[1]
         coef, *_ = np.linalg.lstsq(trig_basis(200, t_mid), bang, rcond=None)
         rep = optimize_trig(problem, p=200, restarts=0, seed=1, extra_starts=[coef])
         assert rep.fidelity >= 0.995
@@ -625,7 +726,7 @@ class TestArtifacts:
         doc = json.loads(path.read_text())
         assert doc["config"] == {"experiment": "optimize"}
         assert doc["waveform"]["kind"] == "piecewise-constant"
-        assert len(doc["waveform"]["segments"]) == 1000
+        assert_arc_format(doc["waveform"]["edges"], doc["waveform"]["omega"], 2.5)
         assert doc["fidelity"] == fig2_reports[2.5].fidelity
 
     def test_trig_report_json(self, tmp_path, trig_scan_reports):

@@ -77,6 +77,45 @@ class TestControlWaveform:
         with pytest.raises(ValueError):
             ControlWaveform.piecewise_constant(1.0, [np.nan])
 
+    def test_pieces_span_their_edges(self):
+        wf = ControlWaveform.piecewise_constant(2.0, [1.0, -1.0, 0.5], edges=[0.0, 0.3, 1.9, 2.0])
+        _, w = wf.sample(np.array([0.0, 0.29, 0.3, 1.89, 1.9, 2.0]))
+        np.testing.assert_array_equal(w, [1.0, 1.0, -1.0, -1.0, 0.5, 0.5])
+        np.testing.assert_array_equal(wf.piece_durations(), np.diff([0.0, 0.3, 1.9, 2.0]))
+        assert ControlWaveform.piecewise_constant(2.0, [1.0, -1.0]).piece_durations() == 1.0
+
+    @pytest.mark.parametrize("pieces, edges", [
+        (2, [0.0, 2.0]), (2, [0.1, 1.0, 2.0]), (2, [0.0, 1.0, 1.9]), (3, [0.0, 1.0, 1.0, 2.0])
+    ], ids=["count", "start", "end", "empty-piece"])
+    def test_rejects_edges_that_do_not_span_the_pieces(self, pieces, edges):
+        with pytest.raises(ValueError, match="edges"):
+            ControlWaveform.piecewise_constant(2.0, np.ones(pieces), edges=edges)
+
+
+class TestUnevenPieces:
+    """Piecewise waveforms with their own edges, as the optimizer ships its arcs."""
+
+    EDGES = np.array([0.0, 0.61, 0.6125, 1.7, 2.5])
+    OMEGA = np.array([1.0, -1.0, 0.37, -1.0])
+
+    def test_exact_route_takes_one_step_per_piece(self):
+        wf = ControlWaveform.piecewise_constant(2.5, self.OMEGA, delta=-0.11, edges=self.EDGES)
+        traj = propagate(wf, SPIN_DOWN, method="piecewise-exponential")
+        np.testing.assert_array_equal(traj.times, self.EDGES)
+        u = [expm(-1j * d * h) for d, h in zip(np.diff(self.EDGES), hc_batch(np.full(4, -0.11), self.OMEGA))]
+        assert np.max(np.abs(traj.states - chain_reference(np.array(u), SPIN_DOWN.as_array()))) <= 1e-13
+
+    def test_rk4_puts_whole_steps_inside_each_piece(self):
+        wf = ControlWaveform.piecewise_constant(2.5, self.OMEGA, delta=-0.11, edges=self.EDGES)
+        n = step_count(wf)
+        traj = propagate(wf, SPIN_DOWN, steps=n)
+        per_piece = np.ceil(n * np.diff(self.EDGES) / 2.5).astype(int)
+        assert traj.steps == per_piece.sum() < n + 4
+        assert set(self.EDGES) <= set(traj.times.tolist())
+        assert np.max(np.diff(traj.times)) <= 2.5 / n * (1 + 1e-12)
+        exact = propagate(wf, SPIN_DOWN, method="piecewise-exponential")
+        assert np.max(np.abs(traj.states[-1] - exact.states[-1])) <= 1e-10
+
 
 class TestPropagate:
     def test_zero_controls_keep_populations(self):
