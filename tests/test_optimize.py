@@ -398,9 +398,11 @@ class TestLbfgsSeam:
 
     @pytest.mark.parametrize("solve, calls", [
         (lambda: optimize_piecewise(ControlProblem(T=2.0, segments=40), restarts=1, seed=3), 2),
+        # the search, then the polish of its three arcs
+        (lambda: optimize_piecewise(ControlProblem(T=2.5, segments=40), restarts=0, seed=3), 2),
         (lambda: optimize_trig(ControlProblem(T=2.5, segments=40), p=1, restarts=0, seed=3),
          len(optimize.PENALTY_WEIGHTS)),
-    ], ids=["piecewise", "trig"])
+    ], ids=["piecewise", "piecewise-polish", "trig"])
     def test_counting_pass_through_sees_every_call(self, monkeypatch, solve, calls):
         plain = solve().fidelity
         seen = []
@@ -640,6 +642,13 @@ class TestSweepDuration:
             return hits[0] if hits else float("inf")
 
         assert first_T(duration_cells_neg) < first_T(duration_cells_zero)
+
+    def test_warm_start_idles_after_the_solved_duration(self):
+        # the solved cell's arcs sampled at the next cell's search-grid midpoints
+        wf = ControlWaveform.piecewise_constant(2.0, [1.0, -1.0], edges=[0.0, 1.5, 2.0])
+        start = optimize._warm_start(wf, ControlProblem(T=2.5, segments=10))
+        t_mid = (np.arange(10) + 0.5) * 0.25
+        np.testing.assert_array_equal(start, np.where(t_mid < 1.5, 1.0, np.where(t_mid < 2.0, -1.0, 0.0)))
 
     def test_grid_validation(self):
         for bad in ([], [2.0, 1.0], [-1.0, 2.0]):
