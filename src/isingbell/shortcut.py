@@ -168,6 +168,7 @@ def short_time_fidelity_limit() -> float:
 
 
 def _curve_waveforms(kind: str, e: float, T_grid: Sequence[float] | np.ndarray) -> list[ControlWaveform]:
+    """The shortcut waveform of each duration of a checked ``T_grid``."""
     t_grid = np.asarray(T_grid, dtype=float)
     if t_grid.size == 0 or np.any(t_grid <= 0.0) or np.any(np.diff(t_grid) <= 0.0):
         raise ValueError("T_grid must be positive and strictly ascending")
