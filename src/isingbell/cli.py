@@ -61,8 +61,8 @@ from .shortcut import (
     ShortcutSpec,
     short_time_fidelity_limit,
     shortcut_waveform,
+    tqd_curve,
     tqd_fidelity_curve,
-    tqd_step_counts,
     write_fidelity_curve_csv,
     write_waveform_csv,
 )
@@ -296,10 +296,10 @@ def cmd_evaluate_series(cfg: dict, out: Path, begin) -> None:
 
 def _repro_fig1b(cfg: dict, out: Path, begin) -> None:
     t_grid = np.geomspace(0.01, 15.0, 100)
-    steps = {kind: tqd_step_counts(kind, cfg["e"], t_grid) for kind in (SYMMETRIC, NONSYMMETRIC)}
+    curves = {kind: tqd_curve(kind, cfg["e"], t_grid) for kind in (SYMMETRIC, NONSYMMETRIC)}
     begin()
-    sym = tqd_fidelity_curve(SYMMETRIC, cfg["e"], t_grid, steps[SYMMETRIC])
-    non = tqd_fidelity_curve(NONSYMMETRIC, cfg["e"], t_grid, steps[NONSYMMETRIC])
+    sym = tqd_fidelity_curve(curves[SYMMETRIC])
+    non = tqd_fidelity_curve(curves[NONSYMMETRIC])
     write_fidelity_curve_csv(out / "fig1b.csv", t_grid, [f for _, f in sym], [f for _, f in non], config=cfg)
     print(f"fidelity at T={t_grid[0]:g}: {sym[0][1]:.6f} (sym) {non[0][1]:.6f} (non); limit {short_time_fidelity_limit():.6f}")
     print(f"fidelity at T={t_grid[-1]:g}: {sym[-1][1]:.6f} (sym) {non[-1][1]:.6f} (non)")

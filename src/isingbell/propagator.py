@@ -424,6 +424,18 @@ def _cf4_history(waveform: ControlWaveform, c0: np.ndarray, n: int) -> np.ndarra
     return _taylor_chain(h, waveform.duration / (2 * n), CF4_TAYLOR_DEGREE, TAYLOR_THETA, c0, stride=2)
 
 
+def norm_bound(delta_peak: float, omega_peak: float) -> float:
+    """Gershgorin bound on |H| for |delta| <= delta_peak and |omega| <=
+    omega_peak: the largest row sum, 4 + delta_peak + sqrt(2) omega_peak."""
+    return 4.0 + delta_peak + SQRT2 * omega_peak
+
+
+def cf4_steps(norm: float, duration: float) -> int:
+    """The even count of CF4 steps that resolves |H| <= norm over the
+    duration: 2 ceil(``CF4_STEPS_PER_UNIT_NORM`` norm T / 2)."""
+    return 2 * math.ceil(CF4_STEPS_PER_UNIT_NORM * norm * duration / 2)
+
+
 def step_count(waveform: ControlWaveform, method: str = "rk4") -> int:
     """Step count of a route over the waveform, from one bound on the step.
 
@@ -461,11 +473,11 @@ def step_count(waveform: ControlWaveform, method: str = "rk4") -> int:
             d, w = waveform.sample(np.linspace(0.0, duration, PROBE_SAMPLES[method]))
     peak = float(np.max(np.abs(w)))
     # Python floats: an overflow gives inf, which fails the check below
-    norm = 4.0 + float(np.max(np.abs(d))) + SQRT2 * peak
+    norm = norm_bound(float(np.max(np.abs(d))), peak)
     if method == "rk4":
-        floor, rate, even = DEFAULT_STEPS, STEPS_PER_UNIT_AREA * max(peak, norm / 10.0), 1
+        floor, rate = DEFAULT_STEPS, STEPS_PER_UNIT_AREA * max(peak, norm / 10.0)
     else:
-        floor, rate, even = CF4_MIN_STEPS, CF4_STEPS_PER_UNIT_NORM * norm, 2
+        floor, rate = CF4_MIN_STEPS, CF4_STEPS_PER_UNIT_NORM * norm
     # an infinite or NaN bound fails this comparison too
     if not rate * duration <= MAX_STEPS:
         if not math.isfinite(norm):
@@ -483,7 +495,7 @@ def step_count(waveform: ControlWaveform, method: str = "rk4") -> int:
                     f"the controls jump by {jump:.3g} of their peak between adjacent probe samples, beyond"
                     f" {JUMP_LIMIT:g}; the piecewise-exponential route needs smooth or piecewise-constant controls"
                 )
-    steps = max(floor, even * math.ceil(rate * duration / even))
+    steps = max(floor, math.ceil(rate * duration) if method == "rk4" else cf4_steps(norm, duration))
     if waveform.piece_edges is not None:
         # whole steps inside each piece (see ``_rk4_grid``), fewer than steps + pieces
         _under_ceiling(steps + waveform.piece_omega.size)

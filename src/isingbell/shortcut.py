@@ -167,14 +167,6 @@ def short_time_fidelity_limit() -> float:
     return 0.5 * math.sin(math.pi / SQRT2) ** 2
 
 
-def _curve_waveforms(kind: str, e: float, T_grid: Sequence[float] | np.ndarray) -> list[ControlWaveform]:
-    """The shortcut waveform of each duration of a checked ``T_grid``."""
-    t_grid = np.asarray(T_grid, dtype=float)
-    if t_grid.size == 0 or np.any(t_grid <= 0.0) or np.any(np.diff(t_grid) <= 0.0):
-        raise ValueError("T_grid must be positive and strictly ascending")
-    return [shortcut_waveform(ShortcutSpec(kind=kind, e=e, T=float(t_tot))) for t_tot in t_grid]
-
-
 def _naming_duration(wf: ControlWaveform, run):
     """``run()``, with the duration of ``wf`` named in a propagation error."""
     try:
@@ -183,29 +175,29 @@ def _naming_duration(wf: ControlWaveform, run):
         raise NonUnitaryDrift(f"T={wf.duration:g}: {exc}") from exc
 
 
-def tqd_step_counts(kind: str, e: float, T_grid: Sequence[float] | np.ndarray) -> list[int]:
-    """``propagate``'s piecewise-exponential step count for each duration of
-    a ``tqd_fidelity_curve``, one probe of each waveform, so that a caller
-    can refuse a curve before it writes anything; controls that jump raise
+def tqd_curve(kind: str, e: float, T_grid: Sequence[float] | np.ndarray) -> list[tuple[ControlWaveform, int]]:
+    """The shortcut waveform of each duration of a strictly ascending,
+    positive ``T_grid``, with ``propagate``'s piecewise-exponential step
+    count for it.  Each waveform is probed once, here, so a caller can
+    refuse a curve before it writes anything; controls that jump raise
     ``NonUnitaryDrift`` naming their duration."""
-    return [_naming_duration(wf, lambda: step_count(wf, "piecewise-exponential"))
-            for wf in _curve_waveforms(kind, e, T_grid)]
+    t_grid = np.asarray(T_grid, dtype=float)
+    if t_grid.size == 0 or np.any(t_grid <= 0.0) or np.any(np.diff(t_grid) <= 0.0):
+        raise ValueError("T_grid must be positive and strictly ascending")
+    waveforms = [shortcut_waveform(ShortcutSpec(kind=kind, e=e, T=float(t_tot))) for t_tot in t_grid]
+    return [(wf, _naming_duration(wf, lambda: step_count(wf, "piecewise-exponential"))) for wf in waveforms]
 
 
-def tqd_fidelity_curve(
-    kind: str, e: float, T_grid: Sequence[float] | np.ndarray, steps: Sequence[int] | None = None
-) -> list[tuple[float, float]]:
-    """Final Bell fidelity of the three-level system for each duration in
-    ``T_grid`` under the modified controls, starting from |dd>.  Each
-    duration runs ``propagate``'s piecewise-exponential route: CF4 steps at
-    its automatic count, checked by step halving; a propagation error names
-    its duration.  ``steps`` is ``tqd_step_counts(kind, e, T_grid)`` when
-    the caller has it already; None asks for each count here."""
+def tqd_fidelity_curve(curve: Sequence[tuple[ControlWaveform, int]]) -> list[tuple[float, float]]:
+    """Final Bell fidelity of the three-level system for each (waveform,
+    step count) of a ``tqd_curve``, as (duration, fidelity), starting from
+    |dd>.  Each runs ``propagate``'s piecewise-exponential route at its
+    count, checked by step halving; a propagation error names its
+    duration."""
     c0 = TripletAmplitudes.spin_down()
     out = []
-    for i, wf in enumerate(_curve_waveforms(kind, e, T_grid)):
-        n = None if steps is None else steps[i]
-        traj = _naming_duration(wf, lambda: propagate(wf, c0, method="piecewise-exponential", steps=n))
+    for wf, steps in curve:
+        traj = _naming_duration(wf, lambda: propagate(wf, c0, method="piecewise-exponential", steps=steps))
         out.append((wf.duration, fidelity(traj)))
     return out
 

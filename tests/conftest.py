@@ -19,7 +19,7 @@ from isingbell.optimize import (
     sweep,
     trig_harmonic_scan,
 )
-from isingbell.shortcut import tqd_fidelity_curve
+from isingbell.shortcut import tqd_curve, tqd_fidelity_curve
 
 BENCH_DURATIONS = (2.0, 2.5, 3.0, 3.6)
 DETUNING_GRID = (-0.3, -0.2, -0.15, -0.11, -0.05, 0.0, 0.05, 0.11, 0.2, 0.3)
@@ -156,6 +156,6 @@ def tqd_curves():
     grid = np.geomspace(0.01, 15.0, 100)
     return {
         "grid": grid,
-        "symmetric": tqd_fidelity_curve("symmetric", 0.1, grid),
-        "nonsymmetric": tqd_fidelity_curve("nonsymmetric", 0.1, grid),
+        "symmetric": tqd_fidelity_curve(tqd_curve("symmetric", 0.1, grid)),
+        "nonsymmetric": tqd_fidelity_curve(tqd_curve("nonsymmetric", 0.1, grid)),
     }

@@ -296,6 +296,14 @@ class TestSwitchingFunction:
             switches += phi.size
         assert switches >= 8
 
+    def test_grad_norm_is_the_switch_time_derivative(self, fig2_reports):
+        # on pure bang-bang arcs the polish variables are the switch times, and
+        # dF/dtau is Phi times the jump of 2
+        for t in (2.5, 3.0, 3.6):
+            rep = fig2_reports[t]
+            phi, _ = _switching_function(rep.problem, rep.waveform)
+            assert rep.grad_norm == pytest.approx(2.0 * np.max(np.abs(phi)), rel=1e-3, abs=0.0), t
+
     def test_a_switch_moved_by_a_thousandth_of_T_fails(self, fig2_reports):
         rep = fig2_reports[3.0]
         wf = rep.waveform
@@ -400,9 +408,14 @@ class TestLbfgsSeam:
         (lambda: optimize_piecewise(ControlProblem(T=2.0, segments=40), restarts=1, seed=3), 2),
         # the search, then the polish of its three arcs
         (lambda: optimize_piecewise(ControlProblem(T=2.5, segments=40), restarts=0, seed=3), 2),
+        # the search, the region values with the switch times held, then both
+        (lambda: optimize_piecewise(ControlProblem(T=2.5, delta_value=-0.3, segments=40), restarts=0, seed=3), 3),
+        # two searches from one start end in one basin, polished once
+        (lambda: optimize_piecewise(ControlProblem(T=2.5, segments=40), restarts=0, seed=3,
+                                    extra_starts=[np.ones(40)]), 3),
         (lambda: optimize_trig(ControlProblem(T=2.5, segments=40), p=1, restarts=0, seed=3),
          len(optimize.PENALTY_WEIGHTS)),
-    ], ids=["piecewise", "piecewise-polish", "trig"])
+    ], ids=["piecewise", "piecewise-polish", "piecewise-region", "piecewise-same-basin", "trig"])
     def test_counting_pass_through_sees_every_call(self, monkeypatch, solve, calls):
         plain = solve().fidelity
         seen = []

@@ -19,6 +19,7 @@ from isingbell.shortcut import (
     short_time_fidelity_limit,
     shortcut_waveform,
     theta,
+    tqd_curve,
     tqd_fidelity_curve,
     two_level_inversion,
     write_fidelity_curve_csv,
@@ -195,8 +196,8 @@ class TestTwoLevelInversion:
 class TestFidelityCurve:
     def test_benchmark_durations(self, tqd_curves):
         # interpolate is unnecessary: T=10 is checked directly here
-        sym = tqd_fidelity_curve("symmetric", 0.1, [10.0])
-        non = tqd_fidelity_curve("nonsymmetric", 0.1, [10.0])
+        sym = tqd_fidelity_curve(tqd_curve("symmetric", 0.1, [10.0]))
+        non = tqd_fidelity_curve(tqd_curve("nonsymmetric", 0.1, [10.0]))
         assert sym[0][1] == pytest.approx(0.9993, abs=5e-4)
         assert non[0][1] == pytest.approx(0.9991, abs=5e-4)
 
@@ -226,9 +227,9 @@ class TestFidelityCurve:
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            tqd_fidelity_curve("symmetric", 0.1, [2.0, 1.0])
+            tqd_curve("symmetric", 0.1, [2.0, 1.0])
         with pytest.raises(ValueError):
-            tqd_fidelity_curve("symmetric", 0.1, [])
+            tqd_curve("symmetric", 0.1, [])
 
     def test_propagation_error_carries_duration(self, monkeypatch):
         # a violent envelope at 100 steps, allowed one doubling, under-resolves
@@ -237,7 +238,7 @@ class TestFidelityCurve:
         monkeypatch.setattr(propagator, "CF4_STEPS_PER_UNIT_NORM", 0)
         monkeypatch.setattr(propagator, "MAX_STEPS", 200)
         with pytest.raises(NonUnitaryDrift, match="T=10"):
-            tqd_fidelity_curve("symmetric", 100.0, [10.0])
+            tqd_fidelity_curve(tqd_curve("symmetric", 100.0, [10.0]))
 
 
 class TestCsvWriters:
