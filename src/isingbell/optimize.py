@@ -77,6 +77,8 @@ MIN_USEFUL_FIDELITY = 1e-3
 #: a polished arc no longer than this share of T is dropped, its neighbours
 #: merged and polished again
 ARC_DROP_TOL = 1e-12
+#: fidelities closer than this are equal to rounding (over a thousand pieces)
+F_ROUNDING = 1e-12
 #: search optima whose arcs match piece for piece, every switch time and
 #: free value within this, are polished once
 SAME_START_TOL = 1e-3
@@ -599,6 +601,13 @@ def _newton_switches(arcs: _Arcs, z: np.ndarray, problem: ControlProblem) -> np.
     return z
 
 
+def _shipped(problem: ControlProblem, arcs: _Arcs, z: np.ndarray) -> tuple[float, _Arcs, np.ndarray, ControlWaveform]:
+    """The exact route's fidelity of the waveform of arcs at z, with them."""
+    waveform = arcs.waveform(z, problem.delta_value)
+    fid, _ = adjoint_gradient(problem, waveform.piece_omega, waveform.piece_durations())
+    return fid, arcs, z, waveform
+
+
 def optimize_piecewise(
     problem: ControlProblem,
     restarts: int = DEFAULT_RESTARTS,
@@ -615,7 +624,9 @@ def optimize_piecewise(
     with different bang counts, hence the multi-start.  The search optima
     are polished best first; one whose arcs match a polished one's, piece
     for piece, with every switch time and value within ``SAME_START_TOL``,
-    lies in the same basin and is not polished again.  The reported
+    lies in the same basin and is not polished again.  A polished
+    waveform more than ``F_ROUNDING`` below its search optimum gives way to
+    that optimum, the search grid with every segment free.  The reported
     fidelity is the exact route's over the shipped arcs, and ``grad_norm``
     the projected gradient over their switch times and free values.
     Raises NoConvergence when nothing lifts the fidelity above 1e-3
@@ -643,8 +654,14 @@ def optimize_piecewise(
             continue
         polished.append((arcs, z))
         arcs, z, nit, polish_info = _polish(problem, arcs, z)
-        waveform = arcs.waveform(z, problem.delta_value)
-        fid, _ = adjoint_gradient(problem, waveform.piece_omega, waveform.piece_durations())
+        # near F = 1 the gradient falls below GRAD_TOL before the polish
+        # climbs back what the finer regions lost, so the search optimum
+        # itself, all its segments free, ships instead when it is better
+        # beyond rounding
+        fid, arcs, z, waveform = _shipped(problem, arcs, z)
+        searched = _shipped(problem, *_Arcs.from_spans(problem.T, [(problem.T, x, True)]))
+        if searched[0] > fid + F_ROUNDING:
+            fid, arcs, z, waveform = searched
         if best is None or fid > best[0]:
             best = (fid, arcs, z, waveform, int(info["nit"]) + nit, polish_info or info)
 
