@@ -604,7 +604,7 @@ def _newton_switches(arcs: _Arcs, z: np.ndarray, problem: ControlProblem) -> np.
 def _shipped(problem: ControlProblem, arcs: _Arcs, z: np.ndarray) -> tuple[float, _Arcs, np.ndarray, ControlWaveform]:
     """The exact route's fidelity of the waveform of arcs at z, with them."""
     waveform = arcs.waveform(z, problem.delta_value)
-    fid, _ = adjoint_gradient(problem, waveform.piece_omega, waveform.piece_durations())
+    fid, _ = adjoint_gradient(problem, waveform.piece_omega, np.diff(waveform.piece_edges))
     return fid, arcs, z, waveform
 
 
@@ -681,15 +681,14 @@ def optimize_piecewise(
 
 def saturation_fraction(waveform: ControlWaveform) -> float:
     """Share of a piecewise waveform's time within ``SATURATION_TOL`` of
-    either bound; on an even grid, the share of its segments.
+    either bound.
 
     Bang-bang structure diagnostic: optimal unconstrained-in-sign transfers
     ride the box boundary except at switches."""
     if waveform.piece_omega is None:
         raise ValueError("saturation_fraction needs a piecewise-constant waveform")
     at_bound = np.abs(np.abs(waveform.piece_omega) - BOUND) <= SATURATION_TOL
-    weights = None if waveform.piece_edges is None else np.diff(waveform.piece_edges)
-    return float(np.average(at_bound, weights=weights))
+    return float(np.average(at_bound, weights=np.diff(waveform.piece_edges)))
 
 
 # ---------------------------------------------------------------------------
@@ -896,12 +895,22 @@ def _sweep_cell(
 
 
 def _warm_start(waveform: ControlWaveform, problem: ControlProblem) -> np.ndarray:
-    """A solved cell's waveform as a start on ``problem``'s search grid: its
-    omega at the segment midpoints, idle (omega = 0) after its duration, so
-    the start is feasible and at least as good on a longer duration."""
+    """A solved cell's waveform as a feasible start on ``problem``'s search
+    grid: its omega at the segment midpoints, idle (omega = 0) after its
+    duration.  A coarser grid can start it below the solved cell."""
     n = search_segments(problem)
     t_mid = (np.arange(n) + 0.5) * (problem.T / n)
     return np.where(t_mid < waveform.duration, waveform.sample(t_mid)[1], 0.0)
+
+
+def _idled(waveform: ControlWaveform, problem: ControlProblem) -> ControlWaveform:
+    """A solved cell's waveform with an idle piece (omega = 0) added up to
+    ``problem.T``.  With omega = 0 the Hamiltonian is diagonal, so the idle
+    piece turns only phases and keeps |c2|^2."""
+    if problem.T == waveform.duration:
+        return waveform
+    omega, edges = np.append(waveform.piece_omega, 0.0), np.append(waveform.piece_edges, problem.T)
+    return ControlWaveform.piecewise_constant(problem.T, omega, delta=problem.delta_value, edges=edges)
 
 
 def sweep(problems: Sequence[ControlProblem], restarts: int = 2, seed: int = DEFAULT_SEED) -> list[SweepCell]:
@@ -913,30 +922,28 @@ def sweep(problems: Sequence[ControlProblem], restarts: int = 2, seed: int = DEF
     them in the caller's order.  Only a cell with no solved predecessor draws
     ``restarts`` random starts (seed + its index); the others start from the
     constant start and the last solved cell's waveform, idle after its
-    duration (``_warm_start``).
-    Idling costs nothing, so a cell ending over 1e-9 below the last solved
-    cell of its detuning is re-run at once with 2 * restarts random starts
-    (seed + 1000 + index) and keeps the better result; a duration sweep
-    therefore never falls from one cell to the next.  A cell that cannot be
-    solved gets fidelity NaN and its error, passes nothing on, and the sweep
-    goes on.
+    duration (``_warm_start``).  An idle end keeps the fidelity, so a cell
+    ending over 1e-9 below the last solved cell of its detuning ships that
+    cell's waveform instead, idle up to its own duration (``_idled``), with
+    that cell's fidelity: a duration sweep never falls from one cell to the
+    next.  A cell that cannot be solved gets fidelity NaN and its error,
+    passes nothing on, and the sweep goes on.
     """
     check_starts(restarts, seed)
     cells: list[SweepCell | None] = [None] * len(problems)
-    floor: dict[float, float] = {}  # fidelity of the last solved cell per detuning
+    floor: dict[float, tuple[float, ControlWaveform]] = {}  # F and waveform of the last solved cell per detuning
     prev: ControlWaveform | None = None  # the last solved cell's waveform
     for i in sorted(range(len(problems)), key=lambda j: (problems[j].T, problems[j].delta_value)):
         problem = problems[i]
         extra = [_warm_start(prev, problem)] if prev else []
         cell, waveform = _sweep_cell(problem, 0 if prev else restarts, seed + i, extra)
-        if cell.fidelity + 1e-9 < floor.get(problem.delta_value, -math.inf):
-            rerun, rerun_waveform = _sweep_cell(problem, 2 * restarts, seed + 1000 + i, extra)
-            # a failed rerun has fidelity NaN, so the first-pass cell stays
-            if rerun.fidelity > cell.fidelity:
-                cell, waveform = rerun, rerun_waveform
+        floor_fidelity, floor_waveform = floor.get(problem.delta_value, (-math.inf, None))
+        # a failed cell has fidelity NaN and stays failed
+        if cell.fidelity + 1e-9 < floor_fidelity:
+            cell, waveform = replace(cell, fidelity=floor_fidelity), _idled(floor_waveform, problem)
         cells[i] = cell
         if waveform is not None:
-            floor[problem.delta_value] = cell.fidelity
+            floor[problem.delta_value] = (cell.fidelity, waveform)
             prev = waveform
     return cells
 

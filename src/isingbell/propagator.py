@@ -1,8 +1,8 @@
 """Schrodinger propagation for the rotating-frame triplet system.
 
 Times are in units of 1/xi with the coupling xi = 1 fixed (see ``model``).
-A waveform is either piecewise constant, when it carries its segment values
-(``piece_omega is not None``) on an even grid or between its own piece edges
+A waveform is either piecewise constant, when it carries its piece values
+(``piece_omega is not None``) and the piece edges between them
 (``piece_edges``), or parametric, a vectorized sampler.
 
 Two integration routes are provided and cross-checked against each other.
@@ -13,18 +13,17 @@ each step's map from a table by index, so a map shared by many steps is
 built once.  Maps come from one of two builders: ``_taylor_table``, a
 truncated Taylor series of exp(-i H dt) from real powers of H dt, for
 steps whose maps are all distinct, and ``segment_propagators``, exact
-exponentials via eigendecomposition, once per distinct (delta, omega)
-pair, for piecewise-constant controls:
+exponentials via eigendecomposition, for piecewise-constant controls, once
+per piece (per distinct (delta, omega) pair on the optimizer's grid):
 
 * ``rk4``: fixed-step RK4 with the control pair frozen at each step
   midpoint.  For a frozen H one RK4 step is exactly the degree-4 Taylor
   polynomial of exp(-i H dt), so ``_taylor_table`` at degree 4, unscaled,
-  is the step map; on grids aligned with the segment edges the route
-  agrees with the exponential one to Taylor error (~1e-13 at default
-  resolution).  Freezing at the midpoint keeps delta-like pulses and
-  discontinuous waveforms well behaved; for smooth controls the route is
-  second order in time.  Steps never straddle the edges of a piecewise
-  waveform.  It is the default of ``propagate``, the
+  is the step map.  Steps never straddle the edges of a piecewise
+  waveform, so there the route agrees with the exponential one to Taylor
+  error (~1e-13 at default resolution).  Freezing at the midpoint keeps
+  delta-like pulses well behaved; for smooth controls the route is second
+  order in time.  It is the default of ``propagate``, the
   independent cross-check of the other route, and the route of
   ``shortcut.two_level_inversion``.
 * ``piecewise-exponential``: exponentials exp(-i H dt) of real symmetric
@@ -149,15 +148,15 @@ class ControlWaveform:
 
     ``sampler`` is a vectorized evaluator mapping an array of times to the
     (delta, omega) arrays.  Piecewise-constant waveforms additionally expose
-    their segment values, and their piece edges unless the grid is even, so
-    the exponential route and the optimizer can use them directly.
+    their piece values and edges, so the exponential route and the
+    optimizer can use them directly.
     """
 
     duration: float
     sampler: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     piece_delta: np.ndarray | None = None
     piece_omega: np.ndarray | None = None
-    #: piece edges from 0 to ``duration``, or None for an even grid
+    #: piece edges, rising from 0 to ``duration``
     piece_edges: np.ndarray | None = None
 
     def __post_init__(self):
@@ -173,8 +172,9 @@ class ControlWaveform:
         edges: Sequence[float] | np.ndarray | None = None,
     ) -> "ControlWaveform":
         """Piecewise-constant waveform; scalar delta broadcasts.  The pieces
-        span the strictly increasing ``edges`` from 0 to ``duration``, or
-        an even grid when ``edges`` is None."""
+        span the strictly increasing ``edges`` from 0 to ``duration`` (an
+        even grid by default), each from its start edge: sampling is
+        right-continuous."""
         omega = np.atleast_1d(np.asarray(omega, dtype=float))
         delta = np.broadcast_to(np.asarray(delta, dtype=float), omega.shape).copy()
         if omega.ndim != 1 or omega.size == 0:
@@ -182,30 +182,19 @@ class ControlWaveform:
         if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(delta))):
             raise ValueError("segment values must be finite")
         n = omega.size
-        if edges is not None:
+        if edges is None:
+            with np.errstate(invalid="ignore"):  # __post_init__ refuses a non-finite duration
+                edges = np.linspace(0.0, duration, n + 1)
+        else:
             edges = np.asarray(edges, dtype=float)
             if edges.shape != (n + 1,) or edges[0] != 0.0 or edges[-1] != duration or not np.all(np.diff(edges) > 0):
                 raise ValueError(f"edges must rise strictly from 0 to the duration {duration}, one more than the pieces")
 
-            def sampler(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                idx = np.clip(np.searchsorted(edges, np.asarray(ts, dtype=float), side="right") - 1, 0, n - 1)
-                return delta[idx], omega[idx]
-
-            return cls(duration, sampler, piece_delta=delta, piece_omega=omega, piece_edges=edges)
-        dt = duration / n
-
         def sampler(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            idx = np.clip(np.floor(np.asarray(ts, dtype=float) / dt).astype(int), 0, n - 1)
+            idx = np.clip(np.searchsorted(edges, np.asarray(ts, dtype=float), side="right") - 1, 0, n - 1)
             return delta[idx], omega[idx]
 
-        return cls(duration, sampler, piece_delta=delta, piece_omega=omega)
-
-    def piece_durations(self) -> float | np.ndarray:
-        """Durations of a piecewise waveform's pieces, as ``segment_propagators``
-        takes them: one number on an even grid, one per piece otherwise."""
-        if self.piece_edges is None:
-            return self.duration / self.piece_omega.size
-        return np.diff(self.piece_edges)
+        return cls(duration, sampler, piece_delta=delta, piece_omega=omega, piece_edges=edges)
 
     def sample(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ts = np.asarray(ts, dtype=float)
@@ -253,11 +242,11 @@ def segment_propagators(
     """Exact propagators exp(-i H dt) of the pieces, via
     eigendecomposition, as a table for ``chain_indexed``: the maps of
     piecewise-constant waveforms and of the optimizer, whose gradient reuses
-    the spectra.  ``dt`` is one duration for every piece, or one per piece.
+    the spectra.  ``dt`` is one duration per piece, or one for all.
 
     Bang-bang controls repeat a few values over many segments, so with one
     duration the spectral work runs once per distinct (delta, omega) pair;
-    with one duration per piece (a handful of arcs) it runs once per piece.
+    with one duration per piece (a waveform's pieces) it runs once per piece.
     Returns (table, index, evals, vt): piece k holds row ``index[k]``; for
     m rows, the m rows of the table are the maps U in real form, and evals
     and vt = V^T their spectra.  For H = V diag(E) V^T with V real,
@@ -440,24 +429,25 @@ def step_count(waveform: ControlWaveform, method: str = "rk4") -> int:
     """Step count of a route over the waveform, from one bound on the step.
 
     The exact route of a piecewise-constant waveform takes one step per
-    segment.  Otherwise the controls are read from the segment values of a
+    piece.  Otherwise the controls are read from the piece values of a
     piecewise waveform, or from ``PROBE_SAMPLES[method]`` evenly spaced
-    samples of a parametric one, and bound the Hamiltonian by its largest row sum, |H| <= 4 + max|delta| +
-    sqrt(2) max|omega| (Gershgorin).  RK4 takes max(``DEFAULT_STEPS``,
-    ceil(``STEPS_PER_UNIT_AREA`` T max(max|omega|, |H| / 10))) steps, so
-    max|omega| dt <= 1e-3 and |H| dt <= 1e-2, raised to a multiple of the
-    segment count of an even piecewise grid; on pieces with their own
-    edges that count sets the step bound, and the route takes fewer than
-    count + pieces steps (``_rk4_grid``).  The parametric exponential
+    samples of a parametric one, and bound the Hamiltonian by its largest
+    row sum, |H| <= 4 + max|delta| + sqrt(2) max|omega| (Gershgorin).  RK4
+    takes N = max(``DEFAULT_STEPS``, ceil(``STEPS_PER_UNIT_AREA`` T
+    max(max|omega|, |H| / 10))) steps, so max|omega| dt <= 1e-3 and
+    |H| dt <= 1e-2; on a piecewise waveform N sets the step bound, and the
+    route takes ceil(N d / T) whole steps in a piece of duration d, at
+    most N + pieces in all (``_piece_steps``).  The parametric exponential
     route takes max(``CF4_MIN_STEPS``, 2 ceil(``CF4_STEPS_PER_UNIT_NORM``
     |H| T / 2)) steps, an even count so that its step-halving estimate can
     run half as many; adjacent probe samples that differ by more than
     ``JUMP_LIMIT`` of a channel's peak raise ``NonUnitaryDrift``, since a
-    jump fools that estimate.  A count above ``MAX_STEPS`` on any route, or
-    controls whose bound is not finite, is a ValueError, raised before any
-    allocation.  ``propagate`` asks for the count unless its caller already
-    did, so a caller can refuse a waveform before it starts writing its
-    output without the waveform being probed twice.
+    jump fools that estimate.  A count above ``MAX_STEPS`` on any route (on
+    pieces, the total the route takes), or controls whose bound is not
+    finite, is a ValueError, raised before any allocation.  ``propagate``
+    asks for the count unless its caller already did, so a caller can
+    refuse a waveform before it starts writing its output without the
+    waveform being probed twice.
     """
     if method not in PROBE_SAMPLES:
         raise ValueError(f"unknown method {method!r}")
@@ -496,14 +486,16 @@ def step_count(waveform: ControlWaveform, method: str = "rk4") -> int:
                     f" {JUMP_LIMIT:g}; the piecewise-exponential route needs smooth or piecewise-constant controls"
                 )
     steps = max(floor, math.ceil(rate * duration) if method == "rk4" else cf4_steps(norm, duration))
-    if waveform.piece_edges is not None:
-        # whole steps inside each piece (see ``_rk4_grid``), fewer than steps + pieces
-        _under_ceiling(steps + waveform.piece_omega.size)
-    elif waveform.piece_omega is not None:
-        # align step edges with segment edges so no step straddles a jump
-        nseg = waveform.piece_omega.size
-        steps = math.ceil(steps / nseg) * nseg
+    if waveform.piece_omega is not None:
+        _under_ceiling(int(np.sum(_piece_steps(waveform, steps))))
     return _under_ceiling(steps)
+
+
+def _piece_steps(waveform: ControlWaveform, n: int) -> np.ndarray:
+    """RK4 steps in each piece of a piecewise waveform at step count n:
+    ceil(n (d / T)) in a piece of duration d; dividing first makes a lone
+    piece take exactly n, where n d / T can round above n."""
+    return np.ceil(n * (np.diff(waveform.piece_edges) / waveform.duration)).astype(int)
 
 
 def _under_ceiling(steps: int) -> int:
@@ -528,19 +520,18 @@ def _gated_drift(states: np.ndarray) -> float:
 
 def _rk4_grid(waveform: ControlWaveform, n: int) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
     """Step edges, frozen Hamiltonians and step lengths of the RK4 route at
-    step count n.  An even grid takes n steps of T / n, frozen at the
-    midpoint controls.  A piecewise waveform with its own edges puts whole
-    steps inside each piece, ceil(n d / T) of them in a piece of duration d,
-    frozen at the piece's values: a step that straddled a jump of omega by 2
-    would cost about 1e-4 in amplitude.  With those lengths varying, each
-    Hamiltonian comes scaled by its step length and the length is 1."""
-    edges = waveform.piece_edges
-    if edges is None:
+    step count n.  A parametric waveform takes n steps of T / n, frozen at
+    the midpoint controls.  A piecewise one puts whole steps inside each
+    piece (``_piece_steps``), frozen at the piece's values: a step that
+    straddled a jump of omega by 2 would cost about 1e-4 in amplitude.
+    With those lengths varying, each Hamiltonian comes scaled by its step
+    length and the length is 1."""
+    if waveform.piece_omega is None:
         dt = waveform.duration / n
         return np.linspace(0.0, waveform.duration, n + 1), hc_batch(*waveform.sample((np.arange(n) + 0.5) * dt)), dt
-    durations = np.diff(edges)
-    per_piece = np.ceil(n * durations / waveform.duration).astype(int)
-    length = np.repeat(durations / per_piece, per_piece)
+    edges = waveform.piece_edges
+    per_piece = _piece_steps(waveform, n)
+    length = np.repeat(np.diff(edges) / per_piece, per_piece)
     first = np.repeat(np.cumsum(per_piece) - per_piece, per_piece)
     times = np.append(np.repeat(edges[:-1], per_piece) + (np.arange(length.size) - first) * length, edges[-1])
     h = hc_batch(np.repeat(waveform.piece_delta, per_piece), np.repeat(waveform.piece_omega, per_piece))
@@ -601,7 +592,7 @@ def propagate(
     elif method == "piecewise-exponential" and waveform.piece_omega is None:
         states, drift, error = _cf4_states(waveform, c_init, n)
     elif method == "piecewise-exponential":
-        table, index, _, _ = segment_propagators(waveform.piece_delta, waveform.piece_omega, waveform.piece_durations())
+        table, index, _, _ = segment_propagators(waveform.piece_delta, waveform.piece_omega, np.diff(waveform.piece_edges))
         states = chain_indexed(table, index[None], c_init[None])[0]
         drift, error = _gated_drift(states), 0.0
         times = waveform.piece_edges

@@ -21,6 +21,7 @@ from isingbell.optimize import (
     CONVENTION_XI,
     ControlProblem,
     NoConvergence,
+    NonUnitaryDrift,
     OptimizationReport,
     TrigSeries,
     adiabatic_baseline,
@@ -40,7 +41,7 @@ from isingbell.optimize import (
     write_series_json,
     write_sweep_csv,
 )
-from isingbell.propagator import MAX_STEPS, ControlWaveform, NonUnitaryDrift, fidelity, propagate
+from isingbell.propagator import MAX_STEPS, ControlWaveform, fidelity, propagate
 
 SPIN_DOWN = TripletAmplitudes.spin_down()
 
@@ -684,6 +685,33 @@ class TestSweepDuration:
             with pytest.raises(ValueError):
                 duration_problems(0.0, bad)
 
+    @pytest.mark.parametrize("problems, fids, shipped", [
+        pytest.param(duration_problems(0.0, [1.0, 2.0, 3.0], segments=10), [0.5, 0.4, 0.6], [0.5, 0.5, 0.6],
+                     id="duration"),
+        pytest.param(detuning_problems([1.0, 2.0], [0.0, 0.1], segments=10), [0.5, 0.3, 0.4, 0.2],
+                     [0.5, 0.3, 0.5, 0.3], id="detuning"),
+        pytest.param(detuning_problems([1.0, 1.0, 2.0], [0.0], segments=10), [0.5, 0.4, 0.6], [0.5, 0.5, 0.6],
+                     id="repeated-cell"),
+    ])
+    def test_a_dip_ships_the_idled_predecessor(self, monkeypatch, problems, fids, shipped):
+        # the optimizer returns the given fidelities in solve order, each with
+        # omega held at it; a cell that dips ships the last solved waveform of
+        # its detuning, idle up to its duration, with that cell's fidelity,
+        # and the last cell starts from it
+        calls = []
+
+        def fake_optimize(problem, restarts, seed, extra_starts=None):
+            calls.append(list(extra_starts or ()))
+            f = fids[len(calls) - 1]
+            return SimpleNamespace(fidelity=f, waveform=ControlWaveform.piecewise_constant(problem.T, np.full(10, f)))
+
+        monkeypatch.setattr(optimize, "optimize_piecewise", fake_optimize)
+        cells = sweep(problems, restarts=1, seed=0)
+        assert [(c.fidelity, c.error) for c in cells] == [(f, None) for f in shipped]
+        assert len(calls) == len(problems)
+        t_mid = (np.arange(10) + 0.5) * (problems[-1].T / 10)
+        np.testing.assert_array_equal(calls[-1][0], np.where(t_mid < 1.0, 0.5, 0.0))
+
     @pytest.mark.parametrize("grid, rerun", [
         pytest.param("duration", NoConvergence, id="NoConvergence"),
         pytest.param("duration", NonUnitaryDrift, id="NonUnitaryDrift"),
@@ -693,11 +721,14 @@ class TestSweepDuration:
         pytest.param("detuning", 0.6, id="detuning-rerun-succeeds"),
     ])
     def test_failed_repair_keeps_first_pass_cell(self, monkeypatch, grid, rerun):
-        # the first pass dips at T = 2 so the cell is re-run at once; the
-        # rerun either fails (an exception) or returns the given fidelity
+        # the first pass dips at T = 2; a rerun (seed >= 1000) would fail (an
+        # exception) or return the given fidelity, but the sweep never re-runs:
+        # the dip ships the first pass's T = 1 cell, idled, with its fidelity
         first_pass = {1.0: 0.5, 2.0: 0.4}
+        seeds = []
 
         def fake_optimize(problem, restarts, seed, extra_starts=None):
+            seeds.append(seed)
             if seed >= 1000 and isinstance(rerun, type):
                 raise rerun("rerun failed")
             wf = ControlWaveform.piecewise_constant(problem.T, np.zeros(problem.segments))
@@ -708,10 +739,17 @@ class TestSweepDuration:
             cells = sweep(duration_problems(0.0, [1.0, 2.0], segments=10), restarts=1, seed=0)
         else:
             cells = sweep(detuning_problems([1.0, 2.0], [0.0], segments=10), restarts=1, seed=0)
-        if isinstance(rerun, type):
-            assert [(c.T, c.fidelity, c.error) for c in cells] == [(1.0, 0.5, None), (2.0, 0.4, None)]
-        else:
-            assert [(c.T, c.fidelity, c.error) for c in cells] == [(1.0, 0.5, None), (2.0, 0.6, None)]
+        assert [(c.T, c.fidelity, c.error) for c in cells] == [(1.0, 0.5, None), (2.0, 0.5, None)]
+        assert len(seeds) == 2 and max(seeds) < 1000
+
+    def test_idling_keeps_the_fidelity(self, fig2_reports):
+        # with omega = 0 the Hamiltonian is diagonal: the idle piece turns phases only
+        rep = fig2_reports[2.5]
+        idled = optimize._idled(rep.waveform, ControlProblem(T=3.1))
+        assert idled.duration == 3.1 and idled.piece_omega[-1] == 0.0
+        assert optimize._idled(rep.waveform, rep.problem) is rep.waveform
+        exact = [fidelity(propagate(wf, SPIN_DOWN, method="piecewise-exponential")) for wf in (rep.waveform, idled)]
+        assert abs(exact[1] - exact[0]) <= 1e-14 and abs(exact[1] - rep.fidelity) <= 1e-14
 
 
 class TestAdiabaticBaseline:

@@ -16,6 +16,7 @@ from isingbell.optimize import BENCHMARK_SERIES_T25_A, BENCHMARK_SERIES_T25_B, T
 from isingbell.propagator import (
     HALVING_TOL,
     MAX_STEPS,
+    TRAJECTORY_CSV_COLUMNS,
     ControlWaveform,
     NonUnitaryDrift,
     _cf4_controls,
@@ -81,8 +82,17 @@ class TestControlWaveform:
         wf = ControlWaveform.piecewise_constant(2.0, [1.0, -1.0, 0.5], edges=[0.0, 0.3, 1.9, 2.0])
         _, w = wf.sample(np.array([0.0, 0.29, 0.3, 1.89, 1.9, 2.0]))
         np.testing.assert_array_equal(w, [1.0, 1.0, -1.0, -1.0, 0.5, 0.5])
-        np.testing.assert_array_equal(wf.piece_durations(), np.diff([0.0, 0.3, 1.9, 2.0]))
-        assert ControlWaveform.piecewise_constant(2.0, [1.0, -1.0]).piece_durations() == 1.0
+        np.testing.assert_array_equal(np.diff(wf.piece_edges), np.diff([0.0, 0.3, 1.9, 2.0]))
+        assert np.all(np.diff(ControlWaveform.piecewise_constant(2.0, [1.0, -1.0]).piece_edges) == 1.0)
+
+    def test_even_grid_samples_right_continuous_at_its_edges(self, tmp_path):
+        # t = 0.525 starts the fourth piece, but t / dt rounds to just below 3
+        wf = ControlWaveform.piecewise_constant(0.7, [1.0, 2.0, 3.0, 4.0])
+        np.testing.assert_array_equal(wf.sample(np.linspace(0.0, 0.7, 5))[1], [1.0, 2.0, 3.0, 4.0, 4.0])
+        path = tmp_path / "trajectory.csv"
+        write_trajectory_csv(propagate(wf, SPIN_DOWN, method="piecewise-exponential"), path)
+        rows = np.loadtxt(path, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(rows[:, TRAJECTORY_CSV_COLUMNS.index("omega")], [1.0, 2.0, 3.0, 4.0, 4.0])
 
     @pytest.mark.parametrize("pieces, edges", [
         (2, [0.0, 2.0]), (2, [0.1, 1.0, 2.0]), (2, [0.0, 1.0, 1.9]), (3, [0.0, 1.0, 1.0, 2.0])
@@ -192,11 +202,16 @@ class TestPropagate:
         assert traj.times.size - 1 == 500000
 
     def test_step_count_above_the_ceiling_is_rejected(self):
-        # max|omega|*T = 1000 asks for exactly MAX_STEPS; aligning that to 7
-        # segments gives 1,000,006
+        # max|omega|*T = 1000 asks for exactly MAX_STEPS; seven pieces take
+        # ceil(1e6 / 7) = 142,858 steps each, 1,000,006 in all
         assert step_count(ControlWaveform.piecewise_constant(1.0, np.full(8, 1000.0))) == MAX_STEPS
         with pytest.raises(ValueError, match="ceiling"):
             step_count(ControlWaveform.piecewise_constant(1.0, np.full(7, 1000.0)))
+
+    def test_step_count_takes_the_steps_of_explicit_edges(self):
+        # eight pieces of 0.125 take 125,000 steps each, exactly MAX_STEPS in all
+        wf = ControlWaveform.piecewise_constant(1.0, np.full(8, 1000.0), edges=np.linspace(0.0, 1.0, 9))
+        assert step_count(wf) == MAX_STEPS
 
     def test_exact_route_count_above_the_ceiling_is_rejected(self):
         # one step per segment, and no more segments than MAX_STEPS
