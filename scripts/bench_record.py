@@ -50,8 +50,13 @@ def _git(*args: str, cwd: Path = ROOT) -> str:
 
 
 def checkout(rev: str, dest: Path) -> dict:
-    """Clone this repository at ``rev`` into ``dest``; return its provenance."""
-    sha = _git("rev-parse", "--verify", rev + "^{commit}")
+    """Clone this repository at ``rev`` into ``dest``; return its provenance.
+    A revision that names no commit prints one line and exits 2."""
+    try:
+        sha = _git("rev-parse", "--verify", "--quiet", rev + "^{commit}")
+    except subprocess.CalledProcessError:
+        print(f"unknown revision {rev!r}: it names no commit of {ROOT}", file=sys.stderr)
+        raise SystemExit(2) from None
     _git("clone", "--quiet", "--no-checkout", str(ROOT), str(dest))
     _git("checkout", "--quiet", "--detach", sha, cwd=dest)
     src_lines = sum(len(p.read_text().splitlines()) for p in (dest / "src").rglob("*.py"))

@@ -11,7 +11,7 @@ lists, read from the parent clone's ``bench/workloads.py`` (the
 ``bangbang-sweep`` call is a 14-cell ``sweep-detuning``), then ``ARGVS``.
 Each side's exit code, stdout, stderr and every file it wrote are compared;
 one line per argv reads ``same`` or ``differs: <paths>``, and the exit
-code is 1 when any argv differs.
+code is 1 when any argv differs, 2 when a revision names no commit.
 """
 
 import argparse
@@ -28,7 +28,9 @@ from bench_record import RUN_TIMEOUT_S, SIDES, checkout
 BLAS_THREADS = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 #: both routes of ``simulate`` on one piece, RK4 at a strong detuning and at
 #: a duration that is no short binary fraction, piecewise optima, a duration
-#: sweep, the table1 series and one shortcut trajectory
+#: sweep, the table1 series and one shortcut trajectory; then the warm
+#: starts: series fed forward over harmonic counts (fig4c, about 5 s a side)
+#: and idled waveforms fed forward over durations (about 2 s)
 ARGVS = (
     ("simulate", "--method", "rk4"),
     ("simulate", "--method", "piecewise-exponential"),
@@ -39,6 +41,8 @@ ARGVS = (
     ("sweep-duration",),
     ("repro", "table1"),
     ("tqd", "--T", "10"),
+    ("repro", "fig4c", "--segments", "250", "--restarts", "0"),
+    ("sweep-duration", "--delta", "-0.11", "--segments", "100"),
 )
 
 

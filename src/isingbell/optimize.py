@@ -18,10 +18,17 @@ and its reported fidelity is the exact route's over those pieces.  Each
 piece's propagator is an exact matrix exponential, built once per distinct
 (delta, omega) pair on an even grid and once per piece otherwise, so the
 adjoint gradient below is exact for the discrete objective, piece durations
-included (checked against central finite differences to 1e-6).  Series coefficients form stacked channels of 2p + 1
-(omega, then delta when shaped), each optimized with a quadratic penalty on
-bound violations at the discretization grid, tightened over continuation
-rounds, and finished with an exact rescale onto the box.
+included (checked against central finite differences to 1e-6).
+
+Series coefficients form stacked channels of 2p + 1 (omega, then delta when
+shaped), each optimized with a quadratic penalty on bound violations at the
+discretization grid, tightened over continuation rounds, and finished with
+an exact rescale onto the box.
+
+Each optimizer owns its grid: a warm start is what an optimizer hands out,
+a waveform of duration T for the piecewise search and a series of at most
+p harmonics for the series one, and the optimizer maps it onto its own
+grid or channel layout.
 
 scipy is imported on the first L-BFGS-B call, not with this module: the
 shortcut commands and ``evaluate_series`` never solve anything, and
@@ -370,22 +377,13 @@ def check_starts(restarts: int, seed: int) -> None:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
 
-def _starts(
-    const: np.ndarray, restarts: int, seed: int, shrink: float, extra_starts: Sequence[np.ndarray] | None
-) -> list[np.ndarray]:
+def _starts(const: np.ndarray, restarts: int, seed: int, shrink: float, extra: list[np.ndarray]) -> list[np.ndarray]:
     """Starts of a multi-start search: ``restarts`` seeded uniform random
     vectors in the box divided by ``shrink``, then the constant start
-    ``const``, then ``extra_starts``, each of const's shape."""
+    ``const``, then the optimizer's own vectors of its warm starts."""
     check_starts(restarts, seed)
     rng = np.random.default_rng(seed)
-    starts = [rng.uniform(-BOUND, BOUND, size=const.size) / shrink for _ in range(restarts)]
-    starts.append(const)
-    for x0 in extra_starts or ():
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != const.shape:
-            raise ValueError(f"extra start must have shape {const.shape}")
-        starts.append(x0)
-    return starts
+    return [*(rng.uniform(-BOUND, BOUND, size=const.size) / shrink for _ in range(restarts)), const, *extra]
 
 
 def _check_useful(fid: float, problem: ControlProblem) -> None:
@@ -539,15 +537,16 @@ class _Arcs:
 
 
 def _solve(
-    objective, x0: np.ndarray, bounds: list[tuple[float, float]], args: tuple = ()
+    objective, x0: np.ndarray, bounds: list[tuple[float, float]] | None, args: tuple = (), m: int = 10, maxls: int = 20
 ) -> tuple[np.ndarray, float, dict]:
-    """L-BFGS-B as the piecewise search and the polish run it: memory 10,
+    """L-BFGS-B, every call of this module: memory ``m`` (10 for the
+    piecewise search and the polish, 20 for series rounds) and ``maxls``
+    evaluations per line search (scipy's 20, or ``SERIES_LINE_SEARCH``),
     stopped when the objective no longer falls beyond rounding (factr 10)
     or the projected gradient is below ``GRAD_TOL``; returns the optimum,
     its objective and the solver info."""
-    return fmin_l_bfgs_b(
-        objective, x0, args=args, bounds=bounds, m=10, factr=10.0, pgtol=GRAD_TOL, maxiter=MAX_ITER, maxfun=20 * MAX_ITER
-    )
+    return fmin_l_bfgs_b(objective, x0, args=args, bounds=bounds, m=m, factr=10.0, pgtol=GRAD_TOL, maxiter=MAX_ITER,
+                         maxfun=20 * MAX_ITER, maxls=maxls)
 
 
 def _polish(problem: ControlProblem, arcs: _Arcs, z: np.ndarray) -> tuple[_Arcs, np.ndarray, int, dict | None]:
@@ -612,16 +611,18 @@ def optimize_piecewise(
     problem: ControlProblem,
     restarts: int = DEFAULT_RESTARTS,
     seed: int = DEFAULT_SEED,
-    extra_starts: Sequence[np.ndarray] | None = None,
+    extra_starts: Sequence[ControlWaveform] = (),
 ) -> OptimizationReport:
     """Multi-start bound-constrained ascent over the omega segment values of
     the ``search_segments`` grid, each start's optimum then polished as arcs
     (``_polish``); the best polished waveform ships.
 
     Starts: ``restarts`` uniform random feasible waveforms, one constant
-    omega at the upper bound, plus any ``extra_starts`` (clipped, of the
-    search grid's size).  The fidelity landscape has distinct local optima
-    with different bang counts, hence the multi-start.  The search optima
+    omega at the upper bound, plus any ``extra_starts``: waveforms of
+    duration T (a shipped optimum, say), sampled at the search grid's
+    segment midpoints and clipped; another duration is a ValueError.  The
+    fidelity landscape has distinct local optima with different bang
+    counts, hence the multi-start.  The search optima
     are polished best first; one whose arcs match a polished one's, piece
     for piece, with every switch time and value within ``SAME_START_TOL``,
     lies in the same basin and is not polished again.  A polished
@@ -636,7 +637,11 @@ def optimize_piecewise(
         raise ValueError("optimize_piecewise requires delta_mode='fixed'")
     search = replace(problem, segments=search_segments(problem))
     n = search.segments
-    starts = _starts(np.full(n, BOUND), restarts, seed, 1.0, extra_starts)
+    for wf in extra_starts:
+        if wf.duration != problem.T:
+            raise ValueError(f"an extra start lasts {wf.duration:g}, not the problem's T = {problem.T:g}")
+    t_mid = (np.arange(n) + 0.5) * (problem.T / n)
+    starts = _starts(np.full(n, BOUND), restarts, seed, 1.0, [wf.sample(t_mid)[1] for wf in extra_starts])
 
     def objective(x):
         f, g = adjoint_gradient(search, x)
@@ -754,7 +759,7 @@ def optimize_trig(
     p: int,
     restarts: int = DEFAULT_RESTARTS,
     seed: int = DEFAULT_SEED,
-    extra_starts: Sequence[np.ndarray] | None = None,
+    extra_starts: Sequence[TrigSeries] = (),
 ) -> OptimizationReport:
     """Optimize series coefficients for omega (and delta when joint).
 
@@ -764,12 +769,13 @@ def optimize_trig(
     weight is raised over continuation rounds; each start's channels are
     then rescaled onto the box (the bound is symmetric, so uniform
     shrinking preserves feasibility) and re-checked, and a start that still
-    overshoots loses to every feasible one.  ``extra_starts`` takes vectors
-    of the same layout, e.g. the zero-padded optimum of a lower harmonic
-    count.  The search scores the series sampled at segment midpoints; the
-    reported fidelity is ``evaluate_series`` of the series the report
-    ships, which in fixed mode carries the fixed detuning as its constant
-    term b = [delta_value, 0, ..., 0].
+    overshoots loses to every feasible one.  ``extra_starts`` takes series
+    of at most p harmonics, such as the optimum of a lower harmonic count,
+    zero-padded into that layout; more harmonics are a ValueError.  The
+    search scores the series sampled at segment midpoints; the reported
+    fidelity is ``evaluate_series`` of the series the report ships, which
+    in fixed mode carries the fixed detuning as its constant term b =
+    [delta_value, 0, ..., 0].
     """
     k = _channels(problem)
     n = problem.segments
@@ -789,27 +795,24 @@ def optimize_trig(
             grad[j] = m.T @ (-g + 2.0 * weight * viol * np.sign(v))
         return val, grad.ravel()
 
+    extra = []
+    for series in extra_starts:
+        if series.p > p:
+            raise ValueError(f"an extra start has {series.p} harmonics, more than p = {p}")
+        x0 = np.zeros((k, nc))
+        x0[:, : 2 * series.p + 1] = np.stack([series.a, series.b])[:k]
+        extra.append(x0.ravel())
     const = np.zeros(k * nc)
     const[0] = BOUND
     # random starts are scaled down so the realized waveforms begin feasible
-    starts = _starts(const, restarts, seed, nc, extra_starts)
+    starts = _starts(const, restarts, seed, nc, extra)
 
     best = None
     for x0 in starts:
         x = x0
         nit = 0
         for weight in PENALTY_WEIGHTS:
-            x, _, info = fmin_l_bfgs_b(
-                objective,
-                x,
-                args=(weight,),
-                m=20,
-                factr=10.0,
-                pgtol=GRAD_TOL,
-                maxiter=MAX_ITER,
-                maxfun=20 * MAX_ITER,
-                maxls=SERIES_LINE_SEARCH,
-            )
+            x, _, info = _solve(objective, x, None, (weight,), m=20, maxls=SERIES_LINE_SEARCH)
             nit += int(info["nit"])
         channels = np.stack([_rescale_into_box(c, m @ c) for c in x.reshape(k, nc)])
         values = [m @ c for c in channels]
@@ -851,19 +854,15 @@ def trig_harmonic_scan(
     restarts: int = DEFAULT_RESTARTS,
     seed: int = DEFAULT_SEED,
 ) -> list[OptimizationReport]:
-    """optimize_trig over ascending harmonic counts, feeding each optimum
-    forward (zero-padded) as an extra start; richer bases therefore never
-    lose to poorer ones."""
+    """optimize_trig over ascending harmonic counts, feeding each optimum's
+    series forward as an extra start of the next (``optimize_trig``
+    zero-pads it); richer bases therefore never lose to poorer ones."""
     p_list = list(p_list)
     if any(p2 <= p1 for p1, p2 in zip(p_list, p_list[1:])):
         raise ValueError("harmonic counts must be strictly increasing")
-    k = _channels(problem)
     reports: list[OptimizationReport] = []
     for i, p in enumerate(p_list):
-        extra = []
-        if reports:
-            prev = reports[-1].series
-            extra.append(np.pad(np.stack([prev.a, prev.b])[:k], ((0, 0), (0, 2 * (p - prev.p)))).ravel())
+        extra = [reports[-1].series] if reports else []
         reports.append(optimize_trig(problem, p, restarts=restarts, seed=seed + i, extra_starts=extra))
     return reports
 
@@ -883,7 +882,7 @@ class SweepCell:
 
 
 def _sweep_cell(
-    problem: ControlProblem, restarts: int, seed: int, extra_starts: Sequence[np.ndarray] | None = None
+    problem: ControlProblem, restarts: int, seed: int, extra_starts: Sequence[ControlWaveform] = ()
 ) -> tuple[SweepCell, ControlWaveform | None]:
     """optimize_piecewise on one sweep cell, with the shipped waveform; a
     cell it cannot solve gets fidelity NaN, its error and no waveform."""
@@ -892,15 +891,6 @@ def _sweep_cell(
     except (NoConvergence, NonUnitaryDrift) as exc:
         return SweepCell(T=problem.T, delta=problem.delta_value, fidelity=float("nan"), error=str(exc)), None
     return SweepCell(T=problem.T, delta=problem.delta_value, fidelity=rep.fidelity), rep.waveform
-
-
-def _warm_start(waveform: ControlWaveform, problem: ControlProblem) -> np.ndarray:
-    """A solved cell's waveform as a feasible start on ``problem``'s search
-    grid: its omega at the segment midpoints, idle (omega = 0) after its
-    duration.  A coarser grid can start it below the solved cell."""
-    n = search_segments(problem)
-    t_mid = (np.arange(n) + 0.5) * (problem.T / n)
-    return np.where(t_mid < waveform.duration, waveform.sample(t_mid)[1], 0.0)
 
 
 def _idled(waveform: ControlWaveform, problem: ControlProblem) -> ControlWaveform:
@@ -921,11 +911,12 @@ def sweep(problems: Sequence[ControlProblem], restarts: int = 2, seed: int = DEF
     Solve the cells in (T, delta) order, so durations never shrink; return
     them in the caller's order.  Only a cell with no solved predecessor draws
     ``restarts`` random starts (seed + its index); the others start from the
-    constant start and the last solved cell's waveform, idle after its
-    duration (``_warm_start``).  An idle end keeps the fidelity, so a cell
-    ending over 1e-9 below the last solved cell of its detuning ships that
-    cell's waveform instead, idle up to its own duration (``_idled``), with
-    that cell's fidelity: a duration sweep never falls from one cell to the
+    constant start and the last solved cell's waveform, idle up to their
+    own duration (``_idled``), which ``optimize_piecewise`` samples at the
+    midpoints of its own search grid.  An idle end keeps the fidelity, so a
+    cell ending over 1e-9 below the last solved cell of its detuning ships
+    that cell's waveform instead, idled the same way, with that cell's
+    fidelity: a duration sweep never falls from one cell to the
     next.  A cell that cannot be solved gets fidelity NaN and its error,
     passes nothing on, and the sweep goes on.
     """
@@ -935,7 +926,7 @@ def sweep(problems: Sequence[ControlProblem], restarts: int = 2, seed: int = DEF
     prev: ControlWaveform | None = None  # the last solved cell's waveform
     for i in sorted(range(len(problems)), key=lambda j: (problems[j].T, problems[j].delta_value)):
         problem = problems[i]
-        extra = [_warm_start(prev, problem)] if prev else []
+        extra = [_idled(prev, problem)] if prev else []
         cell, waveform = _sweep_cell(problem, 0 if prev else restarts, seed + i, extra)
         floor_fidelity, floor_waveform = floor.get(problem.delta_value, (-math.inf, None))
         # a failed cell has fidelity NaN and stays failed

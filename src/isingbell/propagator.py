@@ -1,9 +1,10 @@
 """Schrodinger propagation for the rotating-frame triplet system.
 
 Times are in units of 1/xi with the coupling xi = 1 fixed (see ``model``).
-A waveform is either piecewise constant, when it carries its piece values
-(``piece_omega is not None``) and the piece edges between them
-(``piece_edges``), or parametric, a vectorized sampler.
+A waveform is a vectorized sampler over pieces between its ``piece_edges``.
+It is piecewise constant when it carries its piece values (``piece_omega is
+not None``), and parametric otherwise: a single piece from 0 to its
+duration.
 
 Two integration routes are provided and cross-checked against each other.
 Both build their per-step maps in batch and share one kernel,
@@ -17,15 +18,15 @@ exponentials via eigendecomposition, for piecewise-constant controls, once
 per piece (per distinct (delta, omega) pair on the optimizer's grid):
 
 * ``rk4``: fixed-step RK4 with the control pair frozen at each step
-  midpoint.  For a frozen H one RK4 step is exactly the degree-4 Taylor
-  polynomial of exp(-i H dt), so ``_taylor_table`` at degree 4, unscaled,
-  is the step map.  Steps never straddle the edges of a piecewise
-  waveform, so there the route agrees with the exponential one to Taylor
-  error (~1e-13 at default resolution).  Freezing at the midpoint keeps
-  delta-like pulses well behaved; for smooth controls the route is second
-  order in time.  It is the default of ``propagate``, the
-  independent cross-check of the other route, and the route of
-  ``shortcut.two_level_inversion``.
+  midpoint, whole steps inside each piece.  For a frozen H one RK4 step is
+  exactly the degree-4 Taylor polynomial of exp(-i H dt), so
+  ``_taylor_table`` at degree 4, unscaled, is the step map.  Steps never
+  straddle the edges of a piecewise waveform, so there the route agrees
+  with the exponential one to Taylor error (~1e-13 at default
+  resolution).  Freezing at the midpoint keeps delta-like pulses well
+  behaved; for smooth controls the route is second order in time.  It is
+  the default of ``propagate``, the independent cross-check of the other
+  route, and the route of ``shortcut.two_level_inversion``.
 * ``piecewise-exponential``: exponentials exp(-i H dt) of real symmetric
   Hamiltonians.  A piecewise-constant waveform is propagated segment by
   segment, exactly, with the ``segment_propagators`` maps.  A parametric
@@ -148,20 +149,23 @@ class ControlWaveform:
 
     ``sampler`` is a vectorized evaluator mapping an array of times to the
     (delta, omega) arrays.  Piecewise-constant waveforms additionally expose
-    their piece values and edges, so the exponential route and the
-    optimizer can use them directly.
+    their piece values, so the exponential route and the optimizer can use
+    them directly.  Every waveform has piece edges; a parametric one, given
+    none, is one piece, [0, duration].
     """
 
     duration: float
     sampler: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     piece_delta: np.ndarray | None = None
     piece_omega: np.ndarray | None = None
-    #: piece edges, rising from 0 to ``duration``
+    #: piece edges, rising from 0 to ``duration``; [0, duration] when not given
     piece_edges: np.ndarray | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.duration) and self.duration > 0.0):
             raise ValueError(f"duration must be positive and finite, got {self.duration}")
+        if self.piece_edges is None:
+            object.__setattr__(self, "piece_edges", np.array([0.0, self.duration]))
 
     @classmethod
     def piecewise_constant(
@@ -315,12 +319,12 @@ def chain_indexed(table: np.ndarray, index: np.ndarray, c0: np.ndarray) -> np.nd
     return out
 
 
-def _taylor_table(h: np.ndarray, dt: float, degree: int, theta: float = math.inf) -> np.ndarray:
-    """Step maps sum_{j<=degree} A^j / j! with A = -i H dt of a stack of
-    real symmetric H, as a ``chain_indexed`` table of the n maps in real
-    form.
+def _taylor_table(a_stack: np.ndarray, degree: int, theta: float = math.inf) -> np.ndarray:
+    """Step maps sum_{j<=degree} (-i a)^j / j! of a stack of a = H dt, each
+    a real symmetric H times its step length, as a ``chain_indexed`` table
+    of the n maps in real form.
 
-    With a = H dt and B = a^2 the map is p(B) - i a q(B), the even terms
+    With B = a^2 the map is p(B) - i a q(B), the even terms
     p(B) = I - B/2 + B^2/24 - ... and the odd ones q(B) = I - B/6 + B^2/120
     - ..., so a real symmetric H needs real products only.  p and q are
     evaluated by Paterson-Stockmeyer (SIAM J. Comput. 2, 60 (1973)) in B:
@@ -329,15 +333,15 @@ def _taylor_table(h: np.ndarray, dt: float, degree: int, theta: float = math.inf
     Horner-fashion in B^s.  Degree 4, the frozen-midpoint RK4 step, costs
     three batched products; degree 12 six.  Unscaled, each map differs from
     exp(-i H dt) by at most x^(d+1) / (d+1)! e^x, x = |H| dt and d the
-    degree, in any submultiplicative norm.  When the largest |A|_inf of the
-    stack exceeds ``theta``, every A is scaled by 2^-k to at most ``theta``
+    degree, in any submultiplicative norm.  When the largest |a|_inf of the
+    stack exceeds ``theta``, every a is scaled by 2^-k to at most ``theta``
     and the maps are squared k times (Moler & Van Loan, SIAM Rev. 45, 3
     (2003); Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005))."""
-    n, d = h.shape[0], h.shape[1]
-    norm = dt * float(np.max(np.abs(h).reshape(-1, d) @ np.ones(d)))
+    n, d = a_stack.shape[0], a_stack.shape[1]
+    norm = float(np.max(np.abs(a_stack).reshape(-1, d) @ np.ones(d)))
     # a non-finite norm skips the scaling; the drift gate reports the NaN
     squarings = math.ceil(math.log2(norm / theta)) if theta < norm < math.inf else 0
-    a = (dt / 2.0**squarings) * h
+    a = a_stack / 2.0**squarings
     m = degree // 2
     s = math.isqrt(max(m - 1, 0)) + 1
     powers = np.empty((s + 1, n, d, d))
@@ -365,19 +369,17 @@ def _taylor_table(h: np.ndarray, dt: float, degree: int, theta: float = math.inf
     return table
 
 
-def _taylor_chain(
-    h: np.ndarray, dt: float, degree: int, theta: float, c0: np.ndarray, stride: int = 1
-) -> np.ndarray:
+def _taylor_chain(a_stack: np.ndarray, degree: int, theta: float, c0: np.ndarray, stride: int = 1) -> np.ndarray:
     """History of ``c0`` through the ``_taylor_table`` maps of the stack
-    ``h``, one step each, tabled and chained ``MAP_BLOCK`` steps at a time,
+    a = H dt, one step each, tabled and chained ``MAP_BLOCK`` steps at a time,
     so the tables and the scan's scratch stay O(MAP_BLOCK).  Keeps every
     ``stride``-th state (``stride`` divides the step count and
     ``MAP_BLOCK``)."""
-    n = h.shape[0]
+    n = a_stack.shape[0]
     out = np.empty((n // stride + 1, c0.size), dtype=complex)
     out[0] = c0
     for k in range(0, n, MAP_BLOCK):
-        table = _taylor_table(h[k : k + MAP_BLOCK], dt, degree, theta)
+        table = _taylor_table(a_stack[k : k + MAP_BLOCK], degree, theta)
         states = chain_indexed(table, np.arange(len(table))[None], out[k // stride][None])[0]
         out[k // stride + 1 : (k + len(table)) // stride + 1] = states[stride::stride]
     return out
@@ -390,7 +392,7 @@ def rk4_evolve(h_mid: np.ndarray, c0: np.ndarray, dt: float) -> np.ndarray:
     stack of ``model.hc_batch`` or a leading block of one); works for any
     dimension.  Returns the full (n+1, dim) history.
     """
-    return _taylor_chain(h_mid, dt, 4, math.inf, c0)
+    return _taylor_chain(h_mid * dt, 4, math.inf, c0)
 
 
 def _cf4_controls(waveform: ControlWaveform, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -410,7 +412,7 @@ def _cf4_history(waveform: ControlWaveform, c0: np.ndarray, n: int) -> np.ndarra
     half-step maps at the effective controls of its Gauss nodes, degree-12
     Taylor maps chained by ``_taylor_chain``."""
     h = hc_batch(*_cf4_controls(waveform, n))
-    return _taylor_chain(h, waveform.duration / (2 * n), CF4_TAYLOR_DEGREE, TAYLOR_THETA, c0, stride=2)
+    return _taylor_chain(h * (waveform.duration / (2 * n)), CF4_TAYLOR_DEGREE, TAYLOR_THETA, c0, stride=2)
 
 
 def norm_bound(delta_peak: float, omega_peak: float) -> float:
@@ -435,15 +437,15 @@ def step_count(waveform: ControlWaveform, method: str = "rk4") -> int:
     row sum, |H| <= 4 + max|delta| + sqrt(2) max|omega| (Gershgorin).  RK4
     takes N = max(``DEFAULT_STEPS``, ceil(``STEPS_PER_UNIT_AREA`` T
     max(max|omega|, |H| / 10))) steps, so max|omega| dt <= 1e-3 and
-    |H| dt <= 1e-2; on a piecewise waveform N sets the step bound, and the
-    route takes ceil(N d / T) whole steps in a piece of duration d, at
-    most N + pieces in all (``_piece_steps``).  The parametric exponential
-    route takes max(``CF4_MIN_STEPS``, 2 ceil(``CF4_STEPS_PER_UNIT_NORM``
-    |H| T / 2)) steps, an even count so that its step-halving estimate can
-    run half as many; adjacent probe samples that differ by more than
+    |H| dt <= 1e-2; N sets the step bound, and the route takes ceil(N d / T)
+    whole steps in a piece of duration d, at most N + pieces in all
+    (``_piece_steps``; a parametric waveform's one piece takes N).  The
+    parametric exponential route takes max(``CF4_MIN_STEPS``, 2
+    ceil(``CF4_STEPS_PER_UNIT_NORM`` |H| T / 2)) steps, an even count so
+    that its step-halving estimate can run half as many; adjacent probe samples that differ by more than
     ``JUMP_LIMIT`` of a channel's peak raise ``NonUnitaryDrift``, since a
-    jump fools that estimate.  A count above ``MAX_STEPS`` on any route (on
-    pieces, the total the route takes), or controls whose bound is not
+    jump fools that estimate.  A count above ``MAX_STEPS`` on any route (the
+    total over the pieces the route takes), or controls whose bound is not
     finite, is a ValueError, raised before any allocation.  ``propagate``
     asks for the count unless its caller already did, so a caller can
     refuse a waveform before it starts writing its output without the
@@ -486,13 +488,12 @@ def step_count(waveform: ControlWaveform, method: str = "rk4") -> int:
                     f" {JUMP_LIMIT:g}; the piecewise-exponential route needs smooth or piecewise-constant controls"
                 )
     steps = max(floor, math.ceil(rate * duration) if method == "rk4" else cf4_steps(norm, duration))
-    if waveform.piece_omega is not None:
-        _under_ceiling(int(np.sum(_piece_steps(waveform, steps))))
-    return _under_ceiling(steps)
+    _under_ceiling(int(np.sum(_piece_steps(waveform, steps))))
+    return steps
 
 
 def _piece_steps(waveform: ControlWaveform, n: int) -> np.ndarray:
-    """RK4 steps in each piece of a piecewise waveform at step count n:
+    """RK4 steps in each piece of a waveform at step count n:
     ceil(n (d / T)) in a piece of duration d; dividing first makes a lone
     piece take exactly n, where n d / T can round above n."""
     return np.ceil(n * (np.diff(waveform.piece_edges) / waveform.duration)).astype(int)
@@ -518,24 +519,20 @@ def _gated_drift(states: np.ndarray) -> float:
     return drift
 
 
-def _rk4_grid(waveform: ControlWaveform, n: int) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
-    """Step edges, frozen Hamiltonians and step lengths of the RK4 route at
-    step count n.  A parametric waveform takes n steps of T / n, frozen at
-    the midpoint controls.  A piecewise one puts whole steps inside each
-    piece (``_piece_steps``), frozen at the piece's values: a step that
-    straddled a jump of omega by 2 would cost about 1e-4 in amplitude.
-    With those lengths varying, each Hamiltonian comes scaled by its step
-    length and the length is 1."""
-    if waveform.piece_omega is None:
-        dt = waveform.duration / n
-        return np.linspace(0.0, waveform.duration, n + 1), hc_batch(*waveform.sample((np.arange(n) + 0.5) * dt)), dt
+def _rk4_grid(waveform: ControlWaveform, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Step edges and the stack H dt of the RK4 route at step count n.
+    Each piece takes whole steps (``_piece_steps``), since a step that
+    straddled a jump of omega by 2 would cost about 1e-4 in amplitude; step
+    k of a piece cut into q steps of length dt is frozen at the controls of
+    its own midpoint, start + (k + 1/2) dt.  A parametric waveform, one
+    piece, takes n steps of T / n."""
     edges = waveform.piece_edges
     per_piece = _piece_steps(waveform, n)
     length = np.repeat(np.diff(edges) / per_piece, per_piece)
-    first = np.repeat(np.cumsum(per_piece) - per_piece, per_piece)
-    times = np.append(np.repeat(edges[:-1], per_piece) + (np.arange(length.size) - first) * length, edges[-1])
-    h = hc_batch(np.repeat(waveform.piece_delta, per_piece), np.repeat(waveform.piece_omega, per_piece))
-    return times, h * length[:, None, None], 1.0
+    start = np.repeat(edges[:-1], per_piece)
+    k = np.arange(length.size) - np.repeat(np.cumsum(per_piece) - per_piece, per_piece)
+    h = hc_batch(*waveform.sample(start + (k + 0.5) * length))
+    return np.append(start + k * length, edges[-1]), h * length[:, None, None]
 
 
 def _rk4_states(waveform: ControlWaveform, c0: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -544,9 +541,9 @@ def _rk4_states(waveform: ControlWaveform, c0: np.ndarray, n: int) -> tuple[np.n
     ``hc_batch`` of its controls (``_rk4_grid``), cut to the leading
     ``c0.size`` block: 3 for the triplet, 2 for the {|dd>, bell} block (see
     ``model``)."""
-    times, h, dt = _rk4_grid(waveform, n)
+    times, h_dt = _rk4_grid(waveform, n)
     k = c0.size
-    states = rk4_evolve(h[:, :k, :k], c0, dt)
+    states = rk4_evolve(h_dt[:, :k, :k], c0, 1.0)
     return times, states, _gated_drift(states)
 
 
@@ -586,11 +583,12 @@ def propagate(
     """
     c_init = c0.as_array()
     n = step_count(waveform, method) if steps is None else steps
-    error = times = None
+    error = None
     if method == "rk4":
         times, states, drift = _rk4_states(waveform, c_init, n)
     elif method == "piecewise-exponential" and waveform.piece_omega is None:
         states, drift, error = _cf4_states(waveform, c_init, n)
+        times = np.linspace(0.0, waveform.duration, states.shape[0])
     elif method == "piecewise-exponential":
         table, index, _, _ = segment_propagators(waveform.piece_delta, waveform.piece_omega, np.diff(waveform.piece_edges))
         states = chain_indexed(table, index[None], c_init[None])[0]
@@ -599,8 +597,6 @@ def propagate(
     else:
         raise ValueError(f"unknown method {method!r}")
     n = states.shape[0] - 1
-    if times is None:
-        times = np.linspace(0.0, waveform.duration, n + 1)
     return Trajectory(
         times=times, states=states, waveform=waveform, method=method, steps=n, max_drift=drift, error_estimate=error
     )

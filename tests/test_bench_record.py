@@ -1,13 +1,15 @@
-"""The end-to-end verdict of ``scripts/bench_record.py``."""
+"""``scripts/bench_record.py``: its end-to-end verdict, its import-graph
+reading, and an unknown revision, in it and in ``scripts/same_outputs.py``."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-_SPEC = importlib.util.spec_from_file_location(
-    "bench_record", Path(__file__).resolve().parents[1] / "scripts" / "bench_record.py"
-)
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+_SPEC = importlib.util.spec_from_file_location("bench_record", SCRIPTS / "bench_record.py")
 bench_record = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_record)
 
@@ -57,3 +59,15 @@ def test_import_graph_reads_module_names():
 ])
 def test_import_change(change, expected):
     assert bench_record.import_change(["a", "b", "c"], change) == expected
+
+
+@pytest.mark.parametrize("script, extra", [
+    ("bench_record.py", ["--pr", "0", "--workdir", "work"]),
+    ("same_outputs.py", []),
+])
+def test_an_unknown_revision_exits_2_with_one_line(tmp_path, script, extra):
+    # rev-parse refuses the revision before anything is cloned
+    argv = [sys.executable, str(SCRIPTS / script), "--parent", "nosuchrev", "--change", "HEAD", *extra]
+    proc = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and "unknown revision 'nosuchrev'" in proc.stderr

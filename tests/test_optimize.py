@@ -410,11 +410,15 @@ def test_sweep_checks_the_seed_before_any_cell():
         sweep(problems, restarts=0, seed=-1)
 
 
-@pytest.mark.parametrize("optimizer, kwargs", [(optimize_piecewise, {}), (optimize_trig, {"p": 1})],
-                         ids=["piecewise", "trig"])
-def test_extra_start_shape_checked(optimizer, kwargs):
-    with pytest.raises(ValueError, match="extra start"):
-        optimizer(ControlProblem(T=2.0, segments=50), restarts=0, seed=0, extra_starts=[np.zeros(7)], **kwargs)
+@pytest.mark.parametrize("optimizer, kwargs, start, message", [
+    (optimize_piecewise, {}, ControlWaveform.piecewise_constant(1.5, [1.0]), "lasts 1.5, not the problem's T = 2"),
+    (optimize_trig, {"p": 1}, TrigSeries(p=2, a=np.zeros(5), b=np.zeros(5)), "has 2 harmonics, more than p = 1"),
+], ids=["piecewise", "trig"])
+def test_extra_start_shape_checked(optimizer, kwargs, start, message):
+    # a warm start is what an optimizer hands out: a waveform of duration T,
+    # or a series of at most p harmonics
+    with pytest.raises(ValueError, match=f"extra start {message}"):
+        optimizer(ControlProblem(T=2.0, segments=50), restarts=0, seed=0, extra_starts=[start], **kwargs)
 
 
 class TestLbfgsSeam:
@@ -429,7 +433,7 @@ class TestLbfgsSeam:
         (lambda: optimize_piecewise(ControlProblem(T=2.5, delta_value=-0.3, segments=40), restarts=0, seed=3), 3),
         # two searches from one start end in one basin, polished once
         (lambda: optimize_piecewise(ControlProblem(T=2.5, segments=40), restarts=0, seed=3,
-                                    extra_starts=[np.ones(40)]), 3),
+                                    extra_starts=[ControlWaveform.piecewise_constant(2.5, np.ones(40))]), 3),
         (lambda: optimize_trig(ControlProblem(T=2.5, segments=40), p=1, restarts=0, seed=3),
          len(optimize.PENALTY_WEIGHTS)),
     ], ids=["piecewise", "piecewise-polish", "piecewise-region", "piecewise-same-basin", "trig"])
@@ -601,7 +605,8 @@ class TestOptimizeTrig:
         t_mid = (np.arange(n) + 0.5) * (problem.T / n)
         bang = neg_detuning_report.waveform.sample(t_mid)[1]
         coef, *_ = np.linalg.lstsq(trig_basis(200, t_mid), bang, rcond=None)
-        rep = optimize_trig(problem, p=200, restarts=0, seed=1, extra_starts=[coef])
+        fit = TrigSeries(p=200, a=coef, b=np.zeros(401))
+        rep = optimize_trig(problem, p=200, restarts=0, seed=1, extra_starts=[fit])
         assert rep.fidelity >= 0.995
         vals = trig_basis(200, t_mid) @ rep.series.a
         # the polished series stays a one-sided bang up to a global sign flip
@@ -651,8 +656,8 @@ class TestSweepDetuning:
         assert [call[0] for call in calls] == [-0.1, 0.0, 0.1]
         assert calls[0][1:3] == (1, 1) and calls[0][3] == []
         for (prev_delta, *_), (_, restarts, _, extra) in zip(calls, calls[1:]):
-            assert restarts == 0 and len(extra) == 1
-            np.testing.assert_array_equal(extra[0], np.full(10, prev_delta))
+            assert restarts == 0 and len(extra) == 1 and extra[0].duration == 2.5
+            np.testing.assert_array_equal(extra[0].piece_omega, np.full(10, prev_delta))
         assert [(c.delta, c.fidelity) for c in cells] == [(0.1, 0.7), (-0.1, 0.9), (0.0, 0.8)]
 
 
@@ -674,10 +679,10 @@ class TestSweepDuration:
         assert first_T(duration_cells_neg) < first_T(duration_cells_zero)
 
     def test_warm_start_idles_after_the_solved_duration(self):
-        # the solved cell's arcs sampled at the next cell's search-grid midpoints
+        # the solved cell's arcs, idled, sampled at the next cell's search-grid midpoints
         wf = ControlWaveform.piecewise_constant(2.0, [1.0, -1.0], edges=[0.0, 1.5, 2.0])
-        start = optimize._warm_start(wf, ControlProblem(T=2.5, segments=10))
         t_mid = (np.arange(10) + 0.5) * 0.25
+        start = optimize._idled(wf, ControlProblem(T=2.5, segments=10)).sample(t_mid)[1]
         np.testing.assert_array_equal(start, np.where(t_mid < 1.5, 1.0, np.where(t_mid < 2.0, -1.0, 0.0)))
 
     def test_grid_validation(self):
@@ -710,7 +715,8 @@ class TestSweepDuration:
         assert [(c.fidelity, c.error) for c in cells] == [(f, None) for f in shipped]
         assert len(calls) == len(problems)
         t_mid = (np.arange(10) + 0.5) * (problems[-1].T / 10)
-        np.testing.assert_array_equal(calls[-1][0], np.where(t_mid < 1.0, 0.5, 0.0))
+        assert calls[-1][0].duration == problems[-1].T
+        np.testing.assert_array_equal(calls[-1][0].sample(t_mid)[1], np.where(t_mid < 1.0, 0.5, 0.0))
 
     @pytest.mark.parametrize("grid, rerun", [
         pytest.param("duration", NoConvergence, id="NoConvergence"),

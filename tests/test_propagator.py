@@ -128,6 +128,24 @@ class TestUnevenPieces:
 
 
 class TestPropagate:
+    def test_parametric_rk4_grid_is_one_even_piece(self):
+        # a parametric waveform is the piece [0, T]: n steps of T / n, each
+        # frozen at its own midpoint
+        T, n = 7.3, 4001
+        sampled = []
+
+        def controls(ts):
+            sampled.append(ts)
+            return 0.3 * np.sin(ts), np.cos(ts)
+
+        wf = ControlWaveform(T, controls)
+        np.testing.assert_array_equal(wf.piece_edges, [0.0, T])
+        times, h_dt = propagator._rk4_grid(wf, n)
+        assert np.array_equal(times, np.linspace(0.0, T, n + 1))
+        mid = (np.arange(n) + 0.5) * (T / n)
+        assert len(sampled) == 1 and np.array_equal(sampled[0], mid)
+        assert np.array_equal(h_dt, hc_batch(*controls(mid)) * (T / n))
+
     def test_zero_controls_keep_populations(self):
         wf = ControlWaveform.piecewise_constant(3.0, [0.0], delta=0.0)
         traj = propagate(wf, SPIN_DOWN)
@@ -448,7 +466,7 @@ class TestChain:
         # plus round-off slack; dim 2 is the {|dd>, bell} block
         delta, omega = np.array(drive).T
         h = hc_batch(delta, omega)[:, :dim, :dim]
-        maps = _complex_maps(_taylor_table(h, dt, 4))
+        maps = _complex_maps(_taylor_table(h * dt, 4))
         for hk, mk in zip(h, maps):
             x = np.linalg.norm(hk, 2) * dt
             bound = x**5 / 120.0 * math.exp(x) + 1e-14
@@ -471,7 +489,7 @@ class TestTaylorTable:
         delta, omega = np.array(drive).T
         h = hc_batch(delta, omega)
         dt = x / max(np.linalg.norm(hk, np.inf) for hk in h)
-        table = _taylor_table(h, dt, 12, propagator.TAYLOR_THETA)
+        table = _taylor_table(h * dt, 12, propagator.TAYLOR_THETA)
         for hk, mk in zip(h, _complex_maps(table)):
             assert np.max(np.abs(mk - expm(-1j * dt * hk))) <= 1e-14
 
