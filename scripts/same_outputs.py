@@ -30,7 +30,9 @@ BLAS_THREADS = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", 
 #: a duration that is no short binary fraction, piecewise optima, a duration
 #: sweep, the table1 series and one shortcut trajectory; then the warm
 #: starts: series fed forward over harmonic counts (fig4c, about 5 s a side)
-#: and idled waveforms fed forward over durations (about 2 s)
+#: and idled waveforms fed forward over durations (about 2 s); then a run
+#: whose search grid ships in place of its polished arcs, and four
+#: piecewise reports
 ARGVS = (
     ("simulate", "--method", "rk4"),
     ("simulate", "--method", "piecewise-exponential"),
@@ -43,6 +45,8 @@ ARGVS = (
     ("tqd", "--T", "10"),
     ("repro", "fig4c", "--segments", "250", "--restarts", "0"),
     ("sweep-duration", "--delta", "-0.11", "--segments", "100"),
+    ("optimize", "--T", "3.4", "--delta", "-0.11", "--segments", "500", "--restarts", "0"),
+    ("repro", "fig2", "--segments", "60", "--restarts", "0"),
 )
 
 

@@ -14,11 +14,11 @@ bang arcs at +-BOUND whose switch times move freely, and singular regions
 whose values stay free at resolution T / segments, polished with the switch
 times held and then jointly with them; search optima whose arcs coincide
 are polished once.  The best polished waveform ships with its piece edges,
-and its reported fidelity is the exact route's over those pieces.  Each
-piece's propagator is an exact matrix exponential, built once per distinct
-(delta, omega) pair on an even grid and once per piece otherwise, so the
-adjoint gradient below is exact for the discrete objective, piece durations
-included (checked against central finite differences to 1e-6).
+and its reported fidelity is its replay on ``propagate``'s exact route.
+Each piece's propagator is an exact matrix exponential, built once per
+distinct (delta, omega) pair on an even grid and once per piece otherwise,
+so the adjoint gradient below is exact for the discrete objective, piece
+durations included (checked against central finite differences to 1e-6).
 
 Series coefficients form stacked channels of 2p + 1 (omega, then delta when
 shaped), each optimized with a quadratic penalty on bound violations at the
@@ -600,11 +600,10 @@ def _newton_switches(arcs: _Arcs, z: np.ndarray, problem: ControlProblem) -> np.
     return z
 
 
-def _shipped(problem: ControlProblem, arcs: _Arcs, z: np.ndarray) -> tuple[float, _Arcs, np.ndarray, ControlWaveform]:
-    """The exact route's fidelity of the waveform of arcs at z, with them."""
-    waveform = arcs.waveform(z, problem.delta_value)
-    fid, _ = adjoint_gradient(problem, waveform.piece_omega, np.diff(waveform.piece_edges))
-    return fid, arcs, z, waveform
+def _replayed(waveform: ControlWaveform) -> float:
+    """Final Bell population of the waveform from spin down on ``propagate``'s
+    piecewise-exponential route, the fidelity every report ships."""
+    return fidelity(propagate(waveform, TripletAmplitudes.spin_down(), method="piecewise-exponential"))
 
 
 def optimize_piecewise(
@@ -622,16 +621,16 @@ def optimize_piecewise(
     duration T (a shipped optimum, say), sampled at the search grid's
     segment midpoints and clipped; another duration is a ValueError.  The
     fidelity landscape has distinct local optima with different bang
-    counts, hence the multi-start.  The search optima
-    are polished best first; one whose arcs match a polished one's, piece
-    for piece, with every switch time and value within ``SAME_START_TOL``,
-    lies in the same basin and is not polished again.  A polished
-    waveform more than ``F_ROUNDING`` below its search optimum gives way to
-    that optimum, the search grid with every segment free.  The reported
-    fidelity is the exact route's over the shipped arcs, and ``grad_norm``
-    the projected gradient over their switch times and free values.
-    Raises NoConvergence when nothing lifts the fidelity above 1e-3
-    (bounded controls at tiny T genuinely cannot).
+    counts, hence the multi-start.  The search optima are polished best
+    first; one whose arcs match a polished one's, piece for piece, with
+    every switch time and value within ``SAME_START_TOL``, lies in the same
+    basin and is not polished again.  A polished waveform more than
+    ``F_ROUNDING`` below its search's fidelity gives way to that optimum,
+    the search grid with every segment free.  The reported fidelity is the
+    shipped waveform's on ``propagate``'s exact route, whose drift gate it
+    passes, and ``grad_norm`` the projected gradient over its arcs' switch
+    times and free values.  Raises NoConvergence when nothing lifts the
+    fidelity above 1e-3 (bounded controls at tiny T genuinely cannot).
     """
     if problem.delta_mode != DELTA_FIXED:
         raise ValueError("optimize_piecewise requires delta_mode='fixed'")
@@ -653,20 +652,22 @@ def optimize_piecewise(
         found.append((f, np.clip(x, -BOUND, BOUND), info))
     best, polished = None, []
     # best search optimum first; ties keep the order of the starts
-    for _, x, info in sorted(found, key=lambda item: item[0]):
+    for f, x, info in sorted(found, key=lambda item: item[0]):
         arcs, z = _Arcs.from_search(problem, x)
         if any(arcs.matches(z, *other) for other in polished):
             continue
         polished.append((arcs, z))
         arcs, z, nit, polish_info = _polish(problem, arcs, z)
+        waveform = arcs.waveform(z, problem.delta_value)
+        fid = _replayed(waveform)
         # near F = 1 the gradient falls below GRAD_TOL before the polish
         # climbs back what the finer regions lost, so the search optimum
         # itself, all its segments free, ships instead when it is better
         # beyond rounding
-        fid, arcs, z, waveform = _shipped(problem, arcs, z)
-        searched = _shipped(problem, *_Arcs.from_spans(problem.T, [(problem.T, x, True)]))
-        if searched[0] > fid + F_ROUNDING:
-            fid, arcs, z, waveform = searched
+        if -f > fid + F_ROUNDING:
+            arcs, z = _Arcs.from_spans(problem.T, [(problem.T, x, True)])
+            waveform = arcs.waveform(z, problem.delta_value)
+            fid = _replayed(waveform)
         if best is None or fid > best[0]:
             best = (fid, arcs, z, waveform, int(info["nit"]) + nit, polish_info or info)
 
@@ -675,7 +676,7 @@ def optimize_piecewise(
     return OptimizationReport(
         problem=problem,
         waveform=waveform,
-        fidelity=float(fid),
+        fidelity=fid,
         iterations=nit,
         grad_norm=arcs.grad_norm(z, problem),
         restarts=restarts,
@@ -741,9 +742,7 @@ def evaluate_series(series: TrigSeries, T: float, convention: str = CONVENTION_X
     the final Bell population.  It runs ``propagate``'s
     piecewise-exponential route: CF4 steps at its automatic count, checked
     by step halving and refused for controls that jump."""
-    wf = series_waveform(series, T, convention=convention)
-    traj = propagate(wf, TripletAmplitudes.spin_down(), method="piecewise-exponential")
-    return fidelity(traj)
+    return _replayed(series_waveform(series, T, convention=convention))
 
 
 def _rescale_into_box(coeffs: np.ndarray, values: np.ndarray) -> np.ndarray:

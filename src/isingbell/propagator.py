@@ -102,8 +102,8 @@ HALVING_TOL = 1e-7
 JUMP_LIMIT = 0.05
 #: control samples (evenly spaced, endpoints included) from which the
 #: policy reads a parametric waveform: RK4's peak probe, and the CF4 probe
-#: at the 4000-step spacing its jump guard needs
-PROBE_SAMPLES = {"rk4": 513, "piecewise-exponential": 4001}
+#: at the spacing of the default RK4 grid, which its jump guard needs
+PROBE_SAMPLES = {"rk4": 513, "piecewise-exponential": DEFAULT_STEPS + 1}
 #: CF4:2 Gauss-node offset and weights
 CF4_NODE = math.sqrt(3.0) / 6.0
 CF4_A1, CF4_A2 = 0.25 - CF4_NODE, 0.25 + CF4_NODE

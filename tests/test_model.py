@@ -64,6 +64,20 @@ class TestHamiltonianC:
         assert np.array_equal(h, h.conj().T)
         assert h[0, 2] == 0.0 and h[2, 0] == 0.0
 
+    def test_triplet_block_of_the_two_spin_hamiltonian(self):
+        # H4 = (2 - delta)(sz x 1 + 1 x sz)/2 + sz x sz + 1 + omega (sx x 1 + 1 x sx)/2
+        # on the product space, spin up = (1, 0), spin down = (0, 1)
+        one, sz, sx = np.eye(2), np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+        up, down = one
+        triplet = np.stack([np.kron(down, down), (np.kron(down, up) + np.kron(up, down)) / SQRT2, np.kron(up, up)])
+        singlet = (np.kron(up, down) - np.kron(down, up)) / SQRT2
+        rng = np.random.default_rng(9)
+        for delta, omega in rng.uniform(-3.0, 3.0, size=(100, 2)):
+            h4 = ((2.0 - delta) * (np.kron(sz, one) + np.kron(one, sz)) / 2.0 + np.kron(sz, sz) + np.eye(4)
+                  + omega * (np.kron(sx, one) + np.kron(one, sx)) / 2.0)
+            assert np.max(np.abs(triplet @ h4 @ triplet.T - hc_batch([delta], [omega])[0])) <= 1e-15
+            assert np.array_equal(h4 @ singlet, np.zeros(4))
+
 
 class TestHamiltonianTwoLevel:
     """The paper's H_0 is the {|dd>, bell} block of H_c minus (delta/2) I."""

@@ -48,6 +48,16 @@ SPIN_DOWN = TripletAmplitudes.spin_down()
 FIG2_FLOORS = {2.0: 0.9396, 2.5: 0.9908, 3.0: 0.9970, 3.6: 0.9999}
 
 
+def _json_replay(rep: OptimizationReport) -> float:
+    """Fidelity of the waveform in a report's JSON, rebuilt from that JSON
+    alone: pieces on the exact route, a series through evaluate_series."""
+    wf = json.loads(json.dumps(rep.to_dict()))["waveform"]
+    if wf["kind"] == "trig-series":
+        return evaluate_series(TrigSeries(wf["p"], wf["coefficients"]["a"], wf["coefficients"]["b"]), wf["T"])
+    pieces = ControlWaveform.piecewise_constant(wf["T"], wf["omega"], wf["delta"], wf["edges"])
+    return fidelity(propagate(pieces, SPIN_DOWN, method="piecewise-exponential"))
+
+
 class TestControlProblem:
     def test_defaults(self):
         p = ControlProblem(T=2.5)
@@ -354,11 +364,15 @@ class TestOptimizePiecewise:
         monkeypatch.setattr(optimize, "fmin_l_bfgs_b", recording)
         rep = optimize_piecewise(ControlProblem(T=3.4, delta_value=-0.11, segments=500), restarts=0, seed=42)
         assert rep.fidelity >= max(searched) - 1e-12
+        # the search grid ships, every segment a piece, and replays as reported
+        assert rep.waveform.piece_omega.size == optimize.search_segments(rep.problem)
+        assert _json_replay(rep) == rep.fidelity
 
     def test_reported_fidelity_is_the_shipped_waveforms(self, fig2_reports):
         for t, rep in fig2_reports.items():
             replay = fidelity(propagate(rep.waveform, SPIN_DOWN))
             assert abs(replay - rep.fidelity) <= 1e-10, (t, replay, rep.fidelity)
+            assert _json_replay(rep) == rep.fidelity, t
 
     def test_bounds_respected_exactly(self, fig2_reports):
         for rep in fig2_reports.values():
@@ -544,6 +558,7 @@ class TestOptimizeTrig:
         for rep in trig_scan_reports:
             replay = fidelity(propagate(rep.waveform, SPIN_DOWN))
             assert abs(replay - rep.fidelity) <= 1e-9, (rep.series.p, replay, rep.fidelity)
+            assert _json_replay(rep) == rep.fidelity, rep.series.p
 
     def test_constant_ansatz_loses_to_p3(self, trig_scan_reports):
         problem = ControlProblem(T=2.5, delta_mode="trig-series")
