@@ -32,7 +32,9 @@ BLAS_THREADS = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", 
 #: starts: series fed forward over harmonic counts (fig4c, about 5 s a side)
 #: and idled waveforms fed forward over durations (about 2 s); then a run
 #: whose search grid ships in place of its polished arcs, and four
-#: piecewise reports
+#: piecewise reports; last the far corners of the CF4 route: the fig1b
+#: curves at e = 10, whose step counts double nine times, and the table1
+#: series read in the per-duration convention
 ARGVS = (
     ("simulate", "--method", "rk4"),
     ("simulate", "--method", "piecewise-exponential"),
@@ -47,6 +49,8 @@ ARGVS = (
     ("sweep-duration", "--delta", "-0.11", "--segments", "100"),
     ("optimize", "--T", "3.4", "--delta", "-0.11", "--segments", "500", "--restarts", "0"),
     ("repro", "fig2", "--segments", "60", "--restarts", "0"),
+    ("repro", "fig1b", "--e", "10"),
+    ("evaluate-series", "--convention", "per-duration"),
 )
 
 

@@ -47,6 +47,7 @@ import numpy as np
 from .artifacts import write_csv, write_json
 from .model import TripletAmplitudes
 from .propagator import (
+    PROBE_SAMPLES,
     ControlWaveform,
     NonUnitaryDrift,
     fidelity,
@@ -248,7 +249,8 @@ def cmd_optimize(cfg: dict, out: Path, begin) -> None:
         # joint mode shapes the detuning, so a configured constant one is not used
         mode, delta = ("trig-series", 0.0) if cfg["joint"] else ("fixed", cfg["delta"])
         problem = ControlProblem(T=cfg["T"], delta_mode=mode, delta_value=delta, segments=cfg["segments"])
-        check_harmonics(cfg["p"])
+        # the search grid's basis and the replay's CF4 probe, the larger
+        check_harmonics(cfg["p"], max(cfg["segments"], PROBE_SAMPLES["piecewise-exponential"]))
         begin()
         report = optimize_trig(problem, p=cfg["p"], restarts=cfg["restarts"], seed=cfg["seed"])
         print(f"fidelity: {report.fidelity:.12g}")

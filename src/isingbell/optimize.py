@@ -101,6 +101,9 @@ PENALTY_WEIGHTS = (10.0, 1e3, 1e5)
 #: start at p = 200, 1e-12 perturbations ended the first penalty round in a
 #: line-search failure 8 times in 12 (none in 12 with 50).
 SERIES_LINE_SEARCH = 50
+#: most entries of one dense series basis, samples x (2p + 1): 256 MiB of
+#: float64, which admits p <= 4192 at the 4001 samples of the CF4 probe
+MAX_BASIS_ENTRIES = 2**25
 
 #: initial state of the forward pass (spin down) and of the adjoint pass (e2)
 _FORWARD_ADJOINT_STARTS = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], dtype=complex)
@@ -215,7 +218,11 @@ class TrigSeries:
 
 @dataclass(frozen=True, eq=False)
 class OptimizationReport:
-    """Outcome of one multi-start optimization, with enough state to replay."""
+    """Outcome of one multi-start optimization, with enough state to replay.
+
+    ``grad_norm`` is the infinity norm of the projected gradient of -F over
+    the shipped optimum's free variables: a piecewise optimum's switch times
+    and free values, or a series' coefficients, unbounded and unpenalised."""
 
     problem: ControlProblem
     waveform: ControlWaveform
@@ -701,16 +708,20 @@ def saturation_fraction(waveform: ControlWaveform) -> float:
 # trigonometric-series optimization
 
 
-def check_harmonics(p: int) -> None:
-    """A series has p >= 0 harmonics."""
+def check_harmonics(p: int, samples: int = 1) -> None:
+    """A series has p >= 0 harmonics, and its dense basis at ``samples``
+    times (``trig_basis``) at most ``MAX_BASIS_ENTRIES`` entries."""
     if p < 0:
         raise ValueError(f"harmonic count p must be >= 0, got {p}")
+    if samples * (2 * p + 1) > MAX_BASIS_ENTRIES:
+        raise ValueError(f"a series of p = {p} harmonics at {samples} samples needs over {MAX_BASIS_ENTRIES} entries")
 
 
 def trig_basis(p: int, t: np.ndarray, T: float | None = None, convention: str = CONVENTION_XI) -> np.ndarray:
-    """Design matrix [1, cos(kt), sin(kt), ...] of shape (len(t), 2p+1)."""
-    check_harmonics(p)
+    """Design matrix [1, cos(kt), sin(kt), ...] of shape (len(t), 2p+1);
+    ``check_harmonics`` refuses one too large before it is allocated."""
     t = np.asarray(t, dtype=float)
+    check_harmonics(p, t.size)
     if convention == CONVENTION_XI:
         karg = t[:, None] * np.arange(1, p + 1)[None, :]
     elif convention == CONVENTION_PERIOD:
@@ -833,7 +844,7 @@ def optimize_trig(
     b = channels[1] if k == 2 else np.concatenate([[problem.delta_value], np.zeros(nc - 1)])
     series = TrigSeries(p=p, a=channels[0], b=b)
     fid = evaluate_series(series, problem.T)
-    _, g_last = objective(channels.ravel(), PENALTY_WEIGHTS[-1])
+    _, g_last = objective(channels.ravel(), 0.0)  # unpenalised; unbounded, so unprojected
     return OptimizationReport(
         problem=problem,
         waveform=series_waveform(series, problem.T),

@@ -20,7 +20,7 @@ per piece (per distinct (delta, omega) pair on the optimizer's grid):
 * ``rk4``: fixed-step RK4 with the control pair frozen at each step
   midpoint, whole steps inside each piece.  For a frozen H one RK4 step is
   exactly the degree-4 Taylor polynomial of exp(-i H dt), so
-  ``_taylor_table`` at degree 4, unscaled, is the step map.  Steps never
+  ``_taylor_table`` at degree 4 is the step map.  Steps never
   straddle the edges of a piecewise waveform, so there the route agrees
   with the exponential one to Taylor error (~1e-13 at default
   resolution).  Freezing at the midpoint keeps delta-like pulses well
@@ -38,9 +38,9 @@ per piece (per distinct (delta, omega) pair on the optimizer's grid):
   a1,2 = 1/4 -+ sqrt(3)/6.  H is affine in x with weights summing to one,
   so each factor is a half-step exponential at the effective controls
   2 (a2 x1 + a1 x2), then 2 (a1 x1 + a2 x2).  ``_taylor_table`` builds
-  those half-step maps at degree 12, scaling and squaring past
-  ``TAYLOR_THETA``; they agree with the eigendecomposition to rounding
-  (~1e-15) and need no sort of the all-distinct pairs and no ``eigh``.
+  those half-step maps at degree 12, unscaled at the policy's step; they
+  agree with the eigendecomposition to rounding (~1e-15) and need no sort
+  of the all-distinct pairs and no ``eigh``.
   The history is kept at the step edges.
 
 The optimizer runs its forward pass and its adjoint pass (the adjoint maps
@@ -107,13 +107,9 @@ PROBE_SAMPLES = {"rk4": 513, "piecewise-exponential": DEFAULT_STEPS + 1}
 #: CF4:2 Gauss-node offset and weights
 CF4_NODE = math.sqrt(3.0) / 6.0
 CF4_A1, CF4_A2 = 0.25 - CF4_NODE, 0.25 + CF4_NODE
-#: Taylor degree of the CF4 half-step maps, and the largest |A|_inf =
-#: |H|_inf D / 2 they take unscaled: there the remainder is below
-#: 0.25^13 / 13! e^0.25 ~ 3e-18, under rounding.  The step policy keeps the
-#: shortcut and table1 half-steps below 0.17; only forced coarse grids
-#: scale and square.
+#: Taylor degree of the CF4 half-step maps: exact to rounding at the
+#: policy's |H|_inf D / 2 <= 0.19 (see ``_taylor_table``)
 CF4_TAYLOR_DEGREE = 12
-TAYLOR_THETA = 0.25
 #: most steps one propagation may take, at a few hundred bytes of arrays
 #: each
 MAX_STEPS = 1_000_000
@@ -319,7 +315,7 @@ def chain_indexed(table: np.ndarray, index: np.ndarray, c0: np.ndarray) -> np.nd
     return out
 
 
-def _taylor_table(a_stack: np.ndarray, degree: int, theta: float = math.inf) -> np.ndarray:
+def _taylor_table(a_stack: np.ndarray, degree: int) -> np.ndarray:
     """Step maps sum_{j<=degree} (-i a)^j / j! of a stack of a = H dt, each
     a real symmetric H times its step length, as a ``chain_indexed`` table
     of the n maps in real form.
@@ -331,22 +327,21 @@ def _taylor_table(a_stack: np.ndarray, degree: int, theta: float = math.inf) -> 
     with I, B, ..., B^s stored, s = ceil(sqrt(degree / 2)), each run of s
     coefficients is a linear combination of them, and the runs are nested
     Horner-fashion in B^s.  Degree 4, the frozen-midpoint RK4 step, costs
-    three batched products; degree 12 six.  Unscaled, each map differs from
+    three batched products; degree 12 six.  Each map differs from
     exp(-i H dt) by at most x^(d+1) / (d+1)! e^x, x = |H| dt and d the
-    degree, in any submultiplicative norm.  When the largest |a|_inf of the
-    stack exceeds ``theta``, every a is scaled by 2^-k to at most ``theta``
-    and the maps are squared k times (Moler & Van Loan, SIAM Rev. 45, 3
-    (2003); Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005))."""
+    degree, in any submultiplicative norm; the step policy keeps x small, so
+    no map is scaled and squared.  RK4 steps have x <= 1e-2.  A CF4 step D
+    has |H|_inf D <= 1/6 at the probe's peak controls (``cf4_steps``) and
+    effective controls at most 2 (|a1| + |a2|) = 2 / sqrt(3) times those, so
+    x <= 1 / (6 sqrt(3)) ~ 0.096 per half-step, 0.19 on the N/2 halving
+    run, where the degree-12 remainder is ~1e-19.  A count forced below the
+    policy is left to the drift gate and the halving estimate."""
     n, d = a_stack.shape[0], a_stack.shape[1]
-    norm = float(np.max(np.abs(a_stack).reshape(-1, d) @ np.ones(d)))
-    # a non-finite norm skips the scaling; the drift gate reports the NaN
-    squarings = math.ceil(math.log2(norm / theta)) if theta < norm < math.inf else 0
-    a = a_stack / 2.0**squarings
     m = degree // 2
     s = math.isqrt(max(m - 1, 0)) + 1
     powers = np.empty((s + 1, n, d, d))
     powers[0] = np.eye(d)
-    powers[1] = a @ a
+    powers[1] = a_stack @ a_stack
     for j in range(2, s + 1):
         np.matmul(powers[j - 1], powers[1], out=powers[j])
     flat = powers.reshape(s + 1, n * d * d)
@@ -363,13 +358,11 @@ def _taylor_table(a_stack: np.ndarray, degree: int, theta: float = math.inf) -> 
     p = series([(-1.0) ** k / math.factorial(2 * k) for k in range(m + 1)])
     q = series([(-1.0) ** k / math.factorial(2 * k + 1) for k in range((degree + 1) // 2)])
     table = np.empty((n, 2 * d, 2 * d))
-    _real_form(p, -(a @ q), table)
-    for _ in range(squarings):
-        table = table @ table
+    _real_form(p, -(a_stack @ q), table)
     return table
 
 
-def _taylor_chain(a_stack: np.ndarray, degree: int, theta: float, c0: np.ndarray, stride: int = 1) -> np.ndarray:
+def _taylor_chain(a_stack: np.ndarray, degree: int, c0: np.ndarray, stride: int = 1) -> np.ndarray:
     """History of ``c0`` through the ``_taylor_table`` maps of the stack
     a = H dt, one step each, tabled and chained ``MAP_BLOCK`` steps at a time,
     so the tables and the scan's scratch stay O(MAP_BLOCK).  Keeps every
@@ -379,7 +372,7 @@ def _taylor_chain(a_stack: np.ndarray, degree: int, theta: float, c0: np.ndarray
     out = np.empty((n // stride + 1, c0.size), dtype=complex)
     out[0] = c0
     for k in range(0, n, MAP_BLOCK):
-        table = _taylor_table(a_stack[k : k + MAP_BLOCK], degree, theta)
+        table = _taylor_table(a_stack[k : k + MAP_BLOCK], degree)
         states = chain_indexed(table, np.arange(len(table))[None], out[k // stride][None])[0]
         out[k // stride + 1 : (k + len(table)) // stride + 1] = states[stride::stride]
     return out
@@ -392,7 +385,7 @@ def rk4_evolve(h_mid: np.ndarray, c0: np.ndarray, dt: float) -> np.ndarray:
     stack of ``model.hc_batch`` or a leading block of one); works for any
     dimension.  Returns the full (n+1, dim) history.
     """
-    return _taylor_chain(h_mid * dt, 4, math.inf, c0)
+    return _taylor_chain(h_mid * dt, 4, c0)
 
 
 def _cf4_controls(waveform: ControlWaveform, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -412,7 +405,7 @@ def _cf4_history(waveform: ControlWaveform, c0: np.ndarray, n: int) -> np.ndarra
     half-step maps at the effective controls of its Gauss nodes, degree-12
     Taylor maps chained by ``_taylor_chain``."""
     h = hc_batch(*_cf4_controls(waveform, n))
-    return _taylor_chain(h * (waveform.duration / (2 * n)), CF4_TAYLOR_DEGREE, TAYLOR_THETA, c0, stride=2)
+    return _taylor_chain(h * (waveform.duration / (2 * n)), CF4_TAYLOR_DEGREE, c0, stride=2)
 
 
 def norm_bound(delta_peak: float, omega_peak: float) -> float:

@@ -338,6 +338,15 @@ class TestOptimize:
         assert code == 2
         assert "error: harmonic count p must be >= 0, got -1" in err
 
+    def test_harmonic_count_past_the_basis_ceiling_is_usage_error(self, tmp_path, capsys):
+        # 20 grid rows pass; the replay's 4001-sample probe at 10001 terms
+        # would not
+        out = tmp_path / "o"
+        code, stdout, err = run(capsys, "optimize", "--mode", "trig", "--p", "5000", "--T", "2.5",
+                                "--segments", "20", "--restarts", "0", "--out", str(out))
+        assert code == 2 and stdout == "" and not out.exists()
+        assert "error: a series of p = 5000 harmonics at 4001 samples" in err
+
     @pytest.mark.parametrize("argv, artifact", [
         (("optimize", "--T", "2.5", "--delta", "5"), "optimize_report.json"),
         (("sweep-detuning", "--T", "2.5", "--deltas=0,5"), "sweep_detuning.csv"),
@@ -417,6 +426,14 @@ class TestEvaluateSeries:
         assert code == 0
         doc = json.loads((out / "series_eval.json").read_text())
         assert doc["series"]["a"] == [0.7]
+
+    def test_series_past_the_basis_ceiling_is_usage_error(self, tmp_path, capsys):
+        series_path = tmp_path / "series.json"
+        write_series_json(TrigSeries(p=5000, a=np.zeros(10001), b=np.zeros(10001)), series_path)
+        out = tmp_path / "o"
+        code, stdout, err = run(capsys, "evaluate-series", "--series", str(series_path), "--out", str(out))
+        assert code == 2 and stdout == "" and not out.exists()
+        assert "error: a series of p = 5000 harmonics at 4001 samples" in err
 
     @pytest.mark.parametrize("text, named", [
         ('{"p": 3}', "'a'"),

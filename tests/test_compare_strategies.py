@@ -7,6 +7,10 @@ import sys
 from pathlib import Path
 
 import isingbell
+from isingbell.model import TripletAmplitudes
+from isingbell.optimize import adiabatic_baseline
+from isingbell.propagator import fidelity, propagate
+from isingbell.shortcut import ShortcutSpec, shortcut_waveform
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_strategies.py"
 STRATEGIES = {"shortcut", "adiabatic", "bang-bang", "bang-bang, delta=-0.11", "series p=3 (joint)"}
@@ -22,3 +26,8 @@ def test_small_comparison_names_every_strategy(tmp_path):
     fidelities = json.loads((tmp_path / "strategy_comparison.json").read_text())["fidelity"]
     assert set(fidelities) == STRATEGIES
     assert all(0.0 <= f <= 1.0 for f in fidelities.values()), fidelities
+    # the two unoptimized rows are scored on the exact route, as the optimizers' are
+    spin_down = TripletAmplitudes.spin_down()
+    for name, wf in [("shortcut", shortcut_waveform(ShortcutSpec(kind="symmetric", e=0.1, T=2.5))),
+                     ("adiabatic", adiabatic_baseline(2.5))]:
+        assert fidelities[name] == fidelity(propagate(wf, spin_down, method="piecewise-exponential")), name

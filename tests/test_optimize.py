@@ -543,6 +543,11 @@ class TestOptimizeTrig:
         for p, rep in zip([1, 2, 3, 5], trig_scan_reports):
             assert rep.series is not None and rep.series.p == p
             assert rep.waveform.piece_omega is None
+            # grad_norm: the unpenalised coefficient gradient of -F
+            n = rep.problem.segments
+            m = trig_basis(p, (np.arange(n) + 0.5) * (rep.problem.T / n))
+            _, g = adjoint_gradient(rep.problem, np.concatenate([m @ rep.series.a, m @ rep.series.b]))
+            assert rep.grad_norm == max(float(np.max(np.abs(m.T @ -gc))) for gc in g.reshape(2, n)), p
 
     def test_realized_waveforms_feasible(self, trig_scan_reports):
         for rep in trig_scan_reports:

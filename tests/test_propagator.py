@@ -12,7 +12,13 @@ from scipy.linalg import expm
 from conftest import chain_reference
 from isingbell import propagator
 from isingbell.model import TripletAmplitudes
-from isingbell.optimize import BENCHMARK_SERIES_T25_A, BENCHMARK_SERIES_T25_B, TrigSeries, series_waveform
+from isingbell.optimize import (
+    BENCHMARK_SERIES_T25_A,
+    BENCHMARK_SERIES_T25_B,
+    TrigSeries,
+    evaluate_series,
+    series_waveform,
+)
 from isingbell.propagator import (
     HALVING_TOL,
     MAX_STEPS,
@@ -31,7 +37,7 @@ from isingbell.propagator import (
     step_count,
     write_trajectory_csv,
 )
-from isingbell.shortcut import ShortcutSpec, shortcut_waveform
+from isingbell.shortcut import ShortcutSpec, shortcut_waveform, tqd_curve, tqd_fidelity_curve
 
 SPIN_DOWN = TripletAmplitudes.spin_down()
 
@@ -474,24 +480,44 @@ class TestChain:
 
 
 class TestTaylorTable:
-    """The one Taylor step-map builder: degree 12 with scaling and squaring,
-    the CF4 half-step (degree 4, the RK4 step, is checked with the chain)."""
+    """The one Taylor step-map builder at degree 12, the CF4 half-step
+    (degree 4, the RK4 step, is checked with the chain).  It never scales
+    and squares: the step policy keeps every half-step's |H dt|_inf small."""
 
-    # |H dt|_inf, the norm the builder scales by, up to 8: up to five
-    # squarings past TAYLOR_THETA = 0.25
+    # |H dt|_inf up to 0.25, above the 0.19 the step policy allows a
+    # half-step of the N/2 halving run
     @given(
         drive=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), min_size=1, max_size=20),
-        x=st.floats(min_value=0.0, max_value=8.0),
+        x=st.floats(min_value=0.0, max_value=0.25),
     )
-    @example(drive=[(0.0, 1.0), (3.0, -3.0)], x=8.0)
+    @example(drive=[(0.0, 1.0), (3.0, -3.0)], x=0.25)
     @settings(max_examples=60, deadline=None)
     def test_degree_12_matches_expm_at_any_norm(self, drive, x):
         delta, omega = np.array(drive).T
         h = hc_batch(delta, omega)
         dt = x / max(np.linalg.norm(hk, np.inf) for hk in h)
-        table = _taylor_table(h * dt, 12, propagator.TAYLOR_THETA)
+        table = _taylor_table(h * dt, 12)
         for hk, mk in zip(h, _complex_maps(table)):
             assert np.max(np.abs(mk - expm(-1j * dt * hk))) <= 1e-14
+
+    def test_policy_keeps_every_half_step_below_a_quarter(self, monkeypatch):
+        # every degree-12 stack of the fig1b curves (e = 0.1, and e = 10,
+        # whose steps double) and of both table1 conventions
+        norms = []
+
+        def recorded(a_stack, degree):
+            if degree == 12:
+                norms.append(float(np.max(np.abs(a_stack).sum(axis=2))))
+            return _taylor_table(a_stack, degree)
+
+        monkeypatch.setattr(propagator, "_taylor_table", recorded)
+        for e in (0.1, 10.0):
+            for kind in ("symmetric", "nonsymmetric"):
+                tqd_fidelity_curve(tqd_curve(kind, e, np.geomspace(0.01, 15.0, 100)))
+        series = TrigSeries(p=3, a=BENCHMARK_SERIES_T25_A, b=BENCHMARK_SERIES_T25_B)
+        for convention in ("xi-units", "per-duration"):
+            evaluate_series(series, 2.5, convention=convention)
+        assert len(norms) > 800 and max(norms) <= 0.25
 
     @pytest.mark.parametrize("kind", ["symmetric", "nonsymmetric"])
     @pytest.mark.parametrize("T", [0.01, 15.0])

@@ -233,7 +233,8 @@ class TestFidelityCurve:
 
     def test_propagation_error_carries_duration(self, monkeypatch):
         # a violent envelope at 100 steps, allowed one doubling, under-resolves
-        # and must say which T
+        # and must say which T: its unscaled 100-step maps already fail the
+        # drift gate
         monkeypatch.setattr(propagator, "CF4_MIN_STEPS", 100)
         monkeypatch.setattr(propagator, "CF4_STEPS_PER_UNIT_NORM", 0)
         monkeypatch.setattr(propagator, "MAX_STEPS", 200)
